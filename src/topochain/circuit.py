@@ -23,41 +23,39 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 @dataclass(frozen=True)
 class HoppingPair:
-    """Intracell (v) and intercell (w) admittance weights at one frequency."""
+    """Intracell (v) and intercell (w) admittance weights, shaped like omega."""
 
-    v: complex
-    w: complex
-    omega: complex
-
-    def magnitudes(self) -> tuple[float, float]:
-        return abs(self.v), abs(self.w)
-
-    def phases(self) -> tuple[float, float]:
-        """arg v, arg w; for real omega these equal -arctan(C R omega)."""
-        return float(np.angle(self.v)), float(np.angle(self.w))
+    v: complex | np.ndarray
+    w: complex | np.ndarray
+    omega: complex | np.ndarray
 
 
-def _etas(params: CircuitParams, omega: complex) -> tuple[complex, complex]:
-    if abs(omega) < OMEGA_FLOOR:
-        raise ZeroFrequency(f"|omega|={abs(omega):.3g} below floor {OMEGA_FLOOR}")
+def _etas(params: CircuitParams, omega):
+    """eta_j = 1 + i omega R_j C_j elementwise; one element off either floor raises."""
+    mag = np.abs(omega)
+    if np.any(mag < OMEGA_FLOOR):
+        raise ZeroFrequency(f"|omega|={np.min(mag):.3g} below floor {OMEGA_FLOOR}")
     eta1 = 1.0 + 1j * omega * params.r1 * params.c1
     eta2 = 1.0 + 1j * omega * params.r2 * params.c2
-    if abs(eta1) < ETA_FLOOR or abs(eta2) < ETA_FLOOR:
+    near = np.minimum(np.abs(eta1), np.abs(eta2))
+    if np.any(near < ETA_FLOOR):
+        j = np.argmin(near)
         raise DegenerateEta(
-            f"omega={omega} sits on a dissipative pole (|eta1|={abs(eta1):.3g}, "
-            f"|eta2|={abs(eta2):.3g})"
+            f"omega={np.ravel(omega)[j]} sits on a dissipative pole "
+            f"(|eta1|={np.ravel(np.abs(eta1))[j]:.3g}, "
+            f"|eta2|={np.ravel(np.abs(eta2))[j]:.3g})"
         )
     return eta1, eta2
 
 
-def hoppings(params: CircuitParams, omega: complex) -> HoppingPair:
-    """v = -C1/(1 + i omega R1 C1), w = -C2/(1 + i omega R2 C2)."""
+def hoppings(params: CircuitParams, omega) -> HoppingPair:
+    """v = -C1/(1 + i omega R1 C1), w = -C2/(1 + i omega R2 C2), elementwise in omega."""
     eta1, eta2 = _etas(params, omega)
     return HoppingPair(v=-params.c1 / eta1, w=-params.c2 / eta2, omega=omega)
 
 
-def lambda_diag(params: CircuitParams, omega: complex) -> complex:
-    """Total admittance converging at a node: 1/(omega^2 L) - C1/eta1 - C2/eta2."""
+def lambda_diag(params: CircuitParams, omega):
+    """Node admittance 1/(omega^2 L) - C1/eta1 - C2/eta2, elementwise in omega."""
     eta1, eta2 = _etas(params, omega)
     return 1.0 / (omega * omega * params.l) - params.c1 / eta1 - params.c2 / eta2
 
@@ -135,14 +133,12 @@ def chain_matrix_from_hoppings(
     n_inter = n if boundary is Boundary.PERIODIC else n - 1
     ww = np.broadcast_to(np.asarray(w, dtype=complex), (n_inter,))
     m = np.zeros((size, size), dtype=complex)
-    for j in range(n):
-        a, b = 2 * j, 2 * j + 1
-        m[a, b] = vv[j]
-        m[b, a] = vv[j]
-    for j in range(n_inter):
-        b, a_next = 2 * j + 1, (2 * j + 2) % size
-        m[b, a_next] = ww[j]
-        m[a_next, b] = ww[j]
+    a = 2 * np.arange(n)
+    m[a, a + 1] = vv
+    m[a + 1, a] = vv
+    b = 2 * np.arange(n_inter) + 1
+    m[b, (b + 1) % size] = ww
+    m[(b + 1) % size, b] = ww
     return m
 
 

@@ -267,7 +267,6 @@ def _setup_from_section(params: CircuitParams, section: dict) -> tuple[transient
     setup = transient.TransientSetup(
         params=params,
         drive_frequency=omega_r,
-        decay=omega_i,
         source_nodes=(tuple(section["source_nodes"])
                       if section["source_nodes"] is not None else None),
         source_amplitude=float(section["amplitude"]),

@@ -64,10 +64,6 @@ class OriginCrossing(NumericError):
     """Winding curve passes through the origin; the invariant is undefined."""
 
 
-class ResidualTooLarge(NumericError):
-    """Accumulated angle is not within tolerance of an integer multiple of 2*pi."""
-
-
 class SpectrumHit(NumericError):
     """Base point E0 lies on the determinant trajectory."""
 

@@ -15,7 +15,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 from scipy.optimize import linear_sum_assignment
 
-from .circuit import bloch_admittance, chain_matrix_from_hoppings, hoppings, lambda_diag
+from .circuit import hoppings, lambda_diag
 from .errors import (
     ConvergenceFailure,
     DegenerateLeadingCoefficient,
@@ -34,15 +34,14 @@ AXIS_TOL = 1e-8
 BRANCH_LABELS = ("omega3", "omega4", "omega5", "omega6")
 
 
-def band_polynomial_coefficients(params: CircuitParams, k: float) -> np.ndarray:
-    """Ascending coefficients c[0..6] of the frequency polynomial at fixed k.
+def _coefficients(params: CircuitParams, k) -> np.ndarray:
+    """Ascending coefficients c[..., 0..6] of the frequency polynomial at each k.
 
     Built by polynomial convolution from the building blocks
     eta1 = 1 + i R1 C1 omega, eta2 = 1 + i R2 C2 omega,
     A = L C1 omega^2 eta2, B = L C2 omega^2 eta1, P = eta1 eta2 - A - B:
-    p = P^2 - A^2 - B^2 - 2 cos k * A B.
-    Raises DegenerateLeadingCoefficient when the degree collapses (lossless
-    limit, or k at an exact zone endpoint where the top coefficient vanishes).
+    p = P^2 - A^2 - B^2 - 2 cos k * A B.  Only the last term depends on k,
+    so one row per k costs a single outer product.
     """
     eta1 = np.array([1.0, 1j * params.r1 * params.c1])
     eta2 = np.array([1.0, 1j * params.r2 * params.c2])
@@ -53,29 +52,23 @@ def band_polynomial_coefficients(params: CircuitParams, k: float) -> np.ndarray:
     p = np.zeros(4, dtype=complex)
     p[:3] = np.convolve(eta1, eta2)
     p -= a + b
-    coeffs = np.convolve(p, p) - np.convolve(a, a) - np.convolve(b, b) \
-        - 2.0 * np.cos(k) * np.convolve(a, b)
+    fixed = np.convolve(p, p) - np.convolve(a, a) - np.convolve(b, b)
+    return fixed - np.multiply.outer(2.0 * np.cos(k), np.convolve(a, b))
+
+
+def band_polynomial_coefficients(params: CircuitParams, k: float) -> np.ndarray:
+    """Ascending coefficients c[0..6] of the frequency polynomial at fixed k.
+
+    Raises DegenerateLeadingCoefficient when the degree collapses (lossless
+    limit, or k at an exact zone endpoint where the top coefficient vanishes).
+    """
+    coeffs = _coefficients(params, k)
     if abs(coeffs[-1]) < LEADING_TOL * np.max(np.abs(coeffs)):
         raise DegenerateLeadingCoefficient(
             f"degree-6 coefficient vanished at k={k:.6g} "
             f"(lossless limit or zone endpoint)"
         )
     return coeffs
-
-
-def _raw_coefficients(params: CircuitParams, k: float) -> np.ndarray:
-    """Same coefficients without the degeneracy gate (internal solver path)."""
-    eta1 = np.array([1.0, 1j * params.r1 * params.c1])
-    eta2 = np.array([1.0, 1j * params.r2 * params.c2])
-    a = np.zeros(4, dtype=complex)
-    a[2:] = params.l * params.c1 * eta2
-    b = np.zeros(4, dtype=complex)
-    b[2:] = params.l * params.c2 * eta1
-    p = np.zeros(4, dtype=complex)
-    p[:3] = np.convolve(eta1, eta2)
-    p -= a + b
-    return np.convolve(p, p) - np.convolve(a, a) - np.convolve(b, b) \
-        - 2.0 * np.cos(k) * np.convolve(a, b)
 
 
 @dataclass(frozen=True)
@@ -87,10 +80,12 @@ class FrequencyRoots:
 
 
 def _polish(coeffs: np.ndarray, roots: np.ndarray, steps: int = 2) -> np.ndarray:
-    d = npoly.polyder(coeffs)
+    # coefficient axis first, so polyval evaluates row j's polynomial at roots[j]
+    c = coeffs.T[:, :, None]
+    d = npoly.polyder(c)
     for _ in range(steps):
-        pv = npoly.polyval(roots, coeffs)
-        dv = npoly.polyval(roots, d)
+        pv = npoly.polyval(roots, c, tensor=False)
+        dv = npoly.polyval(roots, d, tensor=False)
         ok = np.abs(dv) > 0
         roots = np.where(ok, roots - np.where(ok, pv / np.where(ok, dv, 1.0), 0.0), roots)
     return roots
@@ -99,9 +94,53 @@ def _polish(coeffs: np.ndarray, roots: np.ndarray, steps: int = 2) -> np.ndarray
 def _scaled_residual(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
     # |p(omega)| relative to the magnitude sum of its terms; stays O(eps)
     # for backward-stable roots of any magnitude
-    powers = np.abs(roots[:, None]) ** np.arange(len(coeffs))[None, :]
-    scale = powers @ np.abs(coeffs)
-    return np.abs(npoly.polyval(roots, coeffs)) / np.maximum(scale, 1e-300)
+    powers = np.abs(roots[:, :, None]) ** np.arange(coeffs.shape[1])
+    scale = np.einsum("jrd,jd->jr", powers, np.abs(coeffs))
+    value = npoly.polyval(roots, coeffs.T[:, :, None], tensor=False)
+    return np.abs(value) / np.maximum(scale, 1e-300)
+
+
+def _solve(params: CircuitParams, ks: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Roots, pole roots and sorted physical roots at every k, one row per k.
+
+    Every k must give the same polynomial degree.  The companion matrices
+    are laid out as np.roots lays them out and solved as one eigvals stack.
+    """
+    coeffs = _coefficients(params, ks)
+    mags = np.abs(coeffs)
+    # top coefficients below LEADING_TOL of the row's largest are dropped
+    small = mags < LEADING_TOL * mags.max(axis=1, keepdims=True)
+    cut = coeffs.shape[1] - np.cumprod(small[:, ::-1], axis=1).sum(axis=1)
+    if np.any(cut < cut.max()):
+        j = int(np.argmax(cut < cut.max()))
+        raise TrackingAmbiguous(
+            f"band polynomial degree drops from {cut.max() - 1} to {cut[j] - 1} "
+            f"at k={ks[j]:.6g} (zone endpoint)"
+        )
+    n_k, deg = len(ks), cut[0] - 1
+    coeffs = coeffs[:, :deg + 1]
+    desc = coeffs[:, ::-1]
+    companion = np.zeros((n_k, deg, deg), dtype=complex)
+    companion[:, np.arange(1, deg), np.arange(deg - 1)] = 1.0
+    companion[:, 0, :] = -desc[:, 1:] / desc[:, :1]
+    roots = _polish(coeffs, np.linalg.eigvals(companion))
+    res = _scaled_residual(coeffs, roots).max(axis=1)
+    if np.any(res > ROOT_RESIDUAL_TOL):
+        j = int(np.argmax(res > ROOT_RESIDUAL_TOL))
+        raise RootResidualTooLarge(
+            f"worst root residual {res[j]:.3e} at k={ks[j]:.6g}"
+        )
+    # each finite pole claims the nearest root not yet claimed
+    poles = [pole for pole in params.pole_frequencies() if np.isfinite(pole)]
+    taken = np.zeros(roots.shape, dtype=bool)
+    pole_idx = np.empty((n_k, len(poles)), dtype=int)
+    for i, pole in enumerate(poles):
+        pole_idx[:, i] = np.argmin(np.where(taken, np.inf, np.abs(roots - pole)), axis=1)
+        taken[np.arange(n_k), pole_idx[:, i]] = True
+    physical = roots[~taken].reshape(n_k, -1)
+    order = np.lexsort((physical.imag, physical.real), axis=-1)
+    return (roots, np.take_along_axis(roots, pole_idx, axis=1),
+            np.take_along_axis(physical, order, axis=1))
 
 
 def natural_frequencies(params: CircuitParams, k: float) -> FrequencyRoots:
@@ -111,33 +150,9 @@ def natural_frequencies(params: CircuitParams, k: float) -> FrequencyRoots:
     fewer than six roots; for R1, R2 > 0 and k strictly inside (0, 2pi) the
     count is always six.
     """
-    coeffs = _raw_coefficients(params, k)
-    cut = len(coeffs)
-    top = np.max(np.abs(coeffs))
-    while cut > 1 and abs(coeffs[cut - 1]) < LEADING_TOL * top:
-        cut -= 1
-    trimmed = coeffs[:cut]
-    roots = np.roots(trimmed[::-1])
-    roots = _polish(trimmed, roots)
-    res = _scaled_residual(trimmed, roots)
-    if np.any(res > ROOT_RESIDUAL_TOL):
-        raise RootResidualTooLarge(
-            f"worst root residual {res.max():.3e} at k={k:.6g}"
-        )
-    pole_idx = []
-    for pole in params.pole_frequencies():
-        if not np.isfinite(pole):
-            continue
-        order = np.argsort(np.abs(roots - pole))
-        for idx in order:
-            if idx not in pole_idx:
-                pole_idx.append(int(idx))
-                break
-    pole_roots = roots[pole_idx]
-    physical = np.delete(roots, pole_idx)
-    physical = physical[np.lexsort((physical.imag, physical.real))]
-    return FrequencyRoots(k=float(k), roots=roots, pole_roots=pole_roots,
-                          physical_roots=physical)
+    roots, pole_roots, physical = _solve(params, np.array([k], dtype=float))
+    return FrequencyRoots(k=float(k), roots=roots[0], pole_roots=pole_roots[0],
+                          physical_roots=physical[0])
 
 
 @dataclass(frozen=True)
@@ -222,26 +237,23 @@ def track_on_grid(params: CircuitParams, k_grid: np.ndarray) -> BandSet:
     """Continuity-track the four physical roots over an arbitrary k grid."""
     ks = np.asarray(k_grid, dtype=float)
     n_k = len(ks)
-    traced = np.empty((n_k, 4), dtype=complex)
-    first = natural_frequencies(params, ks[0]).physical_roots
-    if len(first) != 4:
+    _, _, roots = _solve(params, ks)
+    if roots.shape[1] != 4:
         raise TrackingAmbiguous(
-            f"expected 4 physical roots at k={ks[0]:.6g}, got {len(first)}"
+            f"expected 4 physical roots at k={ks[0]:.6g}, got {roots.shape[1]}"
         )
-    traced[0] = first[_canonical_first(first)]
+    iu, ju = np.triu_indices(4, 1)
+    gaps = np.abs(roots[:, iu] - roots[:, ju]).min(axis=1)
+    if np.any(gaps[1:] < 1e-10):
+        j = 1 + int(np.argmax(gaps[1:] < 1e-10))
+        raise TrackingAmbiguous(
+            f"physical roots within {gaps[j]:.3e} of each other "
+            f"near k={ks[j]:.6g}; refine the grid"
+        )
+    traced = np.empty((n_k, 4), dtype=complex)
+    traced[0] = roots[0][_canonical_first(roots[0])]
     for j in range(1, n_k):
-        roots = natural_frequencies(params, ks[j]).physical_roots
-        if len(roots) != 4:
-            raise TrackingAmbiguous(
-                f"expected 4 physical roots at k={ks[j]:.6g}, got {len(roots)}"
-            )
-        gaps = np.abs(roots[:, None] - roots[None, :])[np.triu_indices(4, 1)]
-        if gaps.min() < 1e-10:
-            raise TrackingAmbiguous(
-                f"physical roots within {gaps.min():.3e} of each other "
-                f"near k={ks[j]:.6g}; refine the grid"
-            )
-        traced[j] = roots[_continue_step(traced[j - 1], roots)]
+        traced[j] = roots[j][_continue_step(traced[j - 1], roots[j])]
     last = traced[-1]
     cost = np.abs(last[:, None] - traced[0][None, :])
     rr, cc = linear_sum_assignment(cost)
@@ -268,10 +280,7 @@ def band_trace(params: CircuitParams, n_k: int) -> BandSet:
 
 def lambda_spectrum(params: CircuitParams, band: BandSet) -> dict[str, np.ndarray]:
     """Lambda(omega(k)) along each branch, for band-structure output."""
-    return {
-        lab: np.array([lambda_diag(params, om) for om in band.branches[lab]])
-        for lab in BRANCH_LABELS
-    }
+    return {lab: lambda_diag(params, band.branches[lab]) for lab in BRANCH_LABELS}
 
 
 def bulk_gap(params: CircuitParams, omega_branch: np.ndarray) -> float:
@@ -279,8 +288,7 @@ def bulk_gap(params: CircuitParams, omega_branch: np.ndarray) -> float:
     omega_branch = np.asarray(omega_branch)
     if omega_branch.size == 0:
         raise ValueError("empty branch")
-    lam = np.array([lambda_diag(params, om) for om in omega_branch])
-    return 2.0 * float(np.min(np.abs(lam)))
+    return 2.0 * float(np.min(np.abs(lambda_diag(params, omega_branch))))
 
 
 @dataclass(frozen=True)
@@ -360,32 +368,20 @@ def branch_effective_matrix(
         raise OutOfRange(
             f"band grid too coarse for n_cells={n}: need n_k >= {2 * n - 1}"
         )
-    omegas = band.branches[label]
+    hp = hoppings(params, band.branches[label])
     y = np.zeros((len(ks), 2, 2), dtype=complex)
-    for j, (om, k) in enumerate(zip(omegas, ks)):
-        hp = hoppings(params, om)
-        y[j, 0, 1] = hp.v + hp.w * np.exp(-1j * k)
-        y[j, 1, 0] = hp.v + hp.w * np.exp(+1j * k)
+    y[:, 0, 1] = hp.v + hp.w * np.exp(-1j * ks)
+    y[:, 1, 0] = hp.v + hp.w * np.exp(+1j * ks)
     ms = np.arange(-(n - 1), n)
     phases = np.exp(-1j * np.outer(ms, ks))
     blocks = np.tensordot(phases, y, axes=(1, 0)) / len(ks)
-    size = 2 * n
-    out = np.zeros((size, size), dtype=complex)
-    periodic = (boundary or params.boundary) is Boundary.PERIODIC
-    # c_m couples cell j to cell j + m, so m is a column offset
-    for mi, m in enumerate(ms):
-        blk = blocks[mi]
-        for i in range(n):
-            jj = i + m
-            if periodic:
-                jj %= n
-            elif not (0 <= jj < n):
-                continue
-            out[2 * i:2 * i + 2, 2 * jj:2 * jj + 2] += blk
-    return out
-
-
-def dimer_reference_matrix(v: complex, w: complex, n_cells: int,
-                           boundary: Boundary = Boundary.OPEN) -> np.ndarray:
-    """Constant-weight chain used by oracle tests (textbook limit)."""
-    return chain_matrix_from_hoppings(v, w, n_cells, boundary)
+    # c_m couples cell i to cell i + m, so m is a column offset; a periodic
+    # chain sums the offsets that wrap onto the same cell pair
+    offset = np.subtract.outer(np.arange(n), np.arange(n))
+    if (boundary or params.boundary) is Boundary.PERIODIC:
+        folded = np.zeros((n, 2, 2), dtype=complex)
+        np.add.at(folded, ms % n, blocks)
+        cells = folded[-offset % n]
+    else:
+        cells = blocks[n - 1 - offset]
+    return cells.transpose(0, 2, 1, 3).reshape(2 * n, 2 * n)

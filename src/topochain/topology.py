@@ -21,34 +21,76 @@ MIN_WINDING_SAMPLES = 64
 
 def _admittance_plane_curve(params: CircuitParams,
                             branch: np.ndarray,
-                            k_grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Real-projected admittance vector (Re y_x, Re y_y) along a branch."""
-    vs = np.empty(len(branch), dtype=complex)
-    ws = np.empty(len(branch), dtype=complex)
-    for j, om in enumerate(branch):
-        hp = hoppings(params, om)
-        vs[j], ws[j] = hp.v, hp.w
-    x = (vs + ws * np.cos(k_grid)).real
-    y = (ws * np.sin(k_grid)).real
-    return x, y
+                            k_grid: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """Real-projected admittance vector (Re y_x, Re y_y) along a branch; with
+    no explicit grid, the half-offset grid of the branch's length."""
+    branch = np.asarray(branch)
+    k_grid = midpoint_grid(len(branch)) if k_grid is None else np.asarray(k_grid)
+    hp = hoppings(params, branch)
+    return (hp.v + hp.w * np.cos(k_grid)).real, (hp.w * np.sin(k_grid)).real
 
 
-def _check_away_from_origin(x: np.ndarray, y: np.ndarray) -> None:
+def _turns(angles: np.ndarray) -> np.ndarray:
+    """Wrapped angle increments of a closed curve, last sample back to the first."""
+    step = np.diff(angles, append=angles[..., :1], axis=-1)
+    return (step + np.pi) % (2.0 * np.pi) - np.pi
+
+
+def _check_away_from_origin(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Raise OriginCrossing unless the curve clears both gates; return its turns."""
     r = np.hypot(x, y)
     if r.min() < ORIGIN_TOL * max(1.0, r.max()):
         raise OriginCrossing(
             f"admittance curve passes within {r.min():.3e} of the origin; "
             f"winding undefined"
         )
-    ang = np.arctan2(y, x)
-    dang = np.diff(ang, append=ang[0])
-    dang = (dang + np.pi) % (2.0 * np.pi) - np.pi
+    dang = _turns(np.arctan2(y, x))
     if np.max(np.abs(dang)) > MAX_SEGMENT_TURN:
         raise OriginCrossing(
             f"one curve segment turns {np.max(np.abs(dang)):.3f} rad around "
             f"the origin; the near-origin passage is unresolved and the "
             f"winding undefined"
         )
+    return dang
+
+
+def _quadrature(x: np.ndarray, y: np.ndarray) -> float:
+    xc = np.append(x, x[0])
+    yc = np.append(y, y[0])
+    dx = np.diff(xc)
+    dy = np.diff(yc)
+    xm = 0.5 * (xc[1:] + xc[:-1])
+    ym = 0.5 * (yc[1:] + yc[:-1])
+    return float(np.sum((xm * dy - ym * dx) / (xm * xm + ym * ym)) / (2.0 * np.pi))
+
+
+def _certified_winding(x: np.ndarray, y: np.ndarray) -> tuple[int, float]:
+    """Angle-count winding of a curve and its trapezoid quadrature.
+
+    Raises OriginCrossing when either origin gate fails, when the angle
+    count is not close to an integer, or when the quadrature rounds to a
+    different integer: a curve sampled too coarsely near the origin can
+    keep every segment under the turn gate and still be misread.
+    """
+    if len(x) < MIN_WINDING_SAMPLES:
+        raise OutOfRange(
+            f"branch has {len(x)} samples; need >= {MIN_WINDING_SAMPLES}"
+        )
+    total = _check_away_from_origin(x, y).sum() / (2.0 * np.pi)
+    rounded = int(np.rint(total))
+    if abs(total - rounded) > 1e-6:
+        raise OriginCrossing(
+            f"winding accumulated to {total:.6f}, not close to an integer; "
+            f"refine the grid"
+        )
+    quad = _quadrature(x, y)
+    if int(np.rint(quad)) != rounded:
+        raise OriginCrossing(
+            f"trapezoid quadrature reads {quad:.4f}, {abs(quad - rounded):.4f} "
+            f"from the angle count {rounded} (agreement needs under 0.5); "
+            f"the near-origin passage is unresolved and the winding undefined"
+        )
+    return rounded, quad
 
 
 def winding_number(params: CircuitParams,
@@ -60,28 +102,10 @@ def winding_number(params: CircuitParams,
     standard half-offset grid of matching length is assumed.  Accumulates
     wrapped angle increments between consecutive samples and closes the curve
     back to its first point, so the result is an exact integer for any curve
-    sampled finely enough that no single step turns by more than pi.
+    sampled finely enough that no single step turns by more than pi.  The
+    trapezoid quadrature of the same curve must round to the same integer.
     """
-    branch = np.asarray(branch)
-    if len(branch) < MIN_WINDING_SAMPLES:
-        raise OutOfRange(
-            f"branch has {len(branch)} samples; need >= {MIN_WINDING_SAMPLES}"
-        )
-    if k_grid is None:
-        k_grid = midpoint_grid(len(branch))
-    x, y = _admittance_plane_curve(params, branch, np.asarray(k_grid))
-    _check_away_from_origin(x, y)
-    ang = np.arctan2(y, x)
-    dang = np.diff(ang, append=ang[0])
-    dang = (dang + np.pi) % (2.0 * np.pi) - np.pi
-    total = dang.sum() / (2.0 * np.pi)
-    rounded = int(np.rint(total))
-    if abs(total - rounded) > 1e-6:
-        raise OriginCrossing(
-            f"winding accumulated to {total:.6f}, not close to an integer; "
-            f"refine the grid"
-        )
-    return rounded
+    return _certified_winding(*_admittance_plane_curve(params, branch, k_grid))[0]
 
 
 def winding_quadrature(params: CircuitParams,
@@ -92,41 +116,25 @@ def winding_quadrature(params: CircuitParams,
     Returns the raw (unrounded) value so tests can compare routes without
     the rounding step hiding disagreement.
     """
-    branch = np.asarray(branch)
-    if k_grid is None:
-        k_grid = midpoint_grid(len(branch))
-    x, y = _admittance_plane_curve(params, branch, np.asarray(k_grid))
+    x, y = _admittance_plane_curve(params, branch, k_grid)
     _check_away_from_origin(x, y)
-    xc = np.append(x, x[0])
-    yc = np.append(y, y[0])
-    dx = np.diff(xc)
-    dy = np.diff(yc)
-    xm = 0.5 * (xc[1:] + xc[:-1])
-    ym = 0.5 * (yc[1:] + yc[:-1])
-    return float(np.sum((xm * dy - ym * dx) / (xm * xm + ym * ym)) / (2.0 * np.pi))
+    return _quadrature(x, y)
 
 
 def winding_crossings(params: CircuitParams,
                       branch: np.ndarray,
                       k_grid: np.ndarray | None = None) -> int:
     """Second independent route: signed crossings of the positive x axis."""
-    branch = np.asarray(branch)
-    if k_grid is None:
-        k_grid = midpoint_grid(len(branch))
-    x, y = _admittance_plane_curve(params, branch, np.asarray(k_grid))
+    x, y = _admittance_plane_curve(params, branch, k_grid)
     _check_away_from_origin(x, y)
     xc = np.append(x, x[0])
     yc = np.append(y, y[0])
-    total = 0
-    for j in range(len(xc) - 1):
-        y0, y1 = yc[j], yc[j + 1]
-        if y0 == 0.0 or y0 * y1 >= 0.0:
-            continue
-        t = y0 / (y0 - y1)
-        x_at = xc[j] + t * (xc[j + 1] - xc[j])
-        if x_at > 0.0:
-            total += 1 if y1 > y0 else -1
-    return total
+    y0, y1 = yc[:-1], yc[1:]
+    cross = (y0 != 0.0) & (y0 * y1 < 0.0)
+    y0, y1 = y0[cross], y1[cross]
+    x0, x1 = xc[:-1][cross], xc[1:][cross]
+    x_at = x0 + y0 / (y0 - y1) * (x1 - x0)
+    return int(np.sign(y1 - y0)[x_at > 0.0].sum())
 
 
 @dataclass(frozen=True)
@@ -148,14 +156,11 @@ def winding_per_branch(params: CircuitParams, band: BandSet) -> dict[str, Windin
     for lab, branch in band.branches.items():
         x, y = _admittance_plane_curve(params, branch, band.k_grid)
         try:
-            out[lab] = WindingResult(
-                label=lab,
-                winding=winding_number(params, branch, band.k_grid),
-                quadrature=winding_quadrature(params, branch, band.k_grid),
-                curve_min_radius=float(np.hypot(x, y).min()),
-            )
+            winding, quadrature = _certified_winding(x, y)
         except OriginCrossing:
             continue
+        out[lab] = WindingResult(label=lab, winding=winding, quadrature=quadrature,
+                                 curve_min_radius=float(np.hypot(x, y).min()))
     return out
 
 
@@ -178,20 +183,14 @@ def _branch_select(band: BandSet, omega: complex) -> str:
 def _offdiag_product(params: CircuitParams, band: BandSet,
                      label: str) -> np.ndarray:
     """(v + w e^{-ik})(v + w e^{+ik}) along a tracked branch."""
-    branch = band.branches[label]
-    out = np.empty(len(branch), dtype=complex)
-    for j, (om, k) in enumerate(zip(branch, band.k_grid)):
-        hp = hoppings(params, om)
-        out[j] = (hp.v + hp.w * np.exp(-1j * k)) \
-            * (hp.v + hp.w * np.exp(+1j * k))
-    return out
+    hp = hoppings(params, band.branches[label])
+    return (hp.v + hp.w * np.exp(-1j * band.k_grid)) \
+        * (hp.v + hp.w * np.exp(+1j * band.k_grid))
 
 
-def _complex_winding(traj: np.ndarray) -> int:
-    ang = np.angle(traj)
-    dang = np.diff(ang, append=ang[0])
-    dang = (dang + np.pi) % (2.0 * np.pi) - np.pi
-    return int(np.rint(dang.sum() / (2.0 * np.pi)))
+def _complex_winding(traj: np.ndarray) -> np.ndarray:
+    """Signed turns of each complex trajectory (last axis) around the origin."""
+    return np.rint(_turns(np.angle(traj)).sum(axis=-1) / (2.0 * np.pi)).astype(int)
 
 
 def skin_winding(params: CircuitParams, omega: complex, e0: complex,
@@ -213,7 +212,7 @@ def skin_winding(params: CircuitParams, omega: complex, e0: complex,
             f"(min |det| = {np.abs(traj).min():.3e})"
         )
     return SkinWindingResult(base_point=complex(e0),
-                             winding=_complex_winding(traj),
+                             winding=int(_complex_winding(traj)),
                              trajectory=traj)
 
 
@@ -221,11 +220,7 @@ def _first_witness(cands: np.ndarray, qq: np.ndarray) -> complex | None:
     traj = cands[:, None] ** 2 - qq[None, :]
     scale = np.maximum(1.0, np.abs(traj).max(axis=1))
     valid = np.abs(traj).min(axis=1) >= 1e-12 * scale
-    ang = np.angle(traj)
-    dang = np.diff(ang, append=ang[:, :1], axis=1)
-    dang = (dang + np.pi) % (2.0 * np.pi) - np.pi
-    windings = np.rint(dang.sum(axis=1) / (2.0 * np.pi)).astype(int)
-    hits = np.nonzero(valid & (windings != 0))[0]
+    hits = np.nonzero(valid & (_complex_winding(traj) != 0))[0]
     if len(hits):
         return complex(cands[hits[0]])
     return None
@@ -303,12 +298,28 @@ def center_of_mass_shift(spectrum: ChainSpectrum) -> float:
 
     Positive values mean weight accumulated toward the high-index end.
     Translation symmetry pins the periodic-chain value at zero, so this is
-    the skin-effect order parameter for open chains.
+    the skin-effect order parameter for open chains.  Eigenvalues closer
+    than 1e-8 max(1, max |lambda|) (the eigen-residual gate's scale) form
+    one cluster whose states are summed through an orthonormal basis of
+    their span, so no choice of basis inside a degenerate subspace (the
+    Edge pair of a gapped chain) moves the result.
     """
+    vals = spectrum.eigenvalues
     n = spectrum.n_states
-    sites = np.arange(n)
-    mags = np.abs(spectrum.eigenvectors) ** 2
-    centers = sites @ mags
+    tol = 1e-8 * max(1.0, float(np.abs(vals).max()))
+    close = np.abs(vals[:, None] - vals[None, :]) < tol
+    # label each state by the lowest index it reaches through close pairs
+    cluster = np.arange(n)
+    while True:
+        reached = np.where(close, cluster, n).min(axis=1)
+        if np.array_equal(reached, cluster):
+            break
+        cluster = reached
+    vecs = spectrum.eigenvectors.copy()
+    for c in np.flatnonzero(np.bincount(cluster) > 1):
+        members = cluster == c
+        vecs[:, members] = np.linalg.qr(vecs[:, members])[0]
+    centers = np.arange(n) @ np.abs(vecs) ** 2
     return float(centers.mean() - 0.5 * (n - 1))
 
 
@@ -323,20 +334,18 @@ def perturb_chain(matrix: RealSpaceMatrix, cells: tuple[int, ...],
     if not 0.0 <= fraction <= 0.2:
         raise OutOfRange(f"fraction {fraction} outside [0, 0.2]")
     n = matrix.params.n_cells
-    for c in cells:
-        if not 0 <= c < n:
-            raise OutOfRange(f"cell index {c} outside [0, {n})")
+    c = np.asarray(cells, dtype=int)
+    outside = c[(c < 0) | (c >= n)]
+    if outside.size:
+        raise OutOfRange(f"cell index {outside[0]} outside [0, {n})")
+    a, b = 2 * c, 2 * c + 1
+    # the last cell's intercell bond exists only on a periodic chain
+    b_next = b if matrix.params.boundary is Boundary.PERIODIC else b[c < n - 1]
+    nxt = (b_next + 1) % (2 * n)
     out = matrix.entries.copy()
-    size = 2 * n
-    for c in cells:
-        a, b = 2 * c, 2 * c + 1
-        out[a, b] *= 1.0 + fraction
-        out[b, a] *= 1.0 + fraction
-        nxt = (b + 1) % size
-        if nxt != b + 1 and matrix.params.boundary is not Boundary.PERIODIC:
-            continue
-        out[b, nxt] *= 1.0 + fraction
-        out[nxt, b] *= 1.0 + fraction
+    # multiply.at applies a cell listed twice twice, as its bonds are touched twice
+    np.multiply.at(out, (np.concatenate([a, b, b_next, nxt]),
+                         np.concatenate([b, a, nxt, b_next])), 1.0 + fraction)
     return RealSpaceMatrix(entries=out, params=matrix.params, omega=matrix.omega)
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 from scipy.optimize import least_squares
 
 from .errors import (
@@ -63,7 +62,6 @@ def fastest_time_constant(params: CircuitParams, drive_frequency: float) -> floa
 class TransientSetup:
     params: CircuitParams
     drive_frequency: float
-    decay: float = 0.0
     source_nodes: tuple[int, int] | None = None
     source_amplitude: float = 1.0
     switch_open_time: float | None = None

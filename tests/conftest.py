@@ -32,6 +32,19 @@ def bands_all_rows():
 
 
 @pytest.fixture(scope="session")
+def random_draw_bands():
+    """100 seeded 2-cell element sets, each uniform in [0.05, 2.0], traced at
+    n_k = 512; shared by the two tests that compare the winding routes."""
+    rng = np.random.default_rng(5)
+    out = []
+    for _ in range(100):
+        r1, r2, c1, c2, l = rng.uniform(0.05, 2.0, size=5)
+        p = tc.CircuitParams(r1, r2, c1, c2, l, n_cells=2)
+        out.append((p, tc.band_trace(p, 512)))
+    return out
+
+
+@pytest.fixture(scope="session")
 def chain300(band_row4):
     """Branch-resolved open-chain spectra at N=300 for the pinned row 4."""
     p = row_params(4, n_cells=300)

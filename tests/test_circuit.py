@@ -130,3 +130,27 @@ def test_hermitian_reference_band_shape():
     xm0, xp0 = tc.hermitian_reference_bands(2.0, 0.5, 1.0, 0.0)
     assert xm0 == pytest.approx(0.0, abs=1e-12)
     assert xp0 == pytest.approx(5.0)
+
+
+def test_hoppings_and_lambda_elementwise_over_arrays():
+    p = row_params(1)
+    omega = np.array([[1.0 + 0.5j, -2.3 + 0.1j], [0.7 - 0.02j, 4.1 + 1.9j]])
+    hp = tc.hoppings(p, omega)
+    lam = tc.lambda_diag(p, omega)
+    assert hp.v.shape == hp.w.shape == lam.shape == omega.shape
+    for idx in np.ndindex(omega.shape):
+        one = tc.hoppings(p, omega[idx])
+        assert abs(hp.v[idx] - one.v) <= 1e-15 * abs(one.v)
+        assert abs(hp.w[idx] - one.w) <= 1e-15 * abs(one.w)
+        ref = tc.lambda_diag(p, omega[idx])
+        assert abs(lam[idx] - ref) <= 1e-15 * abs(ref)
+    with_pole = np.array([1.0 + 0.5j, p.pole_frequencies()[1], 2.0 + 0.0j])
+    with pytest.raises(DegenerateEta):
+        tc.hoppings(p, with_pole)
+    with pytest.raises(DegenerateEta):
+        tc.lambda_diag(p, with_pole)
+    with_zero = np.array([1.0 + 0.5j, 0.0, 2.0 + 0.0j])
+    with pytest.raises(ZeroFrequency):
+        tc.hoppings(p, with_zero)
+    with pytest.raises(ZeroFrequency):
+        tc.lambda_diag(p, with_zero)

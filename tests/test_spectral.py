@@ -7,11 +7,7 @@ from topochain.errors import (
     OutOfRange,
     TrackingAmbiguous,
 )
-from topochain.spectral import (
-    BRANCH_LABELS,
-    dimer_reference_matrix,
-    midpoint_grid,
-)
+from topochain.spectral import BRANCH_LABELS, midpoint_grid
 
 from conftest import ROWS, assert_close, row_params
 
@@ -248,10 +244,10 @@ def test_branch_effective_matrix_reciprocal_on_m_branch(band_row4):
 
 def test_dimer_reference_zero_modes():
     # |v| < |w| hosts two end modes with exponentially small energy
-    m = dimer_reference_matrix(0.5, 1.0, 20)
+    m = tc.chain_matrix_from_hoppings(0.5, 1.0, 20, tc.Boundary.OPEN)
     vals = np.sort(np.abs(np.linalg.eigvalsh(m)))
     assert vals[0] < 1e-4 and vals[1] < 1e-4
     assert vals[2] > 0.4
-    m_trivial = dimer_reference_matrix(1.0, 0.5, 20)
+    m_trivial = tc.chain_matrix_from_hoppings(1.0, 0.5, 20, tc.Boundary.OPEN)
     vals_t = np.sort(np.abs(np.linalg.eigvalsh(m_trivial)))
     assert vals_t[0] > 0.4

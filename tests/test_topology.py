@@ -72,20 +72,16 @@ def test_winding_rejects_short_branch():
         tc.winding_number(p, np.full(16, 1.0 + 0.1j))
 
 
-def test_winding_routes_random_draws():
+def test_winding_routes_random_draws(random_draw_bands):
     """Angle, quadrature, and crossing routes agree wherever all are defined.
 
     Seeded draw, 100 parameter sets at n_k = 512: 225 of the 400 branch
     curves certify (the rest pass too close to the origin), and the three
     routes give the same integer on every certified curve.
     """
-    rng = np.random.default_rng(5)
     defined = 0
     excluded = 0
-    for _ in range(100):
-        r1, r2, c1, c2, l = rng.uniform(0.05, 2.0, size=5)
-        p = tc.CircuitParams(r1, r2, c1, c2, l, n_cells=2)
-        band = tc.band_trace(p, 512)
+    for p, band in random_draw_bands:
         for lab, br in band.branches.items():
             try:
                 wa = tc.winding_number(p, br, band.k_grid)
@@ -97,6 +93,24 @@ def test_winding_routes_random_draws():
             defined += 1
     assert defined == 225
     assert excluded == 175
+
+
+def test_winding_refused_where_quadrature_disagrees():
+    """A coarse grid can keep every segment turn under the pi/2 gate and
+    still misread a near-origin passage: at n_k = 256 the hybrid pair's
+    angle count reads 1 while the quadrature of the same curve reads 0.464
+    (finer grids refuse the pair outright).  The pair must be refused."""
+    p = tc.CircuitParams(0.1488923269822715, 0.5037867215811828,
+                         0.5512816015358734, 0.4370392537494254,
+                         1.6172542853670244, n_cells=2)
+    band = tc.band_trace(p, 256)
+    results = tc.winding_per_branch(p, band)
+    assert {lab: r.winding for lab, r in results.items()} \
+        == {"omega3": 0, "omega6": 0}
+    for lab in ("omega4", "omega5"):
+        assert 0.4 < tc.winding_quadrature(p, band.branches[lab], band.k_grid) < 0.5
+        with pytest.raises(OriginCrossing, match="quadrature"):
+            tc.winding_number(p, band.branches[lab], band.k_grid)
 
 
 def test_skin_winding_trajectory_and_base_point(band_row3):
@@ -182,10 +196,31 @@ def test_edge_states_are_zero_modes_row4(chain300):
 def test_center_of_mass_shift_row4(chain300):
     com = {lab: tc.center_of_mass_shift(chain300[lab][0])
            for lab in chain300}
-    assert abs(com["omega3"]) < 0.1
-    assert abs(com["omega6"]) < 0.1
+    # the Edge pair is summed as one cluster; oracle: omega3 6.9e-9, omega6 -6.7e-9
+    assert abs(com["omega3"]) < 1e-6
+    assert abs(com["omega6"]) < 1e-6
     assert com["omega4"] == pytest.approx(-4.556079, abs=1e-3)
     assert com["omega5"] == pytest.approx(-4.556079, abs=1e-3)
+
+
+def test_center_of_mass_shift_basis_free():
+    """Rotating the Edge pair, degenerate to roundoff, inside its span must
+    not move the center-of-mass shift."""
+    p = row_params(4, n_cells=40)
+    band = tc.band_trace(p, 128)
+    entries = tc.branch_effective_matrix(p, band, "omega6")
+    spec = tc.eigendecompose(tc.RealSpaceMatrix(entries=entries, params=p, omega=1.0))
+    edge = np.argsort(np.abs(spec.eigenvalues))[:2]
+    assert abs(spec.eigenvalues[edge[0]] - spec.eigenvalues[edge[1]]) < 1e-12
+    base = tc.center_of_mass_shift(spec)
+    rng = np.random.default_rng(7)
+    for _ in range(5):
+        z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        mixed = spec.eigenvectors[:, edge] @ np.linalg.qr(z)[0]
+        vecs = spec.eigenvectors.copy()
+        vecs[:, edge] = mixed / np.linalg.norm(mixed, axis=0)
+        rot = tc.center_of_mass_shift(replace(spec, eigenvectors=vecs))
+        assert rot == pytest.approx(base, abs=1e-12)
 
 
 def test_perturb_chain_locality():

@@ -98,3 +98,25 @@ for name, k, sub, depth in (("left", np.argmax(pol_vals.real), 0, np.arange(N)),
     print(f"  {name} mode: decays {-slope:.4f} decades/cell over "
           f"{keep.sum()} cells; extrapolated log10 amplitude at cells "
           f"{cells}: {np.round(far, 1)}")
+
+# --- center-of-mass shift, basis-free, without center_of_mass_shift -------
+# On the gapped branches the Edge pair is degenerate to roundoff, so the
+# profile of each member depends on the basis the eigensolver picks inside
+# the pair's span.  Solve with scipy's eig, sum the pair through sl.orth of
+# its span when its splitting is under 1e-8 max(1, max |lambda|), and check
+# that no other two eigenvalues come that close.
+print("center-of-mass shift (scipy.linalg.eig, degenerate pair through sl.orth):")
+for lab in BRANCH_LABELS:
+    vals, vecs = sl.eig(spectra[lab][2].entries)
+    vecs = vecs / np.linalg.norm(vecs, axis=0)
+    tol = 1e-8 * max(1.0, np.abs(vals).max())
+    pair = np.argsort(np.abs(vals))[:2]
+    split = abs(vals[pair[0]] - vals[pair[1]])
+    if split < tol:
+        vecs[:, pair] = sl.orth(vecs[:, pair])
+    rest = np.delete(vals, pair)
+    dist = np.abs(rest[:, None] - rest[None, :])
+    np.fill_diagonal(dist, np.inf)
+    com = (np.arange(2 * N) @ np.abs(vecs) ** 2).mean() - 0.5 * (2 * N - 1)
+    print(f"  {lab}: pair splitting {split:.2e} (tol {tol:.2e}), closest other "
+          f"gap {dist.min():.2e}, com {com:.6e}")

@@ -10,14 +10,14 @@ deviation freezes the acceptance tolerance.
 import numpy as np
 
 from topochain import CircuitParams, hermitian_reference_bands, midpoint_grid
-from topochain.spectral import _raw_coefficients
+from topochain.spectral import _coefficients
 
 C1, C2, L = 0.95, 0.45, 0.81
 p = CircuitParams(0.0, 0.0, C1, C2, L, n_cells=2)
 
 worst = 0.0
 for k in midpoint_grid(256):
-    coeffs = _raw_coefficients(p, k)
+    coeffs = _coefficients(p, k)
     top = np.max(np.abs(coeffs))
     cut = len(coeffs)
     while cut > 1 and abs(coeffs[cut - 1]) < 1e-14 * top:
