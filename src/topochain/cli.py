@@ -47,15 +47,8 @@ SECTION_DEFAULTS = {
         "periods_free": 25.0, "fit_t0_periods": 3.0, "max_samples": 8000,
         "dt": None,
     },
-    "netlist": None,   # shares the transient section
     "sweep": {"points": None, "n_k": 256, "check_skin": True},
 }
-
-
-def _fmt(x) -> str:
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    return str(x)
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -71,9 +64,10 @@ def _write_json(path: Path, obj) -> None:
 
 
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
-    rows = [",".join(header)]
-    for i in range(len(columns[0])):
-        rows.append(",".join(_fmt(col[i]) for col in columns))
+    # tolist() gives Python floats and ints, whose repr is the shortest
+    # round-trip form and the plain digits
+    cells = zip(*(map(repr, col.tolist()) for col in columns))
+    rows = [",".join(header)] + [",".join(row) for row in cells]
     _write_text(path, "\n".join(rows) + "\n")
 
 
@@ -83,8 +77,6 @@ def _pair(z: complex) -> list[float]:
 
 def _section(config: dict, name: str) -> dict:
     defaults = SECTION_DEFAULTS[name]
-    if defaults is None:
-        return _section(config, "transient")
     given = config.get(name, {})
     if not isinstance(given, dict):
         raise InvalidParams(f"section '{name}' must be an object")
@@ -94,11 +86,6 @@ def _section(config: dict, name: str) -> dict:
     merged = dict(defaults)
     merged.update(given)
     return merged
-
-
-def _resolved_echo(command: str, params: CircuitParams, section: dict) -> dict:
-    key = "transient" if command == "netlist" else command
-    return {"circuit": params.to_dict(), key: section}
 
 
 def _branch_labels(section: dict) -> tuple[str, ...]:
@@ -111,8 +98,7 @@ def _branch_labels(section: dict) -> tuple[str, ...]:
     return tuple(chosen)
 
 
-def cmd_bands(params: CircuitParams, config: dict, outdir: Path, fmt: str) -> None:
-    section = _section(config, "bands")
+def cmd_bands(params: CircuitParams, section: dict, outdir: Path, fmt: str) -> None:
     band = spectral.band_trace(params, int(section["n_k"]))
     lam = spectral.lambda_spectrum(params, band)
     labels = spectral.BRANCH_LABELS
@@ -144,8 +130,7 @@ def cmd_bands(params: CircuitParams, config: dict, outdir: Path, fmt: str) -> No
     })
 
 
-def cmd_winding(params: CircuitParams, config: dict, outdir: Path, fmt: str) -> None:
-    section = _section(config, "winding")
+def cmd_winding(params: CircuitParams, section: dict, outdir: Path) -> None:
     band = spectral.band_trace(params, int(section["n_k"]))
     results = topology.winding_per_branch(params, band)
     branches = {}
@@ -170,8 +155,7 @@ def cmd_winding(params: CircuitParams, config: dict, outdir: Path, fmt: str) -> 
     _write_json(outdir / "winding.json", report)
 
 
-def cmd_skin(params: CircuitParams, config: dict, outdir: Path, fmt: str) -> None:
-    section = _section(config, "skin")
+def cmd_skin(params: CircuitParams, section: dict, outdir: Path) -> None:
     band = spectral.band_trace(params, int(section["n_k"]))
     report = {}
     for lab in _branch_labels(section):
@@ -195,8 +179,7 @@ def _center_cells(n_cells: int) -> list[int]:
     return [mid - 1, mid, mid + 1]
 
 
-def cmd_eigvecs(params: CircuitParams, config: dict, outdir: Path, fmt: str) -> None:
-    section = _section(config, "eigvecs")
+def cmd_eigvecs(params: CircuitParams, section: dict, outdir: Path) -> None:
     label = section["branch"]
     if label not in spectral.BRANCH_LABELS:
         raise InvalidParams(f"unknown branch label '{label}'")
@@ -284,8 +267,7 @@ def _setup_from_section(params: CircuitParams, section: dict) -> tuple[transient
     return setup, drive_info
 
 
-def cmd_transient(params: CircuitParams, config: dict, outdir: Path, fmt: str) -> None:
-    section = _section(config, "transient")
+def cmd_transient(params: CircuitParams, section: dict, outdir: Path) -> None:
     setup, drive_info = _setup_from_section(params, section)
     trace = transient.simulate(setup, max_samples=int(section["max_samples"]))
     window = (trace.switch_time + 3.0 * setup.drive_period, float(trace.times[-1]))
@@ -327,8 +309,7 @@ def cmd_transient(params: CircuitParams, config: dict, outdir: Path, fmt: str) -
                [trace.times, trace.energy])
 
 
-def cmd_netlist(params: CircuitParams, config: dict, outdir: Path, fmt: str) -> None:
-    section = _section(config, "transient")
+def cmd_netlist(params: CircuitParams, section: dict, outdir: Path) -> None:
     setup, _ = _setup_from_section(params, section)
     _write_text(outdir / "chain.cir", netlist_mod.netlist_text(setup))
 
@@ -356,9 +337,8 @@ def _sweep_point(entry: dict, n_k: int, check_skin: bool) -> dict:
     }
 
 
-def cmd_sweep(params: CircuitParams, config: dict, outdir: Path, fmt: str,
+def cmd_sweep(params: CircuitParams, section: dict, outdir: Path,
               threads: int = 1) -> None:
-    section = _section(config, "sweep")
     points = section["points"]
     if not points:
         points = [dict(
@@ -378,8 +358,8 @@ def cmd_sweep(params: CircuitParams, config: dict, outdir: Path, fmt: str,
         p = row["params"]
         mu = "|".join(str(m) for m in row["multiset"])
         lines.append(
-            f"{_fmt(p.r1)},{_fmt(p.r2)},{_fmt(p.c1)},{_fmt(p.c2)},"
-            f"{_fmt(p.l)},{mu},{_fmt(row['min_gap'])},{int(row['skin'])}"
+            f"{p.r1!r},{p.r2!r},{p.c1!r},{p.c2!r},{p.l!r},{mu},"
+            f"{row['min_gap']!r},{int(row['skin'])}"
         )
     _write_text(outdir / "sweep.csv", "\n".join(lines) + "\n")
 
@@ -419,6 +399,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def run_command(command: str, config: dict, outdir: Path, fmt: str,
                 threads: int = 1) -> None:
+    if command not in COMMANDS:
+        raise InvalidParams(f"unknown command '{command}'")
     if "circuit" not in config:
         raise InvalidParams("config lacks a 'circuit' section")
     known = {"circuit"} | set(COMMANDS)
@@ -426,25 +408,13 @@ def run_command(command: str, config: dict, outdir: Path, fmt: str,
         if key not in known:
             raise UnknownKey(key)
     params = circuit_from_mapping(config["circuit"])
-    section_key = "transient" if command == "netlist" else command
-    echo = _resolved_echo(command, params, _section(config, section_key))
-    _write_json(outdir / "resolved_config.json", echo)
-    if command == "bands":
-        cmd_bands(params, config, outdir, fmt)
-    elif command == "winding":
-        cmd_winding(params, config, outdir, fmt)
-    elif command == "skin":
-        cmd_skin(params, config, outdir, fmt)
-    elif command == "eigvecs":
-        cmd_eigvecs(params, config, outdir, fmt)
-    elif command == "transient":
-        cmd_transient(params, config, outdir, fmt)
-    elif command == "netlist":
-        cmd_netlist(params, config, outdir, fmt)
-    elif command == "sweep":
-        cmd_sweep(params, config, outdir, fmt, threads=threads)
-    else:
-        raise InvalidParams(f"unknown command '{command}'")
+    key = "transient" if command == "netlist" else command
+    section = _section(config, key)
+    _write_json(outdir / "resolved_config.json",
+                {"circuit": params.to_dict(), key: section})
+    options = {"bands": {"fmt": fmt}, "sweep": {"threads": threads}}
+    # looked up at call time, so a rebound module attribute is the one called
+    globals()[f"cmd_{command}"](params, section, outdir, **options.get(command, {}))
 
 
 def main(argv=None) -> int:

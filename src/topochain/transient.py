@@ -116,23 +116,21 @@ class StateVector:
 
 
 def _incidence(params: CircuitParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Branch incidence, per-branch R and C, interleaved A/B node order."""
+    """Branch incidence, per-branch R and C, interleaved A/B node order.
+
+    Branches are the N intra-cell bonds (2j, 2j+1), then the inter-cell
+    bonds (2j+1, 2j+2), the last one closing the ring when periodic.
+    """
     n = params.n_cells
     n_nodes = 2 * n
-    bonds = [(2 * j, 2 * j + 1, params.r1, params.c1) for j in range(n)]
-    for j in range(n - 1):
-        bonds.append((2 * j + 1, 2 * j + 2, params.r2, params.c2))
-    if params.boundary is Boundary.PERIODIC:
-        bonds.append((2 * n - 1, 0, params.r2, params.c2))
-    s = np.zeros((n_nodes, len(bonds)))
-    rs = np.empty(len(bonds))
-    cs = np.empty(len(bonds))
-    for b, (a, bb, r, c) in enumerate(bonds):
-        s[a, b] = 1.0
-        s[bb, b] = -1.0
-        rs[b] = r
-        cs[b] = c
-    return s, rs, cs
+    n_inter = n if params.boundary is Boundary.PERIODIC else n - 1
+    tail = np.concatenate([2 * np.arange(n), 2 * np.arange(n_inter) + 1])
+    bond = np.arange(len(tail))
+    s = np.zeros((n_nodes, len(tail)))
+    s[tail, bond] = 1.0
+    s[(tail + 1) % n_nodes, bond] = -1.0
+    intra = bond < n
+    return s, np.where(intra, params.r1, params.r2), np.where(intra, params.c1, params.c2)
 
 
 @dataclass(frozen=True)
@@ -173,7 +171,7 @@ def assemble_state_space(setup: TransientSetup) -> StateSpace:
     # state -> KCL right-hand side (without sources): S R^-1 vC - iL
     m = np.hstack([s / rs, -np.eye(n_nodes)])
 
-    free_idx = np.array([i for i in range(n_nodes) if i not in set(setup.source_nodes)])
+    free_idx = np.setdiff1d(np.arange(n_nodes), setup.source_nodes)
     clamp_idx = np.array(sorted(setup.source_nodes))
     g_ff = g[np.ix_(free_idx, free_idx)]
     g_fc = g[np.ix_(free_idx, clamp_idx)]
@@ -221,15 +219,14 @@ class TransientTrace:
     times: np.ndarray
     node_voltages: np.ndarray    # shape (n_samples, 2N)
     ground_currents: np.ndarray  # shape (n_samples, 2N)
+    cap_voltages: np.ndarray     # shape (n_samples, n_branches)
     energy: np.ndarray
     switch_time: float
     metadata: TransientSetup
 
     def final_state(self) -> StateVector:
-        return StateVector(cap_voltages=self._cap[-1].copy(),
+        return StateVector(cap_voltages=self.cap_voltages[-1].copy(),
                            ind_currents=self.ground_currents[-1].copy())
-
-    _cap: np.ndarray = field(default=None, repr=False)
 
 
 def _propagator(a: np.ndarray, dt: float) -> np.ndarray:
@@ -284,17 +281,42 @@ def _probe_local_error(a: np.ndarray, b: np.ndarray | None, u_of_t,
     return float(np.linalg.norm(fine - coarse)) / scale
 
 
+def _phase(p: np.ndarray, out: np.ndarray, n_steps: int, stride: int,
+           probe) -> np.ndarray:
+    """Fill out[1:] from out[0], one row per stride steps of the one-step map
+    p; the last advance is shorter when stride does not divide n_steps.
+
+    The first row within a stride of each eighth of the phase is passed to
+    probe(row, step).  Returns the step number of every row.
+    """
+    steps = np.minimum(np.arange(len(out)) * stride, n_steps)
+    q = _mat_power(p, stride)
+    pending = {max(1, (n_steps * (j + 1)) // 8) for j in range(8)}
+    for i, (prev, step) in enumerate(zip(steps.tolist(), steps[1:].tolist()), 1):
+        adv = step - prev
+        np.matmul(q if adv == stride else _mat_power(p, adv), out[i - 1], out=out[i])
+        near = {s for s in pending if abs(s - step) < stride}
+        if near:
+            pending -= near
+            probe(out[i], step)
+    return steps
+
+
 def simulate(setup: TransientSetup,
              max_samples: int = DEFAULT_OUTPUT_SAMPLES) -> TransientTrace:
     """Drive, release, and record the chain with fixed-step trapezoid.
 
-    The system is linear time-invariant within each phase, so the stepping
-    recurrence is evaluated through cached powers of the one-step map plus
-    the closed-form particular response to the sinusoidal drive; this is
-    arithmetically the fixed-step trapezoid solution, evaluated at the
-    decimated output times.  Local accuracy is audited by step-doubling
-    probes spread through each phase, and stored energy is checked to be
-    non-increasing after release.
+    The system is linear time-invariant within each phase, so one routine
+    steps both: it applies cached powers of the phase's one-step map to the
+    recorded state, and the driven phase then adds the closed-form
+    particular response to the sinusoidal drive to all its rows at once.
+    This is arithmetically the fixed-step trapezoid solution, evaluated at
+    the decimated output times and recorded into one state array whose
+    column blocks are the capacitor voltages and inductor currents.  The
+    switch instant is recorded twice, before and after the release
+    projection.  Local accuracy is audited by step-doubling probes spread
+    through each phase, and stored energy is checked to be non-increasing
+    after release.
     """
     if not 1 <= max_samples <= MAX_OUTPUT_SAMPLES:
         raise InvalidParams(f"max_samples outside [1, {MAX_OUTPUT_SAMPLES}]")
@@ -304,84 +326,55 @@ def simulate(setup: TransientSetup,
     switch_time = n_driven * dt
     n_free = int(np.ceil((setup.t_end - switch_time) / dt))
     stride = max(1, int(np.ceil((n_driven + n_free) / max_samples)))
+    rows_d = 1 + (n_driven + stride - 1) // stride
+    rows_f = 1 + (n_free + stride - 1) // stride
 
-    dim, nb, nn = sys.dimension, sys.n_branches, sys.n_nodes
-    p_d = _propagator(sys.a_driven, dt)
+    def drive(t):
+        return setup.source_amplitude * np.sin(setup.drive_frequency * t)
+
+    def check(phase: str, a: np.ndarray, b: np.ndarray | None,
+              x: np.ndarray, t: float) -> None:
+        err = _probe_local_error(a, b, drive, x, t, dt)
+        if err > LOCAL_ERROR_TOL:
+            raise StepRejected(
+                f"{phase}-phase local error {err:.3e} at t={t:.6g}; reduce dt")
+
+    states = np.empty((rows_d + rows_f, sys.dimension))
+    driven, free = states[:rows_d], states[rows_d:]
+    nb = sys.n_branches
+
+    # driven phase: x_n = y_n + Im(z rho^n), y homogeneous
     z = _sinusoid_particular(sys.a_driven, sys.b_driven, setup.source_amplitude,
                              setup.drive_frequency, dt)
     rho = np.exp(1j * setup.drive_frequency * dt)
-
-    times, caps, currents, volts = [], [], [], []
-
-    def record(step: int, x: np.ndarray, driven: bool) -> None:
-        t = step * dt
-        u = setup.source_amplitude * np.sin(setup.drive_frequency * t)
-        if driven:
-            v = sys.v_map_driven @ x + sys.v_src_driven * u
-        else:
-            v = sys.v_map_free @ x
-        times.append(t)
-        caps.append(x[:nb].copy())
-        currents.append(x[nb:].copy())
-        volts.append(v)
-
-    # driven phase: x_n = y_n + Im(z rho^n), y homogeneous
-    y = -z.imag.copy()
-    q_d = _mat_power(p_d, stride)
-    probe_steps_d = {max(1, (n_driven * (j + 1)) // 8) for j in range(8)}
-    step = 0
-    record(0, y + np.imag(z), True)
-    while step < n_driven:
-        adv = min(stride, n_driven - step)
-        y = (q_d if adv == stride else _mat_power(p_d, adv)) @ y
-        step += adv
-        x = y + np.imag(z * rho ** step)
-        record(step, x, True)
-        near = [p for p in probe_steps_d if abs(p - step) < stride]
-        if near:
-            probe_steps_d -= set(near)
-            err = _probe_local_error(
-                sys.a_driven, sys.b_driven,
-                lambda t: setup.source_amplitude * np.sin(setup.drive_frequency * t),
-                x, step * dt, dt)
-            if err > LOCAL_ERROR_TOL:
-                raise StepRejected(
-                    f"driven-phase local error {err:.3e} at t={step * dt:.6g}; "
-                    f"reduce dt"
-                )
+    driven[0] = -z.imag
+    steps_d = _phase(
+        _propagator(sys.a_driven, dt), driven, n_driven, stride,
+        lambda y, step: check("driven", sys.a_driven, sys.b_driven,
+                              y + np.imag(z * rho ** step), step * dt))
+    # z first: the reversed product rounds differently in the last bit
+    driven += np.imag(z * rho ** steps_d[:, None])
 
     # release: zero the inductor-current common mode (minimum-energy
     # consistent reinitialization for the floating network)
-    x = y + np.imag(z * rho ** n_driven)
-    x[nb:] -= x[nb:].mean()
-    record(n_driven, x, False)
+    free[0] = driven[-1]
+    free[0, nb:] -= free[0, nb:].mean()
+    steps_f = _phase(
+        _propagator(sys.a_free, dt), free, n_free, stride,
+        lambda x, step: check("free", sys.a_free, None, x, (n_driven + step) * dt))
 
-    p_f = _propagator(sys.a_free, dt)
-    q_f = _mat_power(p_f, stride)
-    probe_steps_f = {max(1, (n_free * (j + 1)) // 8) for j in range(8)}
-    fstep = 0
-    while fstep < n_free:
-        adv = min(stride, n_free - fstep)
-        x = (q_f if adv == stride else _mat_power(p_f, adv)) @ x
-        fstep += adv
-        record(n_driven + fstep, x, False)
-        near = [p for p in probe_steps_f if abs(p - fstep) < stride]
-        if near:
-            probe_steps_f -= set(near)
-            err = _probe_local_error(sys.a_free, None, None, x,
-                                     (n_driven + fstep) * dt, dt)
-            if err > LOCAL_ERROR_TOL:
-                raise StepRejected(
-                    f"free-phase local error {err:.3e} at "
-                    f"t={(n_driven + fstep) * dt:.6g}; reduce dt"
-                )
+    times = np.concatenate([steps_d, n_driven + steps_f]) * dt
+    volts = np.empty((len(times), sys.n_nodes))
+    # stacked matvecs: the same gemv per sample as v_map @ x, where one gemm
+    # (states @ v_map.T) would round differently
+    np.matmul(sys.v_map_driven, driven[:, :, None], out=volts[:rows_d, :, None])
+    volts[:rows_d] += sys.v_src_driven * drive(times[:rows_d])[:, None]
+    np.matmul(sys.v_map_free, free[:, :, None], out=volts[rows_d:, :, None])
 
-    times = np.array(times)
-    caps = np.array(caps)
-    currents = np.array(currents)
-    volts = np.array(volts)
+    caps, currents = states[:, :nb], states[:, nb:]
     energy = 0.5 * (caps * caps) @ sys.branch_caps \
         + 0.5 * setup.params.l * np.sum(currents * currents, axis=1)
+    # from the pre-projection sample at the switch instant on
     post = times >= switch_time - 0.5 * dt
     e_post = energy[post]
     tol = 1e-9 * max(float(e_post[0]), 1e-300)
@@ -392,7 +385,8 @@ def simulate(setup: TransientSetup,
         )
     return TransientTrace(
         times=times, node_voltages=volts, ground_currents=currents,
-        energy=energy, switch_time=switch_time, metadata=setup, _cap=caps,
+        cap_voltages=caps, energy=energy, switch_time=switch_time,
+        metadata=setup,
     )
 
 

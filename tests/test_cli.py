@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from topochain.cli import load_preset, main, preset_names
+from topochain.cli import load_preset, main, preset_names, run_command
+from topochain.errors import InvalidParams
 from topochain.netlist import lattice_nodes
 
 from conftest import ROWS
@@ -223,6 +224,13 @@ def test_output_error_exit_code(tmp_path, capsys):
     cfg = write_config(tmp_path / "w.json", 1, winding={"n_k": 256})
     assert run("winding", cfg, blocker / "sub") == 4
     assert "output error" in capsys.readouterr().err
+
+
+def test_run_command_rejects_unknown_command(tmp_path):
+    cfg = json.loads(write_config(tmp_path / "c.json", 1).read_text())
+    with pytest.raises(InvalidParams, match="unknown command 'foo'"):
+        run_command("foo", cfg, tmp_path / "out", "csv")
+    assert not (tmp_path / "out").exists()
 
 
 def test_console_script_help():

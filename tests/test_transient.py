@@ -8,8 +8,10 @@ from topochain.errors import (
     InsufficientSignal,
     InvalidParams,
     LosslessUnsupported,
+    StepRejected,
     WindowOutOfRange,
 )
+from topochain import transient
 from topochain.transient import (
     TransientTrace,
     default_source_nodes,
@@ -58,6 +60,22 @@ def test_lossless_chain_unsupported():
     s = tc.TransientSetup(p, drive_frequency=1.0)
     with pytest.raises(LosslessUnsupported):
         tc.assemble_state_space(s)
+
+
+@pytest.mark.parametrize("boundary", [tc.Boundary.OPEN, tc.Boundary.PERIODIC])
+def test_incidence_bond_order(boundary):
+    """Intra-cell bonds first, then inter-cell ones, the ring bond last."""
+    p = row_params(4, n_cells=3, boundary=boundary)
+    bonds = [(0, 1), (2, 3), (4, 5), (1, 2), (3, 4)]
+    if boundary is tc.Boundary.PERIODIC:
+        bonds.append((5, 0))
+    expected = np.zeros((6, len(bonds)))
+    for b, (tail, head) in enumerate(bonds):
+        expected[tail, b], expected[head, b] = 1.0, -1.0
+    s, rs, cs = transient._incidence(p)
+    assert np.array_equal(s, expected)
+    assert rs.tolist() == [p.r1] * 3 + [p.r2] * (len(bonds) - 3)
+    assert cs.tolist() == [p.c1] * 3 + [p.c2] * (len(bonds) - 3)
 
 
 def test_state_space_shapes():
@@ -119,11 +137,14 @@ def test_trapezoid_against_adaptive_rk45():
     assert np.abs(v_ref - trace.node_voltages[mid]).max() < 3e-6
 
 
+def short_setup():
+    return tc.TransientSetup(row_params(4, n_cells=4), drive_frequency=3.77,
+                             switch_open_time=17.0, t_end=40.0)
+
+
 @pytest.fixture(scope="module")
 def short_trace():
-    s = tc.TransientSetup(row_params(4, n_cells=4), drive_frequency=3.77,
-                          switch_open_time=17.0, t_end=40.0)
-    return tc.simulate(s, max_samples=6000)
+    return tc.simulate(short_setup(), max_samples=6000)
 
 
 def test_trace_layout(short_trace):
@@ -139,6 +160,7 @@ def test_trace_layout(short_trace):
     assert tr.times[np.argmin(gaps)] == tr.switch_time
     assert tr.times[0] == 0.0
     assert tr.switch_time >= tr.metadata.switch_open_time
+    assert tr.cap_voltages.shape == (len(tr.times), 7)
     fin = tr.final_state()
     assert fin.dimension == 7 + 8
 
@@ -168,6 +190,34 @@ def test_free_phase_conserves_total_charge(short_trace):
     # roundoff accumulates over ~3e5 trapezoid steps; the invariant is exact
     # in exact arithmetic
     assert np.abs(sums).max() < 1e-11 * np.abs(tr.ground_currents).max()
+
+
+def test_probe_schedule_frozen(monkeypatch):
+    """Eight step-doubling probes per phase, each at the first recorded step
+    within a stride (89 steps here) of an eighth of the phase; frozen from
+    the two-loop stepper this one replaced, largest error 6.6e-12."""
+    probe = transient._probe_local_error
+    calls = []
+
+    def recording(a, b, u_of_t, x, t, dt):
+        err = probe(a, b, u_of_t, x, t, dt)
+        calls.append(("driven" if b is not None else "free", round(t / dt), err))
+        return err
+
+    monkeypatch.setattr(transient, "_probe_local_error", recording)
+    tc.simulate(short_setup(), max_samples=6000)
+    driven = [28302, 56604, 84995, 113297, 141599, 169990, 198292, 226594]
+    free = [264937, 303296, 341655, 379925, 418284, 456643, 494913, 533272]
+    assert [c[:2] for c in calls] == \
+        [("driven", s) for s in driven] + [("free", s) for s in free]
+    assert max(c[2] for c in calls) < 1e-10
+
+
+def test_probe_rejects_step_over_tolerance(monkeypatch):
+    monkeypatch.setattr(transient, "LOCAL_ERROR_TOL", 0.0)
+    with pytest.raises(StepRejected,
+                       match=r"driven-phase local error .* at t=2\.12265; reduce dt"):
+        tc.simulate(short_setup(), max_samples=6000)
 
 
 def test_simulate_rejects_bad_max_samples():
@@ -202,7 +252,7 @@ def test_ground_current_profile_zero_signal(short_trace):
         times=tr.times, node_voltages=tr.node_voltages,
         ground_currents=np.zeros_like(tr.ground_currents),
         energy=tr.energy, switch_time=tr.switch_time,
-        metadata=tr.metadata, _cap=tr._cap)
+        metadata=tr.metadata, cap_voltages=tr.cap_voltages)
     t0 = tr.switch_time + 3.5 * tr.metadata.drive_period
     with pytest.raises(InsufficientSignal):
         tc.ground_current_profile(dead, (t0, tr.times[-1]))
