@@ -403,7 +403,7 @@ def run_command(command: str, config: dict, outdir: Path, fmt: str,
         raise InvalidParams(f"unknown command '{command}'")
     if "circuit" not in config:
         raise InvalidParams("config lacks a 'circuit' section")
-    known = {"circuit"} | set(COMMANDS)
+    known = {"circuit"} | set(SECTION_DEFAULTS)
     for key in config:
         if key not in known:
             raise UnknownKey(key)

@@ -14,6 +14,7 @@ which for equal inductors is a plain mean subtraction.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,6 +42,12 @@ DEFAULT_OUTPUT_SAMPLES = 20_000
 # or so evaluations a fit takes
 FIT_TOL = 1e-15
 FIT_MAX_NFEV = 10_000
+# rows of recorded state advanced by one matrix product in simulate
+BLOCK = 64
+# glibc mallopt parameter, and the size from which simulate's arrays get
+# their own mapping
+M_MMAP_THRESHOLD = -3
+MMAP_THRESHOLD_BYTES = 1 << 20
 
 
 def default_source_nodes(params: CircuitParams) -> tuple[int, int]:
@@ -149,12 +156,19 @@ class StateSpace:
     v_map_free: np.ndarray
     n_branches: int
     n_nodes: int
-    incidence: np.ndarray = field(repr=False)
     branch_caps: np.ndarray = field(repr=False)
 
     @property
     def dimension(self) -> int:
         return self.n_branches + self.n_nodes
+
+
+def _cond(g: np.ndarray) -> float:
+    """2-norm condition number of a symmetric matrix: its singular values
+    are the magnitudes of its eigenvalues."""
+    lam = np.abs(np.linalg.eigvalsh(g))
+    with np.errstate(divide="ignore"):
+        return float(lam.max() / lam.min())
 
 
 def assemble_state_space(setup: TransientSetup) -> StateSpace:
@@ -175,7 +189,7 @@ def assemble_state_space(setup: TransientSetup) -> StateSpace:
     clamp_idx = np.array(sorted(setup.source_nodes))
     g_ff = g[np.ix_(free_idx, free_idx)]
     g_fc = g[np.ix_(free_idx, clamp_idx)]
-    if np.linalg.cond(g_ff) > 1e12:
+    if _cond(g_ff) > 1e12:
         raise SingularKCL("clamped conductance system is numerically singular")
     w_d = np.zeros((n_nodes, nb + n_nodes))
     w_d[free_idx] = np.linalg.solve(g_ff, m[free_idx])
@@ -189,7 +203,7 @@ def assemble_state_space(setup: TransientSetup) -> StateSpace:
     g_aug[:n_nodes, :n_nodes] = g
     g_aug[:n_nodes, n_nodes] = 1.0
     g_aug[n_nodes, :n_nodes] = 1.0
-    if np.linalg.cond(g_aug) > 1e12:
+    if _cond(g_aug) > 1e12:
         raise SingularKCL("floating conductance system is numerically singular")
     w_f = np.linalg.solve(g_aug, np.vstack([m, np.zeros(nb + n_nodes)]))[:n_nodes]
 
@@ -210,7 +224,7 @@ def assemble_state_space(setup: TransientSetup) -> StateSpace:
     return StateSpace(
         setup=setup, a_driven=a_d, b_driven=b_d, a_free=a_f,
         v_map_driven=w_d, v_src_driven=v_src, v_map_free=w_f,
-        n_branches=nb, n_nodes=n_nodes, incidence=s, branch_caps=cs,
+        n_branches=nb, n_nodes=n_nodes, branch_caps=cs,
     )
 
 
@@ -237,15 +251,50 @@ def _propagator(a: np.ndarray, dt: float) -> np.ndarray:
     return np.linalg.solve(lhs, rhs)
 
 
-def _mat_power(p: np.ndarray, n: int) -> np.ndarray:
-    out = np.eye(p.shape[0])
-    base = p
-    while n:
+def _source_vector(a: np.ndarray, b: np.ndarray, dt: float) -> np.ndarray:
+    """s such that one trapezoid step of dt driven by u maps x at t to
+    _propagator(a, dt) @ x + s (u(t) + u(t + dt))."""
+    h = 0.5 * dt
+    return np.linalg.solve(np.eye(len(b)) - h * a, h * b)
+
+
+def _mat_powers(p: np.ndarray, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """p**n and p**m (1 <= m <= n) from one chain of squarings.
+
+    While the two exponents agree bit by bit from the lowest up they share
+    one product, and no product starts from the identity.
+    """
+    pn = pm = None
+    square = p
+    while True:
+        shared = pn is pm and n & m & 1
         if n & 1:
-            out = out @ base
-        base = base @ base
-        n >>= 1
-    return out
+            pn = square if pn is None else pn @ square
+        if m & 1:
+            pm = pn if shared else square if pm is None else pm @ square
+        n, m = n >> 1, m >> 1
+        if not n:
+            return pn, pm
+        square = square @ square
+
+
+def _pin_mmap_threshold() -> None:
+    """Give every allocation of MMAP_THRESHOLD_BYTES or more its own mapping.
+
+    simulate allocates and frees dozens of dim x dim matrices and
+    sample-by-node arrays.  glibc raises its mmap threshold to the size of
+    the first such block freed, so later ones come from the brk heap, whose
+    high-water mark then depends on what earlier calls left there: the same
+    fig8b run peaked at 241 or 261 MB resident depending on which presets
+    ran before it in the process.  A fixed threshold (which turns the
+    dynamic one off) returns each large block to the system when freed.
+    Without glibc's mallopt this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES)
 
 
 def _sinusoid_particular(a: np.ndarray, b: np.ndarray, amp: float,
@@ -259,46 +308,57 @@ def _sinusoid_particular(a: np.ndarray, b: np.ndarray, amp: float,
     return np.linalg.solve(lhs, h * amp * (1.0 + rho) * b)
 
 
-def _probe_local_error(a: np.ndarray, b: np.ndarray | None, u_of_t,
-                       x: np.ndarray, t: float, dt: float) -> float:
+def _probe_local_error(full, half, u_of_t, x: np.ndarray, t: float,
+                       dt: float) -> float:
     """One step of dt against two of dt/2, source term included.
 
-    Without the source the probe would excite fictitious fast relaxation of
-    the quasi-statically forced stiff components and overestimate the error.
+    full and half are the (one-step map, source vector or None) pairs of
+    the two step sizes, so each step is a matvec.  Without the source the
+    probe would excite fictitious fast relaxation of the quasi-statically
+    forced stiff components and overestimate the error.
     """
-    n = a.shape[0]
+    def step(maps, state, t0, h_step):
+        p, s = maps
+        out = p @ state
+        if s is not None:
+            out += s * (u_of_t(t0) + u_of_t(t0 + h_step))
+        return out
 
-    def step(state, t0, h_step):
-        h = 0.5 * h_step
-        rhs = (np.eye(n) + h * a) @ state
-        if b is not None:
-            rhs = rhs + h * b * (u_of_t(t0) + u_of_t(t0 + h_step))
-        return np.linalg.solve(np.eye(n) - h * a, rhs)
-
-    coarse = step(x, t, dt)
-    fine = step(step(x, t, 0.5 * dt), t + 0.5 * dt, 0.5 * dt)
+    coarse = step(full, x, t, dt)
+    fine = step(half, step(half, x, t, 0.5 * dt), t + 0.5 * dt, 0.5 * dt)
     scale = max(float(np.linalg.norm(fine)), 1e-300)
     return float(np.linalg.norm(fine - coarse)) / scale
 
 
-def _phase(p: np.ndarray, out: np.ndarray, n_steps: int, stride: int,
-           probe) -> np.ndarray:
+def _probe_rows(steps: np.ndarray, n_steps: int, stride: int) -> np.ndarray:
+    """Rows after the first that hold the first recorded step within a
+    stride of some eighth of the phase, in order."""
+    eighths = np.maximum(1, n_steps * np.arange(1, 9) // 8)
+    near = np.abs(eighths[:, None] - steps[None, 1:]) < stride
+    return np.unique(near.argmax(axis=1)[near.any(axis=1)] + 1)
+
+
+def _phase(p: np.ndarray, out: np.ndarray, n_steps: int,
+           stride: int) -> np.ndarray:
     """Fill out[1:] from out[0], one row per stride steps of the one-step map
     p; the last advance is shorter when stride does not divide n_steps.
 
-    The first row within a stride of each eighth of the phase is passed to
-    probe(row, step).  Returns the step number of every row.
+    With q = p**stride, the first BLOCK rows are matvecs and every later
+    block of rows is one gemm with q**BLOCK applied to the block before it.
+    Returns the step number of every row.
     """
     steps = np.minimum(np.arange(len(out)) * stride, n_steps)
-    q = _mat_power(p, stride)
-    pending = {max(1, (n_steps * (j + 1)) // 8) for j in range(8)}
-    for i, (prev, step) in enumerate(zip(steps.tolist(), steps[1:].tolist()), 1):
-        adv = step - prev
-        np.matmul(q if adv == stride else _mat_power(p, adv), out[i - 1], out=out[i])
-        near = {s for s in pending if abs(s - step) < stride}
-        if near:
-            pending -= near
-            probe(out[i], step)
+    q, last = _mat_powers(p, stride, n_steps % stride or stride)
+    whole = n_steps // stride + 1  # rows reached by whole strides
+    for i in range(1, min(whole, BLOCK)):
+        np.matmul(q, out[i - 1], out=out[i])
+    if whole > BLOCK:
+        qb_t = _mat_powers(q, BLOCK, BLOCK)[0].T
+        for j in range(BLOCK, whole, BLOCK):
+            rows = min(BLOCK, whole - j)
+            np.matmul(out[j - BLOCK:j - BLOCK + rows], qb_t, out=out[j:j + rows])
+    if whole < len(out):
+        np.matmul(last, out[-2], out=out[-1])
     return steps
 
 
@@ -307,19 +367,23 @@ def simulate(setup: TransientSetup,
     """Drive, release, and record the chain with fixed-step trapezoid.
 
     The system is linear time-invariant within each phase, so one routine
-    steps both: it applies cached powers of the phase's one-step map to the
-    recorded state, and the driven phase then adds the closed-form
+    steps both: it applies powers of the phase's one-step map to the
+    recorded state, row by row for the first BLOCK rows and then a block of
+    rows per matrix product, and the driven phase then adds the closed-form
     particular response to the sinusoidal drive to all its rows at once.
     This is arithmetically the fixed-step trapezoid solution, evaluated at
     the decimated output times and recorded into one state array whose
     column blocks are the capacitor voltages and inductor currents.  The
     switch instant is recorded twice, before and after the release
-    projection.  Local accuracy is audited by step-doubling probes spread
-    through each phase, and stored energy is checked to be non-increasing
-    after release.
+    projection.  Local accuracy is audited by step-doubling probes on
+    recorded rows spread through each phase, and stored energy is checked
+    to be non-increasing after release.  Large arrays are kept off the
+    malloc heap (see _pin_mmap_threshold), so the process's peak memory
+    does not depend on earlier calls.
     """
     if not 1 <= max_samples <= MAX_OUTPUT_SAMPLES:
         raise InvalidParams(f"max_samples outside [1, {MAX_OUTPUT_SAMPLES}]")
+    _pin_mmap_threshold()
     sys = assemble_state_space(setup)
     dt = setup.dt
     n_driven = int(np.ceil(setup.switch_open_time / dt))
@@ -332,48 +396,54 @@ def simulate(setup: TransientSetup,
     def drive(t):
         return setup.source_amplitude * np.sin(setup.drive_frequency * t)
 
-    def check(phase: str, a: np.ndarray, b: np.ndarray | None,
-              x: np.ndarray, t: float) -> None:
-        err = _probe_local_error(a, b, drive, x, t, dt)
-        if err > LOCAL_ERROR_TOL:
-            raise StepRejected(
-                f"{phase}-phase local error {err:.3e} at t={t:.6g}; reduce dt")
-
-    states = np.empty((rows_d + rows_f, sys.dimension))
-    driven, free = states[:rows_d], states[rows_d:]
-    nb = sys.n_branches
-
     # driven phase: x_n = y_n + Im(z rho^n), y homogeneous
     z = _sinusoid_particular(sys.a_driven, sys.b_driven, setup.source_amplitude,
                              setup.drive_frequency, dt)
     rho = np.exp(1j * setup.drive_frequency * dt)
-    driven[0] = -z.imag
-    steps_d = _phase(
-        _propagator(sys.a_driven, dt), driven, n_driven, stride,
-        lambda y, step: check("driven", sys.a_driven, sys.b_driven,
-                              y + np.imag(z * rho ** step), step * dt))
-    # z first: the reversed product rounds differently in the last bit
-    driven += np.imag(z * rho ** steps_d[:, None])
 
+    def run_phase(name: str, a: np.ndarray, b: np.ndarray | None,
+                  rows: np.ndarray, n_steps: int, first: int) -> np.ndarray:
+        """Step one phase into rows, then probe them; the phase's matrices
+        are freed on return, before the next phase builds its own."""
+        p = _propagator(a, dt)
+        steps = _phase(p, rows, n_steps, stride)
+        if b is not None:
+            # z first: the reversed product rounds differently in the last bit
+            rows += np.imag(z * rho ** steps[:, None])
+        full = (p, None if b is None else _source_vector(a, b, dt))
+        half = (_propagator(a, 0.5 * dt),
+                None if b is None else _source_vector(a, b, 0.5 * dt))
+        for i in _probe_rows(steps, n_steps, stride):
+            t = (first + steps[i]) * dt
+            err = _probe_local_error(full, half, drive, rows[i], t, dt)
+            if err > LOCAL_ERROR_TOL:
+                raise StepRejected(
+                    f"{name}-phase local error {err:.3e} at t={t:.6g}; reduce dt")
+        return steps
+
+    states = np.empty((rows_d + rows_f, sys.dimension))
+    driven, free = states[:rows_d], states[rows_d:]
+    nb = sys.n_branches
+    driven[0] = -z.imag
+    steps_d = run_phase("driven", sys.a_driven, sys.b_driven, driven, n_driven, 0)
     # release: zero the inductor-current common mode (minimum-energy
     # consistent reinitialization for the floating network)
     free[0] = driven[-1]
     free[0, nb:] -= free[0, nb:].mean()
-    steps_f = _phase(
-        _propagator(sys.a_free, dt), free, n_free, stride,
-        lambda x, step: check("free", sys.a_free, None, x, (n_driven + step) * dt))
+    steps_f = run_phase("free", sys.a_free, None, free, n_free, n_driven)
 
     times = np.concatenate([steps_d, n_driven + steps_f]) * dt
     volts = np.empty((len(times), sys.n_nodes))
-    # stacked matvecs: the same gemv per sample as v_map @ x, where one gemm
-    # (states @ v_map.T) would round differently
-    np.matmul(sys.v_map_driven, driven[:, :, None], out=volts[:rows_d, :, None])
+    # a row block at a time: one gemm over every row raises peak memory
+    for x, v, v_map in ((driven, volts[:rows_d], sys.v_map_driven),
+                        (free, volts[rows_d:], sys.v_map_free)):
+        for j in range(0, len(x), BLOCK):
+            np.matmul(x[j:j + BLOCK], v_map.T, out=v[j:j + BLOCK])
     volts[:rows_d] += sys.v_src_driven * drive(times[:rows_d])[:, None]
-    np.matmul(sys.v_map_free, free[:, :, None], out=volts[rows_d:, :, None])
 
     caps, currents = states[:, :nb], states[:, nb:]
-    energy = 0.5 * (caps * caps) @ sys.branch_caps \
-        + 0.5 * setup.params.l * np.sum(currents * currents, axis=1)
+    energy = 0.5 * np.einsum("ij,ij,j->i", caps, caps, sys.branch_caps) \
+        + 0.5 * setup.params.l * np.einsum("ij,ij->i", currents, currents)
     # from the pre-projection sample at the switch instant on
     post = times >= switch_time - 0.5 * dt
     e_post = energy[post]

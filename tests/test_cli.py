@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from topochain.cli import load_preset, main, preset_names, run_command
-from topochain.errors import InvalidParams
+from topochain.errors import InvalidParams, UnknownKey
 from topochain.netlist import lattice_nodes
 
 from conftest import ROWS
@@ -230,6 +230,16 @@ def test_run_command_rejects_unknown_command(tmp_path):
     cfg = json.loads(write_config(tmp_path / "c.json", 1).read_text())
     with pytest.raises(InvalidParams, match="unknown command 'foo'"):
         run_command("foo", cfg, tmp_path / "out", "csv")
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_command_rejects_netlist_section(tmp_path):
+    """The netlist command reads the transient section; a top-level netlist
+    section is an unknown key like any other."""
+    cfg = json.loads(write_config(tmp_path / "c.json", 1).read_text())
+    cfg["netlist"] = {"dt": "nonsense"}
+    with pytest.raises(UnknownKey, match="netlist"):
+        run_command("netlist", cfg, tmp_path / "out", "csv")
     assert not (tmp_path / "out").exists()
 
 

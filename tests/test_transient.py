@@ -1,3 +1,7 @@
+import platform
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -199,9 +203,10 @@ def test_probe_schedule_frozen(monkeypatch):
     probe = transient._probe_local_error
     calls = []
 
-    def recording(a, b, u_of_t, x, t, dt):
-        err = probe(a, b, u_of_t, x, t, dt)
-        calls.append(("driven" if b is not None else "free", round(t / dt), err))
+    def recording(full, half, u_of_t, x, t, dt):
+        err = probe(full, half, u_of_t, x, t, dt)
+        phase = "driven" if full[1] is not None else "free"
+        calls.append((phase, round(t / dt), err))
         return err
 
     monkeypatch.setattr(transient, "_probe_local_error", recording)
@@ -218,6 +223,85 @@ def test_probe_rejects_step_over_tolerance(monkeypatch):
     with pytest.raises(StepRejected,
                        match=r"driven-phase local error .* at t=2\.12265; reduce dt"):
         tc.simulate(short_setup(), max_samples=6000)
+
+
+def short_propagator():
+    s = short_setup()
+    return transient._propagator(tc.assemble_state_space(s).a_driven, s.dt)
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (2, 2), (64, 64), (583, 583),
+                                  (583, 71), (64, 3)])
+def test_mat_powers_match_matrix_power(n, m):
+    """One squaring chain gives both powers; 583 and 71 share their low
+    bits (one product for both), 64 and 3 share none."""
+    p = short_propagator()
+    pn, pm = transient._mat_powers(p, n, m)
+    for got, k in ((pn, n), (pm, m)):
+        want = np.linalg.matrix_power(p, k)
+        assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("n_steps, stride", [(7 * 150 + 3, 7), (5, 7)])
+def test_phase_rows_match_serial_loop(n_steps, stride):
+    """Row blocks (152 rows, not a multiple of BLOCK, with a shorter last
+    advance) reproduce x = q @ x row by row, and a phase shorter than one
+    stride is one short advance."""
+    p = short_propagator()
+    rows = 1 + (n_steps + stride - 1) // stride
+    out = np.empty((rows, p.shape[0]))
+    out[0] = np.random.default_rng(3).standard_normal(p.shape[0])
+    steps = transient._phase(p, out, n_steps, stride)
+    assert steps.tolist() == [min(i * stride, n_steps) for i in range(rows)]
+
+    x = out[0]
+    for i in range(1, rows):
+        x = np.linalg.matrix_power(p, steps[i] - steps[i - 1]) @ x
+        assert np.linalg.norm(out[i] - x) < 1e-12 * np.linalg.norm(x), i
+
+
+def test_cond_is_the_svd_condition_number():
+    """The conductance gates read cond_2 from eigenvalues: equal to the SVD
+    value on the bordered floating system, and past 1e12 on the floating
+    Laplacian, whose constant vector is a null vector."""
+    s, rs, _ = transient._incidence(row_params(4, n_cells=5))
+    g = (s / rs) @ s.T
+    n = len(g)
+    g_aug = np.block([[g, np.ones((n, 1))], [np.ones((1, n)), np.zeros((1, 1))]])
+    assert transient._cond(g_aug) == pytest.approx(np.linalg.cond(g_aug), rel=1e-10)
+    assert transient._cond(g) > 1e12
+
+
+# in a fresh process, so no heap left by earlier tests can serve the array
+FREED_ARRAY_SCRIPT = """
+import os
+import numpy as np
+from topochain import transient
+
+def resident():
+    pages = int(open("/proc/self/statm").read().split()[1])
+    return pages * os.sysconf("SC_PAGE_SIZE")
+
+np.ones(4 << 17).sum()
+transient._pin_mmap_threshold()
+before = resident()
+a = np.ones(3 << 17)
+during = resident()
+del a
+print(during - before, resident() - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc mallopt")
+def test_freed_large_array_leaves_no_resident_memory():
+    """With the mmap threshold pinned as simulate pins it, a freed 3 MiB
+    array gives its pages back, even after a freed 4 MiB one has raised
+    glibc's dynamic threshold past 3 MiB (which puts it on the brk heap)."""
+    proc = subprocess.run([sys.executable, "-c", FREED_ARRAY_SCRIPT],
+                          capture_output=True, text=True, check=True)
+    grown, kept = map(int, proc.stdout.split())
+    assert grown > 2 << 20
+    assert kept < 1 << 20
 
 
 def test_simulate_rejects_bad_max_samples():
