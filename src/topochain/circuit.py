@@ -62,29 +62,35 @@ def lambda_diag(params: CircuitParams, omega):
 
 @dataclass(frozen=True)
 class BlochMatrix:
-    """2x2 cell matrix at fixed (omega, k), plus its sigma decomposition."""
+    """2x2 cell matrix at (omega, k), plus its sigma decomposition.
+
+    Array-valued omega and k broadcast: entries then has shape (..., 2, 2)
+    and the other fields the broadcast shape.
+    """
 
     entries: np.ndarray
-    omega: complex
-    k: float
-    y_x: complex
-    y_y: complex
+    omega: complex | np.ndarray
+    k: float | np.ndarray
+    y_x: complex | np.ndarray
+    y_y: complex | np.ndarray
 
 
-def bloch_admittance(params: CircuitParams, omega: complex, k: float) -> BlochMatrix:
-    """Zero-diagonal hopping matrix: off-diagonals v + w e^{-ik} / v + w e^{+ik}.
+def bloch_admittance(params: CircuitParams, omega, k) -> BlochMatrix:
+    """Zero-diagonal hopping matrix: off-diagonals v + w e^{-ik} / v + w e^{+ik},
+    elementwise over broadcast omega and k.
 
     Decomposition accessors satisfy Y = y_x sigma_x + y_y sigma_y with
     y_x = v + w cos k and y_y = w sin k.
     """
     hp = hoppings(params, omega)
     upper = hp.v + hp.w * np.exp(-1j * k)
-    lower = hp.v + hp.w * np.exp(+1j * k)
-    m = np.array([[0.0, upper], [lower, 0.0]], dtype=complex)
+    m = np.zeros(np.shape(upper) + (2, 2), dtype=complex)
+    m[..., 0, 1] = upper
+    m[..., 1, 0] = hp.v + hp.w * np.exp(+1j * k)
     return BlochMatrix(
         entries=m,
         omega=omega,
-        k=float(k),
+        k=k,
         y_x=hp.v + hp.w * np.cos(k),
         y_y=hp.w * np.sin(k),
     )
@@ -99,7 +105,7 @@ def bloch_laplacian(params: CircuitParams, omega: complex, k: float) -> BlochMat
     y = bloch_admittance(params, omega, k)
     lam = lambda_diag(params, omega)
     m = 1j * omega * (lam * np.eye(2, dtype=complex) - y.entries)
-    return BlochMatrix(entries=m, omega=omega, k=float(k), y_x=y.y_x, y_y=y.y_y)
+    return BlochMatrix(entries=m, omega=omega, k=k, y_x=y.y_x, y_y=y.y_y)
 
 
 @dataclass(frozen=True)

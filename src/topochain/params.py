@@ -55,23 +55,11 @@ class CircuitParams:
         if not isinstance(self.boundary, Boundary):
             raise InvalidParams(f"boundary must be a Boundary, got {self.boundary!r}")
 
-    @property
-    def hermitian(self) -> bool:
-        return self.r1 == 0.0 and self.r2 == 0.0
-
     def pole_frequencies(self) -> tuple[complex, complex]:
         """The two dissipation poles i/(R1 C1), i/(R2 C2); inf for R=0."""
         p1 = 1j / (self.r1 * self.c1) if self.r1 > 0 else complex("inf")
         p2 = 1j / (self.r2 * self.c2) if self.r2 > 0 else complex("inf")
         return p1, p2
-
-    def replace(self, **kw: Any) -> "CircuitParams":
-        data = {
-            "r1": self.r1, "r2": self.r2, "c1": self.c1, "c2": self.c2,
-            "l": self.l, "n_cells": self.n_cells, "boundary": self.boundary,
-        }
-        data.update(kw)
-        return CircuitParams(**data)
 
     def to_dict(self) -> dict[str, Any]:
         return {

@@ -15,7 +15,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 from scipy.optimize import linear_sum_assignment
 
-from .circuit import hoppings, lambda_diag
+from .circuit import bloch_admittance, lambda_diag
 from .errors import (
     ConvergenceFailure,
     DegenerateLeadingCoefficient,
@@ -171,9 +171,6 @@ class BandSet:
     continuity_residual: dict[str, float]
     closure_permutation: tuple[int, ...]
     params: CircuitParams = field(repr=False)
-
-    def branch(self, label: str) -> np.ndarray:
-        return self.branches[label]
 
 
 def _axis_mask(values: np.ndarray) -> np.ndarray:
@@ -368,10 +365,7 @@ def branch_effective_matrix(
         raise OutOfRange(
             f"band grid too coarse for n_cells={n}: need n_k >= {2 * n - 1}"
         )
-    hp = hoppings(params, band.branches[label])
-    y = np.zeros((len(ks), 2, 2), dtype=complex)
-    y[:, 0, 1] = hp.v + hp.w * np.exp(-1j * ks)
-    y[:, 1, 0] = hp.v + hp.w * np.exp(+1j * ks)
+    y = bloch_admittance(params, band.branches[label], ks).entries
     ms = np.arange(-(n - 1), n)
     phases = np.exp(-1j * np.outer(ms, ks))
     blocks = np.tensordot(phases, y, axes=(1, 0)) / len(ks)

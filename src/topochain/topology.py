@@ -6,7 +6,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .circuit import RealSpaceMatrix, hoppings
+from .circuit import RealSpaceMatrix, bloch_admittance
 from .errors import GapUnknown, OriginCrossing, OutOfRange, SpectrumHit
 from .params import Boundary, CircuitParams
 from .spectral import BandSet, ChainSpectrum, band_trace, midpoint_grid
@@ -26,8 +26,8 @@ def _admittance_plane_curve(params: CircuitParams,
     no explicit grid, the half-offset grid of the branch's length."""
     branch = np.asarray(branch)
     k_grid = midpoint_grid(len(branch)) if k_grid is None else np.asarray(k_grid)
-    hp = hoppings(params, branch)
-    return (hp.v + hp.w * np.cos(k_grid)).real, (hp.w * np.sin(k_grid)).real
+    y = bloch_admittance(params, branch, k_grid)
+    return y.y_x.real, y.y_y.real
 
 
 def _turns(angles: np.ndarray) -> np.ndarray:
@@ -183,9 +183,8 @@ def _branch_select(band: BandSet, omega: complex) -> str:
 def _offdiag_product(params: CircuitParams, band: BandSet,
                      label: str) -> np.ndarray:
     """(v + w e^{-ik})(v + w e^{+ik}) along a tracked branch."""
-    hp = hoppings(params, band.branches[label])
-    return (hp.v + hp.w * np.exp(-1j * band.k_grid)) \
-        * (hp.v + hp.w * np.exp(+1j * band.k_grid))
+    y = bloch_admittance(params, band.branches[label], band.k_grid).entries
+    return y[:, 0, 1] * y[:, 1, 0]
 
 
 def _complex_winding(traj: np.ndarray) -> np.ndarray:

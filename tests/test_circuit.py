@@ -38,14 +38,29 @@ def test_degenerate_eta_rejected():
         tc.hoppings(p, pole)
 
 
-def test_bloch_matrix_entries():
+@pytest.mark.parametrize("on_branch", [False, True], ids=["point", "branch"])
+def test_bloch_matrix_entries(on_branch):
+    """One (omega, k) point, or a tracked branch over its k-grid.  Each grid
+    entry is bitwise the one-point grid call; a scalar call rounds its
+    complex products in numpy's scalar arithmetic, within an ulp or two."""
     p = row_params(1)
-    k = 0.7
-    y = tc.bloch_admittance(p, REF_OMEGA, k)
-    hp = tc.hoppings(p, REF_OMEGA)
-    assert y.entries[0, 0] == 0.0 and y.entries[1, 1] == 0.0
-    assert_close(y.entries[0, 1], hp.v + hp.w * np.exp(-1j * k), 1e-15)
-    assert_close(y.entries[1, 0], hp.v + hp.w * np.exp(+1j * k), 1e-15)
+    if on_branch:
+        band = tc.band_trace(p, 64)
+        omega, k = band.branches["omega4"], band.k_grid
+    else:
+        omega, k = REF_OMEGA, 0.7
+    y = tc.bloch_admittance(p, omega, k)
+    hp = tc.hoppings(p, omega)
+    assert y.entries.shape == np.shape(omega) + (2, 2)
+    assert np.all(y.entries[..., 0, 0] == 0.0) and np.all(y.entries[..., 1, 1] == 0.0)
+    assert_close(y.entries[..., 0, 1], hp.v + hp.w * np.exp(-1j * k), 1e-15)
+    assert_close(y.entries[..., 1, 0], hp.v + hp.w * np.exp(+1j * k), 1e-15)
+    for j in range(np.size(k) if on_branch else 0):
+        one = tc.bloch_admittance(p, omega[j:j + 1], k[j:j + 1]).entries
+        assert np.array_equal(one[0], y.entries[j]), j
+        point = tc.bloch_admittance(p, omega[j], k[j]).entries
+        assert point.shape == (2, 2)
+        assert_close(point, y.entries[j], 2.0**-51 * np.abs(point).max(), str(j))
 
 
 def test_sigma_decomposition_reassembles():

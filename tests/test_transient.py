@@ -196,26 +196,61 @@ def test_free_phase_conserves_total_charge(short_trace):
     assert np.abs(sums).max() < 1e-11 * np.abs(tr.ground_currents).max()
 
 
-def test_probe_schedule_frozen(monkeypatch):
-    """Eight step-doubling probes per phase, each at the first recorded step
-    within a stride (89 steps here) of an eighth of the phase; frozen from
-    the two-loop stepper this one replaced, largest error 6.6e-12."""
+def record_probes(monkeypatch) -> list:
+    """Run short_setup() with every probe call recorded: one
+    (a, b, x, t, dt, errors) tuple per phase."""
     probe = transient._probe_local_error
     calls = []
 
-    def recording(full, half, u_of_t, x, t, dt):
-        err = probe(full, half, u_of_t, x, t, dt)
-        phase = "driven" if full[1] is not None else "free"
-        calls.append((phase, round(t / dt), err))
+    def recording(a, b, u_of_t, x, t, dt):
+        err = probe(a, b, u_of_t, x, t, dt)
+        calls.append((a, b, x, t, dt, err))
         return err
 
     monkeypatch.setattr(transient, "_probe_local_error", recording)
     tc.simulate(short_setup(), max_samples=6000)
+    return calls
+
+
+def test_probe_schedule_frozen(monkeypatch):
+    """Eight step-doubling probes per phase, each at the first recorded step
+    within a stride (89 steps here) of an eighth of the phase; frozen from
+    the two-loop stepper this one replaced, largest error 6.6e-12."""
+    calls = [("free" if b is None else "driven", round(ti / dt), e)
+             for a, b, x, t, dt, err in record_probes(monkeypatch)
+             for ti, e in zip(t, err)]
     driven = [28302, 56604, 84995, 113297, 141599, 169990, 198292, 226594]
     free = [264937, 303296, 341655, 379925, 418284, 456643, 494913, 533272]
     assert [c[:2] for c in calls] == \
         [("driven", s) for s in driven] + [("free", s) for s in free]
     assert max(c[2] for c in calls) < 1e-10
+
+
+def test_probe_errors_match_dense_step_maps(monkeypatch):
+    """The batched probes equal one step by the dense one-step map of dt
+    against two by that of dt/2, each with its source vector
+    solve(I - h/2 a, h/2 b) while driven, probe by probe."""
+    s = short_setup()
+
+    def drive(t):
+        return s.source_amplitude * np.sin(s.drive_frequency * t)
+
+    def dense_step(a, b, h):
+        p = transient._propagator(a, h)
+        if b is None:
+            return lambda x, t: p @ x
+        src = np.linalg.solve(np.eye(len(a)) - 0.5 * h * a, 0.5 * h * b)
+        return lambda x, t: p @ x + src * (drive(t) + drive(t + h))
+
+    calls = record_probes(monkeypatch)
+    assert [len(c[3]) for c in calls] == [8, 8]
+    for a, b, x, t, dt, err in calls:
+        full, half = dense_step(a, b, dt), dense_step(a, b, 0.5 * dt)
+        for j, tj in enumerate(t):
+            coarse = full(x[:, j], tj)
+            fine = half(half(x[:, j], tj), tj + 0.5 * dt)
+            want = np.linalg.norm(fine - coarse) / np.linalg.norm(fine)
+            assert abs(err[j] - want) < 1e-14, (tj, err[j], want)
 
 
 def test_probe_rejects_step_over_tolerance(monkeypatch):
