@@ -162,12 +162,16 @@ def cmd_skin(params: CircuitParams, section: dict, outdir: Path) -> None:
         selector = band.branches[lab][0]
         present, witness = topology.skin_effect_present(
             params, selector, scan=int(section["scan"]), band=band)
+        e0 = witness if witness is not None else 0.0
+        traj = e0 * e0 - topology._offdiag_product(params, band, lab)
+        mag = np.abs(traj)
+        # min|det| / max(1, max|det|), the quantity the 1e-12 spectrum gate bounds
         report[lab] = {
             "present": present,
             "witness": None if witness is None else _pair(witness),
+            "witness_clearance": None if witness is None
+            else float(mag.min() / max(1.0, mag.max())),
         }
-        e0 = witness if witness is not None else 0.0
-        traj = e0 * e0 - topology._offdiag_product(params, band, lab)
         _write_csv(outdir / f"skin_traj_{lab}.csv",
                    ["k", "det_re", "det_im"],
                    [band.k_grid, traj.real, traj.imag])

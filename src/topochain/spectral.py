@@ -31,6 +31,9 @@ LEADING_TOL = 1e-14
 ROOT_RESIDUAL_TOL = 1e-7
 # |Re omega| below this fraction of scale marks a purely imaginary root
 AXIS_TOL = 1e-8
+# relative lead of each root's nearest successor over its second nearest
+# below which a tracking step is left to the assignment solver
+NEAREST_MARGIN = 1e-12
 BRANCH_LABELS = ("omega3", "omega4", "omega5", "omega6")
 
 
@@ -247,10 +250,29 @@ def track_on_grid(params: CircuitParams, k_grid: np.ndarray) -> BandSet:
             f"physical roots within {gaps[j]:.3e} of each other "
             f"near k={ks[j]:.6g}; refine the grid"
         )
-    traced = np.empty((n_k, 4), dtype=complex)
-    traced[0] = roots[0][_canonical_first(roots[0])]
+    # a step is a branch point only when the axis-root count goes 2 -> 0 or
+    # 0 -> 2, which the root sets decide whatever their order.  Elsewhere,
+    # when every root's nearest successor is distinct and beats the runner-up
+    # by NEAREST_MARGIN of the step's largest distance (far above the
+    # rounding of the assignment's path sums), that matching is the
+    # minimum-distance assignment _continue_step would find
+    on_axis = _axis_mask(roots).sum(axis=1)
+    special = ((on_axis[:-1] == 2) & (on_axis[1:] == 0)) \
+        | ((on_axis[:-1] == 0) & (on_axis[1:] == 2))
+    dist = np.abs(roots[:-1, :, None] - roots[1:, None, :])
+    nearest = dist.argmin(axis=2)
+    two = np.sort(dist, axis=2)[:, :, :2]
+    clear = two[:, :, 1] - two[:, :, 0] > NEAREST_MARGIN * dist.max(axis=(1, 2))[:, None]
+    direct = ~special & clear.all(axis=1) \
+        & (np.sort(nearest, axis=1) == np.arange(4)).all(axis=1)
+    perm = np.empty((n_k, 4), dtype=int)
+    perm[0] = _canonical_first(roots[0])
     for j in range(1, n_k):
-        traced[j] = roots[j][_continue_step(traced[j - 1], roots[j])]
+        if direct[j - 1]:
+            perm[j] = nearest[j - 1][perm[j - 1]]
+        else:
+            perm[j] = _continue_step(roots[j - 1][perm[j - 1]], roots[j])
+    traced = np.take_along_axis(roots, perm, axis=1)
     last = traced[-1]
     cost = np.abs(last[:, None] - traced[0][None, :])
     rr, cc = linear_sum_assignment(cost)

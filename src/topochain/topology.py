@@ -17,6 +17,17 @@ ORIGIN_TOL = 1e-10
 # winding of such a curve is not certified
 MAX_SEGMENT_TURN = np.pi / 2
 MIN_WINDING_SAMPLES = 64
+# skin candidates are scanned in batches of this many, in order, stopping at
+# the first witness; each batch's candidate-segment pairs number at most
+# SCAN_CHUNK * n_k however many candidates share a segment's y-range
+SCAN_CHUNK = 256
+# a skin candidate within ON_CURVE_TOL * scale of the polyline q (scale: the
+# largest of 1, |q| and |E0^2|) is on the curve.  Farther out, the rounding
+# of a cross product or of a segment's angle is eps * scale / distance of
+# what it decides, under 1e-6, so the crossing count and the angle route
+# agree exactly; and min|det| > ON_CURVE_TOL * scale clears the spectrum
+# gate 1e-12 max(1, max|det|) outright
+ON_CURVE_TOL = 1e-9
 
 
 def _admittance_plane_curve(params: CircuitParams,
@@ -127,14 +138,60 @@ def winding_crossings(params: CircuitParams,
     """Second independent route: signed crossings of the positive x axis."""
     x, y = _admittance_plane_curve(params, branch, k_grid)
     _check_away_from_origin(x, y)
-    xc = np.append(x, x[0])
-    yc = np.append(y, y[0])
-    y0, y1 = yc[:-1], yc[1:]
-    cross = (y0 != 0.0) & (y0 * y1 < 0.0)
-    y0, y1 = y0[cross], y1[cross]
-    x0, x1 = xc[:-1][cross], xc[1:][cross]
-    x_at = x0 + y0 / (y0 - y1) * (x1 - x0)
-    return int(np.sign(y1 - y0)[x_at > 0.0].sum())
+    return int(_ray_crossings(x + 1j * y, np.zeros(1, dtype=complex), 0.0)[0][0])
+
+
+def _interval_pairs(ys: np.ndarray, lo: np.ndarray,
+                    hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every (interval, point) index pair with lo[i] <= ys[point] <= hi[i].
+
+    Sorts the points once and reads each interval's run of points off two
+    binary searches, so the cost follows the number of pairs, not
+    len(lo) * len(ys).
+    """
+    order = np.argsort(ys, kind="stable")
+    first = np.searchsorted(ys[order], lo, "left")
+    count = np.searchsorted(ys[order], hi, "right") - first
+    interval = np.repeat(np.arange(len(lo)), count)
+    start = np.repeat(first - np.cumsum(count) + count, count)
+    return interval, order[start + np.arange(len(interval))]
+
+
+def _ray_crossings(curve: np.ndarray, points: np.ndarray,
+                   pad: float) -> tuple[np.ndarray, np.ndarray]:
+    """Winding of a closed complex polyline around each point, and which
+    points lie within pad of it.
+
+    Counts the signed crossings of the rightward horizontal ray from each
+    point, with the half-open rule ylo <= y < yhi, so a ray through a vertex
+    counts the two segments meeting there once between them.  Each segment
+    is paired only with the points whose Im lies in its y-range widened by
+    pad.  A point is flagged when its perpendicular distance to a segment's
+    line is at most pad and it lies in the segment's bounding box widened
+    by pad; an unflagged point is farther than pad from every segment.  The
+    count is exact for every point whose distance from the curve is far
+    above the rounding of the cross products, a few eps times the largest
+    coordinate.
+    """
+    x0, y0 = curve.real, curve.imag
+    end = np.roll(curve, -1)
+    x1, y1 = end.real, end.imag
+    seg, pt = _interval_pairs(points.imag, np.minimum(y0, y1) - pad,
+                              np.maximum(y0, y1) + pad)
+    px, py = points.real[pt], points.imag[pt]
+    y0, y1 = y0[seg], y1[seg]
+    dx, dy = x1[seg] - x0[seg], y1 - y0
+    rx = px - x0[seg]
+    # positive when the point lies left of the segment's direction
+    cross = dx * (py - y0) - rx * dy
+    up = (y0 <= py) & (py < y1) & (cross > 0.0)
+    down = (y1 <= py) & (py < y0) & (cross < 0.0)
+    winding = np.bincount(pt, up.astype(float) - down, minlength=len(points))
+    near = (np.abs(cross) <= pad * np.hypot(dx, dy)) \
+        & (np.abs(rx - 0.5 * dx) <= 0.5 * np.abs(dx) + pad)
+    on_curve = np.zeros(len(points), dtype=bool)
+    on_curve[pt[near]] = True
+    return winding.astype(int), on_curve
 
 
 @dataclass(frozen=True)
@@ -216,12 +273,28 @@ def skin_winding(params: CircuitParams, omega: complex, e0: complex,
 
 
 def _first_witness(cands: np.ndarray, qq: np.ndarray) -> complex | None:
-    traj = cands[:, None] ** 2 - qq[None, :]
-    scale = np.maximum(1.0, np.abs(traj).max(axis=1))
-    valid = np.abs(traj).min(axis=1) >= 1e-12 * scale
-    hits = np.nonzero(valid & (_complex_winding(traj) != 0))[0]
-    if len(hits):
-        return complex(cands[hits[0]])
+    """First candidate E0 whose det trajectory E0^2 - qq clears the spectrum
+    gate min|det| >= 1e-12 max(1, max|det|) with a nonzero winding.
+
+    The winding of det around 0 is that of the polyline qq around E0^2, read
+    by ray crossings.  Only candidates on the curve can fail the gate or
+    defeat the count; they alone are read by the angle route.
+    """
+    w = cands ** 2
+    pad = ON_CURVE_TOL * max(1.0, np.abs(qq).max(), np.abs(w).max())
+    for lo in range(0, len(w), SCAN_CHUNK):
+        chunk = w[lo:lo + SCAN_CHUNK]
+        winding, on_curve = _ray_crossings(qq, chunk, pad)
+        valid = np.ones(len(chunk), dtype=bool)
+        near = np.flatnonzero(on_curve)
+        if len(near):
+            traj = chunk[near, None] - qq[None, :]
+            mag = np.abs(traj)
+            valid[near] = mag.min(axis=1) >= 1e-12 * np.maximum(1.0, mag.max(axis=1))
+            winding[near] = _complex_winding(traj)
+        hits = np.flatnonzero(valid & (winding != 0))
+        if len(hits):
+            return complex(cands[lo + hits[0]])
     return None
 
 
@@ -237,6 +310,14 @@ def skin_effect_present(params: CircuitParams, omega: complex,
     non-reciprocal the sheets fail to retrace and those midpoints sit inside
     the enclosed sliver, however thin.  Returns the first witness found, or
     (False, None).
+
+    A candidate E0 is a witness when det = E0^2 - q+ q- stays at least
+    1e-12 max(1, max|det|) from the origin and winds around it.  That
+    winding is the winding of the closed polyline q+ q- around the point
+    E0^2, counted by ray crossings.  Candidates within ON_CURVE_TOL of the
+    polyline, where the count and the gate both sit at roundoff, are read
+    by the angle route of skin_winding instead.  Candidates are checked in
+    order, SCAN_CHUNK at a time, stopping at the first witness.
     """
     if band is None:
         band = band_trace(params, n_k)

@@ -81,9 +81,12 @@ def test_skin_report(tmp_path):
     outdir = tmp_path / "out" / "skin-s"
     rep = json.loads((outdir / "skin.json").read_text())
     assert set(rep) == {"omega3", "omega4"}
-    assert rep["omega3"] == {"present": False, "witness": None}
+    assert rep["omega3"] == {"present": False, "witness": None,
+                             "witness_clearance": None}
     assert rep["omega4"]["present"] is True
     assert len(rep["omega4"]["witness"]) == 2
+    # the witness clears the skin scan's spectrum gate, 1e-12
+    assert rep["omega4"]["witness_clearance"] >= 1e-12
     assert (outdir / "skin_traj_omega3.csv").exists()
     assert (outdir / "skin_traj_omega4.csv").exists()
 

@@ -7,6 +7,7 @@ from topochain.errors import (
     OutOfRange,
     TrackingAmbiguous,
 )
+from topochain import spectral
 from topochain.spectral import BRANCH_LABELS, midpoint_grid
 
 from conftest import ROWS, assert_close, row_params
@@ -143,6 +144,32 @@ def test_branch_structure(row, bands_all_rows):
     # pole so only their identities, not their step sizes, are constrained
     assert band.continuity_residual["omega3"] < 1.0
     assert band.continuity_residual["omega6"] < 1.0
+
+
+def _stepwise_trace(params, n_k):
+    """Branches continued one _continue_step per grid step, as tracking ran
+    before nearest-neighbour steps were composed directly: the oracle."""
+    _, _, roots = spectral._solve(params, midpoint_grid(n_k))
+    traced = np.empty((n_k, 4), dtype=complex)
+    traced[0] = roots[0][spectral._canonical_first(roots[0])]
+    for j in range(1, n_k):
+        traced[j] = roots[j][spectral._continue_step(traced[j - 1], roots[j])]
+    return traced
+
+
+def test_tracking_matches_stepwise_assignment(bands_all_rows):
+    """Bitwise the stepwise oracle's branches on the four rows at 256 and
+    1024 points and on 40 random 2-cell draws (the sweep's element range),
+    some of which pass a square-root branch point."""
+    rng = np.random.default_rng(5001)
+    cases = [(tc.CircuitParams(*row, n_cells=2), 256)
+             for row in rng.uniform(0.05, 2.0, size=(40, 5))]
+    cases += [(row_params(row), n_k) for row in ROWS for n_k in (256, 1024)]
+    for p, n_k in cases:
+        band = tc.band_trace(p, n_k)
+        want = _stepwise_trace(p, n_k)
+        for i, lab in enumerate(BRANCH_LABELS):
+            assert np.array_equal(band.branches[lab], want[:, i]), (p, n_k, lab)
 
 
 def test_branch_first_points_row4(band_row4):

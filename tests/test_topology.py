@@ -10,6 +10,7 @@ from topochain.errors import (
     OutOfRange,
     SpectrumHit,
 )
+from topochain import topology
 from topochain.topology import winding_crossings
 
 from conftest import ROWS, assert_close, row_params
@@ -111,6 +112,114 @@ def test_winding_refused_where_quadrature_disagrees():
         assert 0.4 < tc.winding_quadrature(p, band.branches[lab], band.k_grid) < 0.5
         with pytest.raises(OriginCrossing, match="quadrature"):
             tc.winding_number(p, band.branches[lab], band.k_grid)
+
+
+def test_crossings_count_vertex_on_positive_axis(monkeypatch):
+    """A vertex exactly on the positive x axis joins a segment arriving from
+    below and one leaving above; the pair crosses once and must count once."""
+    theta = 2.0 * np.pi * np.arange(64) / 64
+    x, y = np.cos(theta), np.sin(theta)
+    assert y[0] == 0.0 and x[0] > 0.0
+    monkeypatch.setattr(topology, "_admittance_plane_curve",
+                        lambda params, branch, k_grid: (x, y))
+    assert winding_crossings(row_params(1), np.zeros(64)) == 1
+
+
+def _segment_distance(curve, points):
+    """Distance from each point to the nearest segment of a closed polyline."""
+    a, b = curve[None, :], np.roll(curve, -1)[None, :]
+    d = b - a
+    t = np.clip(((points[:, None] - a) * d.conj()).real / np.abs(d) ** 2, 0.0, 1.0)
+    return np.abs(points[:, None] - (a + t * d)).min(axis=1)
+
+
+def test_ray_crossings_match_angle_route_off_curve():
+    rng = np.random.default_rng(17)
+    curve = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+    points = 1.5 * (rng.standard_normal(4000) + 1j * rng.standard_normal(4000))
+    away = points[_segment_distance(curve, points) > 1e-6]
+    pad = topology.ON_CURVE_TOL * max(1.0, np.abs(curve).max(), np.abs(away).max())
+    winding, on_curve = topology._ray_crossings(curve, away, pad)
+    want = topology._complex_winding(curve[None, :] - away[:, None])
+    assert np.array_equal(winding, want)
+    assert set(want.tolist()) >= {-1, 0, 1}
+    assert not on_curve.any()
+    # the vertices and the midpoints of the segments are on the curve
+    mids = 0.5 * (curve + np.roll(curve, -1))
+    assert topology._ray_crossings(curve, np.concatenate([curve, mids]), pad)[1].all()
+
+
+def dense_first_witness(cands, qq):
+    """The angle route over every candidate x k sample, as the skin scan read
+    it before ray crossings: the oracle the scan must reproduce."""
+    traj = cands[:, None] ** 2 - qq[None, :]
+    scale = np.maximum(1.0, np.abs(traj).max(axis=1))
+    valid = np.abs(traj).min(axis=1) >= 1e-12 * scale
+    angles = np.angle(traj)
+    step = np.diff(angles, append=angles[:, :1], axis=1)
+    winding = np.rint(((step + np.pi) % (2.0 * np.pi) - np.pi).sum(axis=1)
+                      / (2.0 * np.pi))
+    hits = np.nonzero(valid & (winding != 0))[0]
+    return complex(cands[hits[0]]) if len(hits) else None
+
+
+def _sweep_draws(seed, count):
+    # the draw of perfbench's sweep_points: rows of (r1, r2, c1, c2, l)
+    draws = np.random.default_rng(seed).uniform(0.05, 2.0, size=(count, 5))
+    return [tc.CircuitParams(*row, n_cells=2) for row in draws]
+
+
+def test_skin_scan_matches_dense_angle_route(monkeypatch, bands_all_rows):
+    """Identical (present, witness) to the dense angle route on every branch
+    of 40 sweep points, the knife-edge point 190 (a real locus whose witness
+    sits on the curve's end) and the four table rows; some candidates lie on
+    the curve and take the angle-route fallback."""
+    draws = _sweep_draws(5001, 191)
+    cases = [(p, tc.band_trace(p, 256)) for p in draws[:40] + draws[190:]]
+    cases += [(row_params(row), bands_all_rows[row]) for row in ROWS]
+    on_curve = []
+    ray_crossings = topology._ray_crossings
+
+    def counting(curve, points, pad):
+        winding, near = ray_crossings(curve, points, pad)
+        on_curve.append(int(near.sum()))
+        return winding, near
+
+    fast = topology._first_witness
+    for p, band in cases:
+        for lab in band.branches:
+            omega = band.branches[lab][0]
+            monkeypatch.setattr(topology, "_ray_crossings", counting)
+            got = tc.skin_effect_present(p, omega, band=band)
+            monkeypatch.setattr(topology, "_first_witness", dense_first_witness)
+            want = tc.skin_effect_present(p, omega, band=band)
+            monkeypatch.setattr(topology, "_first_witness", fast)
+            assert got == want, (p, lab)
+    assert sum(on_curve) > 0
+
+
+def test_skin_scan_pairs_bounded_on_near_real_curve(monkeypatch):
+    """A curve within 1e-18 of the real axis pairs every segment with every
+    real candidate; the scan still finds the right witness through the
+    on-curve fallback, one chunk of pairs at a time."""
+    n_k = 256
+    k = tc.midpoint_grid(n_k)
+    qq = 1.5 + np.cos(k) + 1e-18j * np.sin(k)
+    cands = np.linspace(-2.0, 2.0, 1000) + 0j
+    sizes = []
+    interval_pairs = topology._interval_pairs
+
+    def recording(ys, lo, hi):
+        pairs = interval_pairs(ys, lo, hi)
+        sizes.append(len(pairs[0]))
+        return pairs
+
+    monkeypatch.setattr(topology, "_interval_pairs", recording)
+    witness = topology._first_witness(cands, qq)
+    # E0^2 inside (0.5, 2.5) lies in the counter-clockwise sliver
+    assert witness == cands[np.argmax(cands.real ** 2 < 2.5)]
+    assert witness == dense_first_witness(cands, qq)
+    assert max(sizes) == topology.SCAN_CHUNK * n_k
 
 
 def test_skin_winding_trajectory_and_base_point(band_row3):

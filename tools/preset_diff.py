@@ -1,12 +1,14 @@
 """Run every packaged preset from two source trees and compare the outputs.
 
-    python tools/preset_diff.py OLD_SRC NEW_SRC [PRESET ...]
+    python tools/preset_diff.py OLD_SRC NEW_SRC [PRESET | CONFIG.json ...]
 
 OLD_SRC and NEW_SRC are directories holding a ``topochain`` package (a
-checkout's ``src``).  Each tree runs all its presets (or the named ones)
-through ``cli.run_command`` in one subprocess with ``PYTHONPATH`` set to
-that tree, so neither sees the other's code.  Each output file is then
-reported as identical, or with its largest absolute and relative numeric
+checkout's ``src``).  Each tree runs all its presets (or the named presets
+and JSON config files) through ``cli.run_command`` in one subprocess with
+``PYTHONPATH`` set to that tree, so neither sees the other's code.  A
+config file runs the command its one non-circuit section names, into a
+directory named after the file's stem.  Each output file is then reported
+as identical, or with its largest absolute and relative numeric
 difference; files whose non-numeric text or value count differs are
 reported as such.  The exit status is 0 only when every file is identical.
 """
@@ -21,12 +23,17 @@ import tempfile
 from pathlib import Path
 
 RUNNER = """
+import json
 import sys
 from pathlib import Path
 from topochain import cli
 out, names = Path(sys.argv[1]), sys.argv[2:] or cli.preset_names()
 for name in names:
-    cfg = cli.load_preset(name)
+    path = Path(name)
+    if path.suffix == ".json":
+        cfg, name = json.loads(path.read_text()), path.stem
+    else:
+        cfg = cli.load_preset(name)
     command = next(key for key in cfg if key != "circuit")
     cli.run_command(command, cfg, out / name, "csv")
 """
