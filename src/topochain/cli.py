@@ -85,17 +85,11 @@ def _section(config: dict, name: str) -> dict:
             raise UnknownKey(f"{name}.{key}")
     merged = dict(defaults)
     merged.update(given)
-    return merged
-
-
-def _branch_labels(section: dict) -> tuple[str, ...]:
-    chosen = section.get("branches")
-    if chosen is None:
-        return spectral.BRANCH_LABELS
-    bad = [b for b in chosen if b not in spectral.BRANCH_LABELS]
+    named = [merged["branch"]] if "branch" in merged else merged.get("branches") or []
+    bad = [b for b in named if b not in spectral.BRANCH_LABELS]
     if bad:
-        raise InvalidParams(f"unknown branch labels {bad}")
-    return tuple(chosen)
+        raise InvalidParams(f"unknown branch labels {bad} in section '{name}'")
+    return merged
 
 
 def cmd_bands(params: CircuitParams, section: dict, outdir: Path, fmt: str) -> None:
@@ -157,20 +151,16 @@ def cmd_winding(params: CircuitParams, section: dict, outdir: Path) -> None:
 
 def cmd_skin(params: CircuitParams, section: dict, outdir: Path) -> None:
     band = spectral.band_trace(params, int(section["n_k"]))
+    chosen = section["branches"]
     report = {}
-    for lab in _branch_labels(section):
-        selector = band.branches[lab][0]
-        present, witness = topology.skin_effect_present(
-            params, selector, scan=int(section["scan"]), band=band)
-        e0 = witness if witness is not None else 0.0
-        traj = e0 * e0 - topology._offdiag_product(params, band, lab)
-        mag = np.abs(traj)
-        # min|det| / max(1, max|det|), the quantity the 1e-12 spectrum gate bounds
+    for lab in spectral.BRANCH_LABELS if chosen is None else chosen:
+        witness = topology.skin_effect_present(band, lab, scan=int(section["scan"]))
+        traj, clearance = topology.skin_trajectory(
+            band, lab, 0.0 if witness is None else witness)
         report[lab] = {
-            "present": present,
+            "present": witness is not None,
             "witness": None if witness is None else _pair(witness),
-            "witness_clearance": None if witness is None
-            else float(mag.min() / max(1.0, mag.max())),
+            "witness_clearance": None if witness is None else clearance,
         }
         _write_csv(outdir / f"skin_traj_{lab}.csv",
                    ["k", "det_re", "det_im"],
@@ -185,8 +175,6 @@ def _center_cells(n_cells: int) -> list[int]:
 
 def cmd_eigvecs(params: CircuitParams, section: dict, outdir: Path) -> None:
     label = section["branch"]
-    if label not in spectral.BRANCH_LABELS:
-        raise InvalidParams(f"unknown branch label '{label}'")
     band = spectral.band_trace(params, int(section["n_k"]))
     entries = spectral.branch_effective_matrix(params, band, label)
     rep_omega = band.branches[label][len(band.k_grid) // 2]
@@ -240,8 +228,6 @@ def cmd_eigvecs(params: CircuitParams, section: dict, outdir: Path) -> None:
 def _setup_from_section(params: CircuitParams, section: dict) -> tuple[transient.TransientSetup, dict]:
     band = spectral.band_trace(params, int(section["n_k"]))
     label = section["branch"]
-    if label not in spectral.BRANCH_LABELS:
-        raise InvalidParams(f"unknown branch label '{label}'")
     idx = int(np.argmin(np.abs(band.k_grid - float(section["k_at"]))))
     mode = band.branches[label][idx]
     omega_r = abs(float(np.real(mode)))
@@ -325,14 +311,8 @@ def _sweep_point(entry: dict, n_k: int, check_skin: bool) -> dict:
     multiset = sorted(r.winding for r in results.values())
     gaps = [spectral.bulk_gap(params, band.branches[lab])
             for lab in spectral.BRANCH_LABELS]
-    skin = False
-    if check_skin:
-        for lab in spectral.BRANCH_LABELS:
-            present, _ = topology.skin_effect_present(
-                params, band.branches[lab][0], band=band)
-            if present:
-                skin = True
-                break
+    skin = check_skin and any(topology.skin_effect_present(band, lab) is not None
+                              for lab in spectral.BRANCH_LABELS)
     return {
         "params": params,
         "multiset": multiset,

@@ -9,7 +9,7 @@ import numpy as np
 from .circuit import RealSpaceMatrix, bloch_admittance
 from .errors import GapUnknown, OriginCrossing, OutOfRange, SpectrumHit
 from .params import Boundary, CircuitParams
-from .spectral import BandSet, ChainSpectrum, band_trace, midpoint_grid
+from .spectral import BandSet, ChainSpectrum, midpoint_grid
 
 ORIGIN_TOL = 1e-10
 # a single polygon segment turning more than this around the origin means
@@ -17,6 +17,9 @@ ORIGIN_TOL = 1e-10
 # winding of such a curve is not certified
 MAX_SEGMENT_TURN = np.pi / 2
 MIN_WINDING_SAMPLES = 64
+# a base point E0 lies on a branch's admittance spectrum when its det
+# trajectory E0^2 - q(k) has min|det| under SPECTRUM_GATE * max(1, max|det|)
+SPECTRUM_GATE = 1e-12
 # skin candidates are scanned in batches of this many, in order, stopping at
 # the first witness; each batch's candidate-segment pairs number at most
 # SCAN_CHUNK * n_k however many candidates share a segment's y-range
@@ -25,8 +28,8 @@ SCAN_CHUNK = 256
 # largest of 1, |q| and |E0^2|) is on the curve.  Farther out, the rounding
 # of a cross product or of a segment's angle is eps * scale / distance of
 # what it decides, under 1e-6, so the crossing count and the angle route
-# agree exactly; and min|det| > ON_CURVE_TOL * scale clears the spectrum
-# gate 1e-12 max(1, max|det|) outright
+# agree exactly; and min|det| > ON_CURVE_TOL * scale clears SPECTRUM_GATE
+# outright
 ON_CURVE_TOL = 1e-9
 
 
@@ -228,20 +231,16 @@ class SkinWindingResult:
     trajectory: np.ndarray
 
 
-def _branch_select(band: BandSet, omega: complex) -> str:
-    best, best_d = None, np.inf
-    for lab, branch in band.branches.items():
-        d = np.abs(branch - omega).min()
-        if d < best_d:
-            best, best_d = lab, d
-    return best
-
-
-def _offdiag_product(params: CircuitParams, band: BandSet,
-                     label: str) -> np.ndarray:
-    """(v + w e^{-ik})(v + w e^{+ik}) along a tracked branch."""
-    y = bloch_admittance(params, band.branches[label], band.k_grid).entries
+def _offdiag_product(band: BandSet, label: str) -> np.ndarray:
+    """q(k) = (v + w e^{-ik})(v + w e^{+ik}) along a tracked branch."""
+    y = bloch_admittance(band.params, band.branches[label], band.k_grid).entries
     return y[:, 0, 1] * y[:, 1, 0]
+
+
+def _clearance(traj: np.ndarray) -> np.ndarray:
+    """min|det| / max(1, max|det|) of each det trajectory (last axis)."""
+    mag = np.abs(traj)
+    return mag.min(axis=-1) / np.maximum(1.0, mag.max(axis=-1))
 
 
 def _complex_winding(traj: np.ndarray) -> np.ndarray:
@@ -249,23 +248,28 @@ def _complex_winding(traj: np.ndarray) -> np.ndarray:
     return np.rint(_turns(np.angle(traj)).sum(axis=-1) / (2.0 * np.pi)).astype(int)
 
 
-def skin_winding(params: CircuitParams, omega: complex, e0: complex,
-                 n_k: int = 512, band: BandSet | None = None) -> SkinWindingResult:
-    """Point-gap winding of det(Y - E0) along the branch nearest omega.
+def skin_trajectory(band: BandSet, label: str,
+                    e0: complex) -> tuple[np.ndarray, float]:
+    """det(Y - E0) = E0^2 - q(k) along the branch, and its clearance.
 
-    omega picks which tracked branch to follow; the trajectory itself runs
-    over the whole zone.  A base point sitting on the trajectory makes the
-    count undefined and raises SpectrumHit.
+    The clearance min|det| / max(1, max|det|) is what SPECTRUM_GATE bounds:
+    under the gate, E0 lies on the branch's admittance spectrum.
     """
-    if band is None:
-        band = band_trace(params, n_k)
-    label = _branch_select(band, omega)
-    traj = e0 * e0 - _offdiag_product(params, band, label)
-    scale = max(1.0, float(np.abs(traj).max()))
-    if np.abs(traj).min() < 1e-12 * scale:
+    traj = e0 * e0 - _offdiag_product(band, label)
+    return traj, float(_clearance(traj))
+
+
+def skin_winding(band: BandSet, label: str, e0: complex) -> SkinWindingResult:
+    """Point-gap winding of det(Y - E0) over the zone along the named branch.
+
+    A base point whose trajectory fails SPECTRUM_GATE sits on the branch's
+    spectrum, where the count is undefined; that raises SpectrumHit.
+    """
+    traj, clearance = skin_trajectory(band, label, e0)
+    if clearance < SPECTRUM_GATE:
         raise SpectrumHit(
-            f"base point {e0} lies on the admittance spectrum "
-            f"(min |det| = {np.abs(traj).min():.3e})"
+            f"base point {e0} lies on the admittance spectrum of {label} "
+            f"(clearance {clearance:.3e} < {SPECTRUM_GATE:g})"
         )
     return SkinWindingResult(base_point=complex(e0),
                              winding=int(_complex_winding(traj)),
@@ -273,56 +277,50 @@ def skin_winding(params: CircuitParams, omega: complex, e0: complex,
 
 
 def _first_witness(cands: np.ndarray, qq: np.ndarray) -> complex | None:
-    """First candidate E0 whose det trajectory E0^2 - qq clears the spectrum
-    gate min|det| >= 1e-12 max(1, max|det|) with a nonzero winding.
+    """First candidate E0 whose det trajectory E0^2 - qq clears SPECTRUM_GATE
+    with a nonzero winding.
 
     The winding of det around 0 is that of the polyline qq around E0^2, read
     by ray crossings.  Only candidates on the curve can fail the gate or
-    defeat the count; they alone are read by the angle route.
+    defeat the count; those that clear the gate are read by the angle route.
     """
     w = cands ** 2
     pad = ON_CURVE_TOL * max(1.0, np.abs(qq).max(), np.abs(w).max())
     for lo in range(0, len(w), SCAN_CHUNK):
         chunk = w[lo:lo + SCAN_CHUNK]
         winding, on_curve = _ray_crossings(qq, chunk, pad)
-        valid = np.ones(len(chunk), dtype=bool)
         near = np.flatnonzero(on_curve)
-        if len(near):
-            traj = chunk[near, None] - qq[None, :]
-            mag = np.abs(traj)
-            valid[near] = mag.min(axis=1) >= 1e-12 * np.maximum(1.0, mag.max(axis=1))
-            winding[near] = _complex_winding(traj)
-        hits = np.flatnonzero(valid & (winding != 0))
+        traj = chunk[near, None] - qq[None, :]
+        clear = _clearance(traj) >= SPECTRUM_GATE
+        winding[near] = 0
+        winding[near[clear]] = _complex_winding(traj[clear])
+        hits = np.flatnonzero(winding)
         if len(hits):
             return complex(cands[lo + hits[0]])
     return None
 
 
-def skin_effect_present(params: CircuitParams, omega: complex,
-                        n_k: int = 512, scan: int = 50,
-                        band: BandSet | None = None) -> tuple[bool, complex | None]:
-    """Scan base points for a nonzero point-gap winding on the chosen branch.
+def skin_effect_present(band: BandSet, label: str,
+                        scan: int = 50) -> complex | None:
+    """A base point E0 around which the named branch has a point-gap
+    winding, or None when the scan finds none.
 
-    Two candidate families are tried in order.  First a raster over the
-    bounding box of the branch's admittance eigenvalue loci +-sqrt(q+ q-),
-    inflated by 10%.  If the raster is blank, midpoints between each locus
-    sheet and its own k -> 2pi - k reflection: whenever the branch is
-    non-reciprocal the sheets fail to retrace and those midpoints sit inside
-    the enclosed sliver, however thin.  Returns the first witness found, or
-    (False, None).
+    Candidates are tried in one order.  First a scan x scan raster over the
+    bounding box of the branch's admittance eigenvalue loci +-sqrt(q),
+    inflated by 10%.  Then midpoints between each locus sheet and its own
+    k -> 2pi - k reflection: whenever the branch is non-reciprocal the
+    sheets fail to retrace and those midpoints sit inside the enclosed
+    sliver, however thin.  Returns the first witness.
 
-    A candidate E0 is a witness when det = E0^2 - q+ q- stays at least
-    1e-12 max(1, max|det|) from the origin and winds around it.  That
-    winding is the winding of the closed polyline q+ q- around the point
-    E0^2, counted by ray crossings.  Candidates within ON_CURVE_TOL of the
-    polyline, where the count and the gate both sit at roundoff, are read
-    by the angle route of skin_winding instead.  Candidates are checked in
-    order, SCAN_CHUNK at a time, stopping at the first witness.
+    A candidate E0 is a witness when det = E0^2 - q clears SPECTRUM_GATE
+    and winds around the origin.  That winding is the winding of the closed
+    polyline q around the point E0^2, counted by ray crossings.  Candidates
+    within ON_CURVE_TOL of the polyline, where the count and the gate both
+    sit at roundoff, are gated first and read by the angle route of
+    skin_winding.  Candidates are checked SCAN_CHUNK at a time, stopping at
+    the first witness.
     """
-    if band is None:
-        band = band_trace(params, n_k)
-    label = _branch_select(band, omega)
-    qq = _offdiag_product(params, band, label)
+    qq = _offdiag_product(band, label)
     rad = np.sqrt(qq)
     locs = np.concatenate([rad, -rad])
     re_lo, re_hi = locs.real.min(), locs.real.max()
@@ -332,17 +330,9 @@ def skin_effect_present(params: CircuitParams, omega: complex,
     res = np.linspace(re_lo - re_pad, re_hi + re_pad, scan)
     ims = np.linspace(im_lo - im_pad, im_hi + im_pad, scan)
     grid = (res[None, :] + 1j * ims[:, None]).ravel()
-    witness = _first_witness(grid, qq)
-    if witness is None:
-        step = max(1, len(rad) // 128)
-        for sheet in (rad, -rad, np.conj(rad)):
-            mids = 0.5 * (sheet + sheet[::-1])[::step]
-            witness = _first_witness(mids, qq)
-            if witness is not None:
-                break
-    if witness is not None:
-        return True, witness
-    return False, None
+    step = max(1, len(rad) // 128)
+    mids = [0.5 * (sheet + sheet[::-1])[::step] for sheet in (rad, -rad, np.conj(rad))]
+    return _first_witness(np.concatenate([grid, *mids]), qq)
 
 
 def classify_states(spectrum: ChainSpectrum, gap: float) -> ChainSpectrum:

@@ -256,23 +256,17 @@ def test_criterion_07_skin_effect_biconditional(chain300, band_row4):
     center-of-mass shift beyond one site (frozen: -4.56 sites on the
     zone-boundary-swapped pair, |shift| < 1e-8 on the other two, whose
     Edge pair is summed as one degenerate cluster)."""
-    p = row_params(4)
     for lab in BRANCH_LABELS:
         spec, gap, _ = chain300[lab]
         com = tc.center_of_mass_shift(spec)
         accumulates = abs(com) > 1.0 and spec.labels.count("Skin") > 0
-        present, witness = tc.skin_effect_present(
-            p, band_row4.branches[lab][0], band=band_row4)
+        witness = tc.skin_effect_present(band_row4, lab)
+        present = witness is not None
         assert present == accumulates, f"{lab}: {present} vs com {com:.3f}"
         if present:
-            assert witness is not None
-            res = tc.skin_winding(p, band_row4.branches[lab][0], witness,
-                                  band=band_row4)
-            assert res.winding != 0
-    assert tc.skin_effect_present(
-        p, band_row4.branches["omega4"][0], band=band_row4)[0]
-    assert not tc.skin_effect_present(
-        p, band_row4.branches["omega6"][0], band=band_row4)[0]
+            assert tc.skin_winding(band_row4, lab, witness).winding != 0
+    assert tc.skin_effect_present(band_row4, "omega4") is not None
+    assert tc.skin_effect_present(band_row4, "omega6") is None
 
 
 # --- criterion 8 -----------------------------------------------------------

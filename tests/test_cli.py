@@ -5,11 +5,12 @@ from pathlib import Path
 
 import pytest
 
+import topochain as tc
 from topochain.cli import load_preset, main, preset_names, run_command
 from topochain.errors import InvalidParams, UnknownKey
 from topochain.netlist import lattice_nodes
 
-from conftest import ROWS
+from conftest import ROWS, row_params
 
 
 def write_config(path: Path, row: int, n_cells: int = 2, boundary: str = "open",
@@ -89,6 +90,22 @@ def test_skin_report(tmp_path):
     assert rep["omega4"]["witness_clearance"] >= 1e-12
     assert (outdir / "skin_traj_omega3.csv").exists()
     assert (outdir / "skin_traj_omega4.csv").exists()
+
+
+def test_skin_witness_winds_on_its_own_branch(tmp_path):
+    """The hybrid pair swaps at the zone boundary, so omega4's last sample
+    equals omega5's first; each branch's witness must still come from that
+    branch's own scan and clearance from that branch's own trajectory."""
+    cfg = write_config(tmp_path / "s.json", 2,
+                       skin={"branches": ["omega4", "omega5"]})
+    assert run("skin", cfg, tmp_path / "out") == 0
+    rep = json.loads((tmp_path / "out" / "skin-s" / "skin.json").read_text())
+    band = tc.band_trace(row_params(2), 512)
+    for lab in ("omega4", "omega5"):
+        witness = complex(*rep[lab]["witness"])
+        assert tc.skin_winding(band, lab, witness).winding != 0, lab
+        assert rep[lab]["witness_clearance"] \
+            == tc.skin_trajectory(band, lab, witness)[1], lab
 
 
 def test_eigvecs_report_with_perturbation(tmp_path):
@@ -211,6 +228,12 @@ def test_config_error_exit_codes(tmp_path, capsys):
     # unknown preset
     assert main(["winding", "--preset", "nonsense",
                  "--out", str(tmp_path / "out")]) == 2
+    # unknown branch label, refused before the band is traced at a grid
+    # band_trace itself refuses, and before the run directory is made
+    cfg = write_config(tmp_path / "b.json", 1,
+                       transient={"branch": "omega9", "n_k": 32})
+    assert run("transient", cfg, tmp_path / "out") == 2
+    assert not (tmp_path / "out" / "transient-b").exists()
     err = capsys.readouterr().err
     assert "config error" in err
 

@@ -169,14 +169,19 @@ def _sweep_draws(seed, count):
     return [tc.CircuitParams(*row, n_cells=2) for row in draws]
 
 
-def test_skin_scan_matches_dense_angle_route(monkeypatch, bands_all_rows):
-    """Identical (present, witness) to the dense angle route on every branch
-    of 40 sweep points, the knife-edge point 190 (a real locus whose witness
-    sits on the curve's end) and the four table rows; some candidates lie on
-    the curve and take the angle-route fallback."""
+@pytest.fixture(scope="module")
+def scan_corpus(bands_all_rows):
+    """40 sweep points, the knife-edge point 190 (a real locus whose witness
+    sits on the curve's end) and the four table rows."""
     draws = _sweep_draws(5001, 191)
-    cases = [(p, tc.band_trace(p, 256)) for p in draws[:40] + draws[190:]]
-    cases += [(row_params(row), bands_all_rows[row]) for row in ROWS]
+    return [tc.band_trace(p, 256) for p in draws[:40] + draws[190:]] \
+        + [bands_all_rows[row] for row in ROWS]
+
+
+def test_skin_scan_matches_dense_angle_route(monkeypatch, scan_corpus):
+    """The same witness as the dense angle route on every branch of the scan
+    corpus; some candidates lie on the curve and take the angle-route
+    fallback."""
     on_curve = []
     ray_crossings = topology._ray_crossings
 
@@ -186,16 +191,34 @@ def test_skin_scan_matches_dense_angle_route(monkeypatch, bands_all_rows):
         return winding, near
 
     fast = topology._first_witness
-    for p, band in cases:
+    for band in scan_corpus:
         for lab in band.branches:
-            omega = band.branches[lab][0]
             monkeypatch.setattr(topology, "_ray_crossings", counting)
-            got = tc.skin_effect_present(p, omega, band=band)
+            got = tc.skin_effect_present(band, lab)
             monkeypatch.setattr(topology, "_first_witness", dense_first_witness)
-            want = tc.skin_effect_present(p, omega, band=band)
+            want = tc.skin_effect_present(band, lab)
             monkeypatch.setattr(topology, "_first_witness", fast)
-            assert got == want, (p, lab)
+            assert got == want, (band.params, lab)
     assert sum(on_curve) > 0
+
+
+def test_skin_scan_gates_before_angles(monkeypatch, scan_corpus):
+    """On-curve candidates reach the angle route only once their trajectory
+    clears SPECTRUM_GATE; those on the spectrum are refused without it."""
+    received = []
+    complex_winding = topology._complex_winding
+
+    def gated(traj):
+        received.append(topology._clearance(traj))
+        return complex_winding(traj)
+
+    monkeypatch.setattr(topology, "_complex_winding", gated)
+    for band in scan_corpus:
+        for lab in band.branches:
+            tc.skin_effect_present(band, lab)
+    clearance = np.concatenate(received)
+    assert len(clearance) > 0
+    assert (clearance >= topology.SPECTRUM_GATE).all()
 
 
 def test_skin_scan_pairs_bounded_on_near_real_curve(monkeypatch):
@@ -223,13 +246,11 @@ def test_skin_scan_pairs_bounded_on_near_real_curve(monkeypatch):
 
 
 def test_skin_winding_trajectory_and_base_point(band_row3):
-    p = row_params(3)
-    omega = band_row3.branches["omega4"][100]
-    res = tc.skin_winding(p, omega, -1.4 - 0.012j, band=band_row3)
+    res = tc.skin_winding(band_row3, "omega4", -1.4 - 0.012j)
     assert res.winding == -1
     assert res.base_point == -1.4 - 0.012j
     assert len(res.trajectory) == 1024
-    far = tc.skin_winding(p, omega, 300.0 + 300.0j, band=band_row3)
+    far = tc.skin_winding(band_row3, "omega4", 300.0 + 300.0j)
     assert far.winding == 0
 
 
@@ -239,34 +260,27 @@ def test_skin_winding_rejects_base_point_on_spectrum(band_row3):
     qq_point = tc.bloch_admittance(p, branch[10], band_row3.k_grid[10])
     e0 = np.sqrt(qq_point.entries[0, 1] * qq_point.entries[1, 0])
     with pytest.raises(SpectrumHit):
-        tc.skin_winding(p, branch[10], complex(e0), band=band_row3)
+        tc.skin_winding(band_row3, "omega4", complex(e0))
 
 
 # witness existence, frozen per row: the zone-boundary-swapped hybrid pair
 # is non-reciprocal (winding -1 sliver), the m branches never are
 @pytest.mark.parametrize("row", list(ROWS))
 def test_skin_effect_presence_pattern(row, bands_all_rows):
-    p = row_params(row)
     band = bands_all_rows[row]
     for lab in ("omega3", "omega6"):
-        present, witness = tc.skin_effect_present(
-            p, band.branches[lab][0], band=band)
-        assert not present and witness is None
+        assert tc.skin_effect_present(band, lab) is None
     for lab in ("omega4", "omega5"):
-        present, witness = tc.skin_effect_present(
-            p, band.branches[lab][0], band=band)
-        assert present
-        res = tc.skin_winding(p, band.branches[lab][0], witness, band=band)
-        assert res.winding != 0
+        witness = tc.skin_effect_present(band, lab)
+        assert witness is not None
+        assert tc.skin_winding(band, lab, witness).winding != 0
 
 
 def test_row4_witness_needs_sheet_midpoints(band_row4):
     """The row-4 non-reciprocal sliver is ~4e-4 wide; the raster alone
     misses it and the locus-reflection midpoint pass finds it."""
-    p = row_params(4)
-    present, witness = tc.skin_effect_present(
-        p, band_row4.branches["omega4"][0], band=band_row4)
-    assert present
+    witness = tc.skin_effect_present(band_row4, "omega4")
+    assert witness is not None
     assert abs(witness) < 0.5  # tiny base point inside the sliver
 
 

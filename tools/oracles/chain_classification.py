@@ -38,7 +38,7 @@ for lab in BRANCH_LABELS:
         mu = tc.winding_number(p, band.branches[lab], band.k_grid)
     except OriginCrossing:
         mu = None
-    present, witness = tc.skin_effect_present(p, band.branches[lab][0], band=band)
+    present = tc.skin_effect_present(band, lab) is not None
     counts = {t: spec.labels.count(t) for t in ("Edge", "Skin", "Bulk")}
     com = tc.center_of_mass_shift(spec)
     print(f"{lab}: mu={mu} gap={gap:.9f} counts={counts} "
