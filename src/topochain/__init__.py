@@ -14,6 +14,7 @@ from .circuit import (
     RealSpaceMatrix,
     bloch_admittance,
     bloch_laplacian,
+    chain_bonds,
     chain_matrix_from_hoppings,
     hermitian_reference_bands,
     hoppings,
@@ -59,7 +60,6 @@ from .topology import (
 )
 from .transient import (
     DampedFit,
-    StateVector,
     TransientSetup,
     TransientTrace,
     assemble_state_space,
@@ -74,11 +74,11 @@ __all__ = [
     "BandSet", "BlochMatrix", "Boundary", "ChainSpectrum", "CircuitParams",
     "ConfigError", "DampedFit", "FrequencyRoots", "HoppingPair",
     "NumericError", "OutputError", "PerturbationReport", "RealSpaceMatrix",
-    "SkinWindingResult", "StateVector", "TopochainError", "TransientSetup",
+    "SkinWindingResult", "TopochainError", "TransientSetup",
     "TransientTrace", "WindingResult", "assemble_state_space",
     "band_polynomial_coefficients", "band_trace", "bloch_admittance",
     "bloch_laplacian", "branch_effective_matrix", "bulk_gap",
-    "center_of_mass_shift", "chain_matrix_from_hoppings",
+    "center_of_mass_shift", "chain_bonds", "chain_matrix_from_hoppings",
     "circuit_from_mapping", "classify_states", "compare_perturbed",
     "eigendecompose", "fit_damped_oscillation", "ground_current_profile",
     "hermitian_reference_bands", "hoppings", "lambda_diag", "lambda_spectrum",

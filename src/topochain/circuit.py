@@ -27,7 +27,6 @@ class HoppingPair:
 
     v: complex | np.ndarray
     w: complex | np.ndarray
-    omega: complex | np.ndarray
 
 
 def _etas(params: CircuitParams, omega):
@@ -51,7 +50,7 @@ def _etas(params: CircuitParams, omega):
 def hoppings(params: CircuitParams, omega) -> HoppingPair:
     """v = -C1/(1 + i omega R1 C1), w = -C2/(1 + i omega R2 C2), elementwise in omega."""
     eta1, eta2 = _etas(params, omega)
-    return HoppingPair(v=-params.c1 / eta1, w=-params.c2 / eta2, omega=omega)
+    return HoppingPair(v=-params.c1 / eta1, w=-params.c2 / eta2)
 
 
 def lambda_diag(params: CircuitParams, omega):
@@ -69,8 +68,6 @@ class BlochMatrix:
     """
 
     entries: np.ndarray
-    omega: complex | np.ndarray
-    k: float | np.ndarray
     y_x: complex | np.ndarray
     y_y: complex | np.ndarray
 
@@ -89,8 +86,6 @@ def bloch_admittance(params: CircuitParams, omega, k) -> BlochMatrix:
     m[..., 1, 0] = hp.v + hp.w * np.exp(+1j * k)
     return BlochMatrix(
         entries=m,
-        omega=omega,
-        k=k,
         y_x=hp.v + hp.w * np.cos(k),
         y_y=hp.w * np.sin(k),
     )
@@ -105,12 +100,12 @@ def bloch_laplacian(params: CircuitParams, omega: complex, k: float) -> BlochMat
     y = bloch_admittance(params, omega, k)
     lam = lambda_diag(params, omega)
     m = 1j * omega * (lam * np.eye(2, dtype=complex) - y.entries)
-    return BlochMatrix(entries=m, omega=omega, k=k, y_x=y.y_x, y_y=y.y_y)
+    return BlochMatrix(entries=m, y_x=y.y_x, y_y=y.y_y)
 
 
 @dataclass(frozen=True)
 class RealSpaceMatrix:
-    """2N x 2N zero-diagonal hopping matrix of the finite chain at fixed omega.
+    """2N x 2N zero-diagonal hopping matrix of the finite chain.
 
     Basis is interleaved (A1, B1, A2, B2, ...); the matrix is complex
     symmetric (transpose-symmetric), not Hermitian, whenever R > 0.
@@ -118,7 +113,20 @@ class RealSpaceMatrix:
 
     entries: np.ndarray
     params: CircuitParams
-    omega: complex
+
+
+def chain_bonds(n_cells: int, boundary: Boundary) -> tuple[np.ndarray, np.ndarray]:
+    """Tail and head node of every bond of the finite chain, in bond order.
+
+    The N intra-cell (R1 C1) bonds (2j, 2j+1) come first, then the
+    inter-cell (R2 C2) bonds (2j+1, 2j+2); on a periodic chain the last of
+    these is the ring bond (2N-1, 0).  So bond c and bond N + c, where it
+    exists, are the two bonds leaving cell c.
+    """
+    n = int(n_cells)
+    n_inter = n if boundary is Boundary.PERIODIC else n - 1
+    tail = np.concatenate([2 * np.arange(n), 2 * np.arange(n_inter) + 1])
+    return tail, (tail + 1) % (2 * n)
 
 
 def chain_matrix_from_hoppings(
@@ -130,28 +138,24 @@ def chain_matrix_from_hoppings(
     """Assemble the 2N x 2N nearest-neighbor matrix from given weights.
 
     v and w may be scalars or per-bond arrays (length N for v; N or N-1
-    for w depending on boundary), which is what the perturbation experiment
-    uses to alter a few bonds only.
+    for w depending on boundary), in the bond order of chain_bonds.
     """
     n = int(n_cells)
-    size = 2 * n
-    vv = np.broadcast_to(np.asarray(v, dtype=complex), (n,))
-    n_inter = n if boundary is Boundary.PERIODIC else n - 1
-    ww = np.broadcast_to(np.asarray(w, dtype=complex), (n_inter,))
-    m = np.zeros((size, size), dtype=complex)
-    a = 2 * np.arange(n)
-    m[a, a + 1] = vv
-    m[a + 1, a] = vv
-    b = 2 * np.arange(n_inter) + 1
-    m[b, (b + 1) % size] = ww
-    m[(b + 1) % size, b] = ww
+    tail, head = chain_bonds(n, boundary)
+    weights = np.concatenate([
+        np.broadcast_to(np.asarray(v, dtype=complex), (n,)),
+        np.broadcast_to(np.asarray(w, dtype=complex), (len(tail) - n,)),
+    ])
+    m = np.zeros((2 * n, 2 * n), dtype=complex)
+    m[tail, head] = weights
+    m[head, tail] = weights
     return m
 
 
 def real_space_matrix(params: CircuitParams, omega: complex) -> RealSpaceMatrix:
     hp = hoppings(params, omega)
     m = chain_matrix_from_hoppings(hp.v, hp.w, params.n_cells, params.boundary)
-    return RealSpaceMatrix(entries=m, params=params, omega=omega)
+    return RealSpaceMatrix(entries=m, params=params)
 
 
 def hermitian_reference_bands(l1: float, l2: float, c: float, k: float) -> tuple[float, float]:

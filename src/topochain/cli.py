@@ -20,7 +20,6 @@ import numpy as np
 
 from . import netlist as netlist_mod
 from . import spectral, topology, transient
-from .circuit import RealSpaceMatrix
 from .errors import (
     ConfigError,
     GapUnknown,
@@ -49,6 +48,17 @@ SECTION_DEFAULTS = {
     },
     "sweep": {"points": None, "n_k": 256, "check_skin": True},
 }
+# the JSON type of each section value, and of a list's items; an int counts
+# as a float, a bool as neither, and null is taken where the default is null
+SECTION_TYPES = {
+    "n_k": int, "scan": int, "max_samples": int, "check_skin": bool,
+    "branch": str, "branches": (list, str), "points": (list, dict),
+    "source_nodes": (list, int), "perturbation": dict, "k_at": float,
+    "amplitude": float, "periods_drive": float, "periods_free": float,
+    "fit_t0_periods": float, "dt": float,
+}
+PERTURBATION_DEFAULTS = {"cells": None, "fraction": 0.05}
+PERTURBATION_TYPES = {"cells": (list, int), "fraction": float}
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -75,14 +85,37 @@ def _pair(z: complex) -> list[float]:
     return [float(np.real(z)), float(np.imag(z))]
 
 
+def _has_type(value, kind: type) -> bool:
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _check_object(where: str, given, defaults: dict, types: dict) -> None:
+    """Raise unless given is an object of known keys with well-typed values."""
+    if not isinstance(given, dict):
+        raise InvalidParams(f"'{where}' must be an object")
+    for key, value in given.items():
+        if key not in defaults:
+            raise UnknownKey(f"{where}.{key}")
+        kind = types[key]
+        kind, item = kind if isinstance(kind, tuple) else (kind, None)
+        if value is None and defaults[key] is None:
+            continue
+        ok = _has_type(value, kind) and (
+            item is None or all(_has_type(v, item) for v in value))
+        if not ok:
+            what = kind.__name__ + (f" of {item.__name__}" if item else "")
+            raise InvalidParams(f"{where}.{key}: expected {what}, got {value!r}")
+
+
 def _section(config: dict, name: str) -> dict:
     defaults = SECTION_DEFAULTS[name]
     given = config.get(name, {})
-    if not isinstance(given, dict):
-        raise InvalidParams(f"section '{name}' must be an object")
-    for key in given:
-        if key not in defaults:
-            raise UnknownKey(f"{name}.{key}")
+    _check_object(name, given, defaults, SECTION_TYPES)
+    if given.get("perturbation") is not None:
+        _check_object(f"{name}.perturbation", given["perturbation"],
+                      PERTURBATION_DEFAULTS, PERTURBATION_TYPES)
     merged = dict(defaults)
     merged.update(given)
     named = [merged["branch"]] if "branch" in merged else merged.get("branches") or []
@@ -176,9 +209,7 @@ def _center_cells(n_cells: int) -> list[int]:
 def cmd_eigvecs(params: CircuitParams, section: dict, outdir: Path) -> None:
     label = section["branch"]
     band = spectral.band_trace(params, int(section["n_k"]))
-    entries = spectral.branch_effective_matrix(params, band, label)
-    rep_omega = band.branches[label][len(band.k_grid) // 2]
-    matrix = RealSpaceMatrix(entries=entries, params=params, omega=rep_omega)
+    matrix = spectral.branch_effective_matrix(params, band, label)
     spectrum = spectral.eigendecompose(matrix)
     gap = spectral.bulk_gap(params, band.branches[label])
     notes = []
@@ -206,7 +237,7 @@ def cmd_eigvecs(params: CircuitParams, section: dict, outdir: Path) -> None:
     pert_cfg = section.get("perturbation")
     if pert_cfg is not None and spectrum.labels is not None:
         cells = pert_cfg.get("cells") or _center_cells(params.n_cells)
-        fraction = float(pert_cfg.get("fraction", 0.05))
+        fraction = float(pert_cfg.get("fraction", PERTURBATION_DEFAULTS["fraction"]))
         perturbed = topology.perturb_chain(matrix, tuple(cells), fraction)
         pert_spec = spectral.eigendecompose(perturbed)
         cmp = topology.compare_perturbed(spectrum, pert_spec, gap)

@@ -10,8 +10,8 @@ circuit follows the same protocol as the internal simulator.
 
 from __future__ import annotations
 
+from .circuit import chain_bonds
 from .errors import InvalidParams
-from .params import Boundary, CircuitParams
 from .transient import TransientSetup
 
 SWITCH_MODEL = ".model swmod sw(ron=1e-3 roff=1e9 vt=0.5 vh=0)"
@@ -29,18 +29,13 @@ def netlist_text(setup: TransientSetup) -> str:
     params = setup.params
     n = params.n_cells
     lines = ["* rlc chain transient export"]
-    for j in range(1, n + 1):
-        a, b = node_name(2 * (j - 1)), node_name(2 * (j - 1) + 1)
-        mid = f"m{j}_v"
-        lines.append(f"R1_{j} {a} {mid} {_num(params.r1)}")
-        lines.append(f"C1_{j} {mid} {b} {_num(params.c1)}")
-    inter = n if params.boundary is Boundary.PERIODIC else n - 1
-    for j in range(1, inter + 1):
-        b = node_name(2 * (j - 1) + 1)
-        a_next = node_name((2 * j) % (2 * n))
-        mid = f"m{j}_w"
-        lines.append(f"R2_{j} {b} {mid} {_num(params.r2)}")
-        lines.append(f"C2_{j} {mid} {a_next} {_num(params.c2)}")
+    tail, head = chain_bonds(n, params.boundary)
+    for bond, (t, h) in enumerate(zip(tail.tolist(), head.tolist())):
+        j = bond % n + 1
+        pair, mid, r, c = (("1", f"m{j}_v", params.r1, params.c1) if bond < n
+                           else ("2", f"m{j}_w", params.r2, params.c2))
+        lines.append(f"R{pair}_{j} {node_name(t)} {mid} {_num(r)}")
+        lines.append(f"C{pair}_{j} {mid} {node_name(h)} {_num(c)}")
     for i in range(2 * n):
         nm = node_name(i)
         lines.append(f"L_{nm} {nm} 0 {_num(params.l)}")

@@ -75,6 +75,8 @@ _REQUIRED_KEYS = {"r1", "r2", "c1", "c2", "l"}
 
 def circuit_from_mapping(section: Mapping[str, Any], prefix: str = "circuit") -> CircuitParams:
     """Build CircuitParams from a config section, naming offending keys."""
+    if not isinstance(section, Mapping):
+        raise InvalidParams(f"{prefix}: expected an object, got {section!r}")
     unknown = set(section) - _CIRCUIT_KEYS
     if unknown:
         raise UnknownKey(f"{prefix}.{sorted(unknown)[0]}")
@@ -104,7 +106,7 @@ def circuit_from_mapping(section: Mapping[str, Any], prefix: str = "circuit") ->
 
 
 def load_config(path: str | Path) -> dict[str, Any]:
-    """Read a JSON config file; the 'circuit' section is validated here."""
+    """Read a JSON config file whose root is an object."""
     p = Path(path)
     try:
         raw = json.loads(p.read_text())
@@ -114,10 +116,4 @@ def load_config(path: str | Path) -> dict[str, Any]:
         raise InvalidParams(f"config is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise InvalidParams("config root must be a JSON object")
-    if "circuit" not in raw:
-        raise MissingKey("circuit")
-    if not isinstance(raw["circuit"], dict):
-        raise InvalidParams("circuit: expected an object")
-    # validate eagerly so the CLI fails before any computation starts
-    circuit_from_mapping(raw["circuit"])
     return raw

@@ -15,7 +15,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 from scipy.optimize import linear_sum_assignment
 
-from .circuit import bloch_admittance, lambda_diag
+from .circuit import RealSpaceMatrix, bloch_admittance, lambda_diag
 from .errors import (
     ConvergenceFailure,
     DegenerateLeadingCoefficient,
@@ -76,7 +76,6 @@ def band_polynomial_coefficients(params: CircuitParams, k: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FrequencyRoots:
-    k: float
     roots: np.ndarray            # all finite roots, multiplicity included
     pole_roots: np.ndarray       # the two roots matched to i/(R C)
     physical_roots: np.ndarray   # the rest, sorted lexicographic (Re, Im)
@@ -154,7 +153,7 @@ def natural_frequencies(params: CircuitParams, k: float) -> FrequencyRoots:
     count is always six.
     """
     roots, pole_roots, physical = _solve(params, np.array([k], dtype=float))
-    return FrequencyRoots(k=float(k), roots=roots[0], pole_roots=pole_roots[0],
+    return FrequencyRoots(roots=roots[0], pole_roots=pole_roots[0],
                           physical_roots=physical[0])
 
 
@@ -188,42 +187,33 @@ def _continue_step(prev: np.ndarray, new: np.ndarray) -> np.ndarray:
     square-root branch points; there the minimum-distance cost is degenerate,
     so a fixed continuation convention is applied instead: the larger-|Im|
     axis root continues into the Re > 0 member of the newborn pair, the
-    smaller into Re < 0 (and the mirrored rule when the pair re-merges).
-    This keeps the assignment deterministic and grid-independent.
+    smaller into Re < 0 (and the mirrored rule when the pair re-merges: the
+    Re > 0 member into the smaller-|Im| axis root).  The off-axis pair is the
+    two roots nearest the axis pair's center; the other two roots are
+    assigned by minimum distance.  This keeps the assignment deterministic
+    and grid-independent.
     """
     ax_prev, ax_new = _axis_mask(prev), _axis_mask(new)
+    counts = (np.count_nonzero(ax_prev), np.count_nonzero(ax_new))
+    if counts != (2, 0) and counts != (0, 2):
+        # the row indices of a square assignment are 0..3 in order
+        return linear_sum_assignment(np.abs(prev[:, None] - new[None, :]))[1]
+    splits = counts == (2, 0)
+    on_axis, off_axis, ax = (prev, new, ax_prev) if splits else (new, prev, ax_new)
+    axis = np.where(ax)[0]
+    axis = axis[np.argsort(on_axis[axis].imag)]                # small, large |Im|
+    pair = np.argsort(np.abs(off_axis - on_axis[axis].mean()))[:2]
+    pair = pair[np.argsort(off_axis[pair].real)]               # Re<0, Re>0
+    rest = np.ones(4, dtype=bool)
+    rest[pair] = False
+    # pinned slots and roots, then the two slots and roots left over
+    slots, roots, free_slots, free_roots = (
+        (axis, pair, ~ax, rest) if splits else (pair[::-1], axis, rest, ~ax))
     assign = np.empty(4, dtype=int)
-    if ax_prev.sum() == 2 and ax_new.sum() == 0:
-        slots = np.where(ax_prev)[0]
-        slots = slots[np.argsort(prev[slots].imag)]          # small, large |Im|
-        center = prev[slots].mean()
-        born = np.argsort(np.abs(new - center))[:2]
-        born = born[np.argsort(new[born].real)]              # Re<0, Re>0
-        assign[slots[1]] = born[1]
-        assign[slots[0]] = born[0]
-        rest_slots = np.where(~ax_prev)[0]
-        rest_roots = np.array([i for i in range(4) if i not in set(born.tolist())])
-        cost = np.abs(prev[rest_slots][:, None] - new[rest_roots][None, :])
-        rr, cc = linear_sum_assignment(cost)
-        assign[rest_slots[rr]] = rest_roots[cc]
-        return assign
-    if ax_prev.sum() == 0 and ax_new.sum() == 2:
-        targets = np.where(ax_new)[0]
-        targets = targets[np.argsort(new[targets].imag)]     # small, large |Im|
-        center = new[targets].mean()
-        dying = np.argsort(np.abs(prev - center))[:2]
-        dying = dying[np.argsort(prev[dying].real)]          # Re<0, Re>0
-        assign[dying[1]] = targets[0]
-        assign[dying[0]] = targets[1]
-        rest_slots = np.array([i for i in range(4) if i not in set(dying.tolist())])
-        rest_roots = np.array([i for i in range(4) if i not in set(targets.tolist())])
-        cost = np.abs(prev[rest_slots][:, None] - new[rest_roots][None, :])
-        rr, cc = linear_sum_assignment(cost)
-        assign[rest_slots[rr]] = rest_roots[cc]
-        return assign
-    cost = np.abs(prev[:, None] - new[None, :])
-    rr, cc = linear_sum_assignment(cost)
-    assign[rr] = cc
+    assign[slots] = roots
+    rr, cc = linear_sum_assignment(
+        np.abs(prev[free_slots][:, None] - new[free_roots][None, :]))
+    assign[np.where(free_slots)[0][rr]] = np.where(free_roots)[0][cc]
     return assign
 
 
@@ -325,19 +315,14 @@ class ChainSpectrum:
         return len(self.eigenvalues)
 
 
-def eigendecompose(matrix, boundary: Boundary | None = None) -> ChainSpectrum:
+def eigendecompose(matrix: RealSpaceMatrix) -> ChainSpectrum:
     """Dense non-Hermitian eigendecomposition with localization metrics.
 
-    Accepts a RealSpaceMatrix or a bare 2N x 2N array.  Eigenpairs are sorted
-    lexicographically by (Re, Im) and each right eigenvector is normalized to
-    unit 2-norm; the residual gate scales with the matrix norm.
+    Eigenpairs are sorted lexicographically by (Re, Im) and each right
+    eigenvector is normalized to unit 2-norm; the residual gate scales with
+    the matrix norm.
     """
-    if hasattr(matrix, "entries"):
-        m = matrix.entries
-        boundary = matrix.params.boundary if boundary is None else boundary
-    else:
-        m = np.asarray(matrix, dtype=complex)
-        boundary = Boundary.OPEN if boundary is None else boundary
+    m = matrix.entries
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix contains non-finite entries")
     try:
@@ -361,16 +346,12 @@ def eigendecompose(matrix, boundary: Boundary | None = None) -> ChainSpectrum:
         ipr=np.sum(mags * mags, axis=0),
         left_weight=np.sum(mags[:tenth, :], axis=0),
         right_weight=np.sum(mags[-tenth:, :], axis=0),
-        boundary=boundary,
+        boundary=matrix.params.boundary,
     )
 
 
-def branch_effective_matrix(
-    params: CircuitParams,
-    band: BandSet,
-    label: str,
-    boundary: Boundary | None = None,
-) -> np.ndarray:
+def branch_effective_matrix(params: CircuitParams, band: BandSet,
+                            label: str) -> RealSpaceMatrix:
     """Real-space matrix that follows one tracked branch.
 
     At fixed omega the open chain's hopping pattern reads the same from both
@@ -394,10 +375,11 @@ def branch_effective_matrix(
     # c_m couples cell i to cell i + m, so m is a column offset; a periodic
     # chain sums the offsets that wrap onto the same cell pair
     offset = np.subtract.outer(np.arange(n), np.arange(n))
-    if (boundary or params.boundary) is Boundary.PERIODIC:
+    if params.boundary is Boundary.PERIODIC:
         folded = np.zeros((n, 2, 2), dtype=complex)
         np.add.at(folded, ms % n, blocks)
         cells = folded[-offset % n]
     else:
         cells = blocks[n - 1 - offset]
-    return cells.transpose(0, 2, 1, 3).reshape(2 * n, 2 * n)
+    return RealSpaceMatrix(entries=cells.transpose(0, 2, 1, 3).reshape(2 * n, 2 * n),
+                           params=params)

@@ -6,7 +6,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .circuit import RealSpaceMatrix, bloch_admittance
+from .circuit import RealSpaceMatrix, bloch_admittance, chain_bonds
 from .errors import GapUnknown, OriginCrossing, OutOfRange, SpectrumHit
 from .params import Boundary, CircuitParams
 from .spectral import BandSet, ChainSpectrum, midpoint_grid
@@ -347,20 +347,13 @@ def classify_states(spectrum: ChainSpectrum, gap: float) -> ChainSpectrum:
         raise GapUnknown("classification is defined for open chains only")
     if not gap > 0.0:
         raise GapUnknown(f"need a positive bulk gap, got {gap}")
-    n = spectrum.n_states
-    labels = []
-    for i in range(n):
-        lam = spectrum.eigenvalues[i]
-        ipr = spectrum.ipr[i]
-        lw, rw = spectrum.left_weight[i], spectrum.right_weight[i]
-        if abs(lam) < 0.5 * gap and ipr > 5.0 / n:
-            labels.append("Edge")
-        elif (lw > 0.5 and lw > 3.0 * max(rw, 1e-300)) or \
-             (rw > 0.5 and rw > 3.0 * max(lw, 1e-300)):
-            labels.append("Skin")
-        else:
-            labels.append("Bulk")
-    return replace(spectrum, labels=tuple(labels))
+    lam, ipr = np.abs(spectrum.eigenvalues), spectrum.ipr
+    lw, rw = spectrum.left_weight, spectrum.right_weight
+    edge = (lam < 0.5 * gap) & (ipr > 5.0 / spectrum.n_states)
+    skin = ((lw > 0.5) & (lw > 3.0 * np.maximum(rw, 1e-300))) \
+        | ((rw > 0.5) & (rw > 3.0 * np.maximum(lw, 1e-300)))
+    labels = np.where(edge, "Edge", np.where(skin, "Skin", "Bulk"))
+    return replace(spectrum, labels=tuple(labels.tolist()))
 
 
 def center_of_mass_shift(spectrum: ChainSpectrum) -> float:
@@ -408,15 +401,16 @@ def perturb_chain(matrix: RealSpaceMatrix, cells: tuple[int, ...],
     outside = c[(c < 0) | (c >= n)]
     if outside.size:
         raise OutOfRange(f"cell index {outside[0]} outside [0, {n})")
-    a, b = 2 * c, 2 * c + 1
-    # the last cell's intercell bond exists only on a periodic chain
-    b_next = b if matrix.params.boundary is Boundary.PERIODIC else b[c < n - 1]
-    nxt = (b_next + 1) % (2 * n)
+    tail, head = chain_bonds(n, matrix.params.boundary)
+    # cell c's bonds are c and n + c; the last cell's second bond exists
+    # only on a periodic chain
+    bonds = np.concatenate([c, n + c])
+    bonds = bonds[bonds < len(tail)]
     out = matrix.entries.copy()
     # multiply.at applies a cell listed twice twice, as its bonds are touched twice
-    np.multiply.at(out, (np.concatenate([a, b, b_next, nxt]),
-                         np.concatenate([b, a, nxt, b_next])), 1.0 + fraction)
-    return RealSpaceMatrix(entries=out, params=matrix.params, omega=matrix.omega)
+    np.multiply.at(out, (np.concatenate([tail[bonds], head[bonds]]),
+                         np.concatenate([head[bonds], tail[bonds]])), 1.0 + fraction)
+    return RealSpaceMatrix(entries=out, params=matrix.params)
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import least_squares
 
+from .circuit import chain_bonds
 from .errors import (
     FitDiverged,
     InsufficientSignal,
@@ -29,7 +30,7 @@ from .errors import (
     StepRejected,
     WindowOutOfRange,
 )
-from .params import Boundary, CircuitParams
+from .params import CircuitParams
 
 DT_SAFETY = 20.0
 MIN_DRIVE_PERIODS = 10.0
@@ -112,31 +113,14 @@ class TransientSetup:
         return 2.0 * np.pi / self.drive_frequency
 
 
-@dataclass(frozen=True)
-class StateVector:
-    cap_voltages: np.ndarray
-    ind_currents: np.ndarray
-
-    @property
-    def dimension(self) -> int:
-        return len(self.cap_voltages) + len(self.ind_currents)
-
-
 def _incidence(params: CircuitParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Branch incidence, per-branch R and C, interleaved A/B node order.
-
-    Branches are the N intra-cell bonds (2j, 2j+1), then the inter-cell
-    bonds (2j+1, 2j+2), the last one closing the ring when periodic.
-    """
-    n = params.n_cells
-    n_nodes = 2 * n
-    n_inter = n if params.boundary is Boundary.PERIODIC else n - 1
-    tail = np.concatenate([2 * np.arange(n), 2 * np.arange(n_inter) + 1])
+    """Branch incidence in chain_bonds order, per-branch R and C."""
+    tail, head = chain_bonds(params.n_cells, params.boundary)
     bond = np.arange(len(tail))
-    s = np.zeros((n_nodes, len(tail)))
+    s = np.zeros((2 * params.n_cells, len(tail)))
     s[tail, bond] = 1.0
-    s[(tail + 1) % n_nodes, bond] = -1.0
-    intra = bond < n
+    s[head, bond] = -1.0
+    intra = bond < params.n_cells
     return s, np.where(intra, params.r1, params.r2), np.where(intra, params.c1, params.c2)
 
 
@@ -147,7 +131,6 @@ class StateSpace:
     Node voltages recover as v_map @ x (+ v_src * u while driven).
     """
 
-    setup: TransientSetup
     a_driven: np.ndarray
     b_driven: np.ndarray
     a_free: np.ndarray
@@ -222,7 +205,7 @@ def assemble_state_space(setup: TransientSetup) -> StateSpace:
     a_d, b_d = build(w_d, v_src)
     a_f, _ = build(w_f, None)
     return StateSpace(
-        setup=setup, a_driven=a_d, b_driven=b_d, a_free=a_f,
+        a_driven=a_d, b_driven=b_d, a_free=a_f,
         v_map_driven=w_d, v_src_driven=v_src, v_map_free=w_f,
         n_branches=nb, n_nodes=n_nodes, branch_caps=cs,
     )
@@ -237,10 +220,6 @@ class TransientTrace:
     energy: np.ndarray
     switch_time: float
     metadata: TransientSetup
-
-    def final_state(self) -> StateVector:
-        return StateVector(cap_voltages=self.cap_voltages[-1].copy(),
-                           ind_currents=self.ground_currents[-1].copy())
 
 
 def _propagator(a: np.ndarray, dt: float) -> np.ndarray:

@@ -50,9 +50,7 @@ def chain300(band_row4):
     p = row_params(4, n_cells=300)
     out = {}
     for lab in ("omega3", "omega4", "omega5", "omega6"):
-        entries = tc.branch_effective_matrix(p, band_row4, lab)
-        m = tc.RealSpaceMatrix(entries=entries, params=p,
-                               omega=band_row4.branches[lab][512])
+        m = tc.branch_effective_matrix(p, band_row4, lab)
         spec = tc.eigendecompose(m)
         gap = tc.bulk_gap(p, band_row4.branches[lab])
         out[lab] = (tc.classify_states(spec, gap), gap, m)

@@ -234,6 +234,19 @@ def test_config_error_exit_codes(tmp_path, capsys):
                        transient={"branch": "omega9", "n_k": 32})
     assert run("transient", cfg, tmp_path / "out") == 2
     assert not (tmp_path / "out" / "transient-b").exists()
+    # wrong-typed values and unknown nested keys, refused the same way
+    for i, (command, section) in enumerate([
+        ("winding", {"n_k": "abc"}),
+        ("transient", {"dt": "x"}),
+        ("eigvecs", {"perturbation": 5}),
+        ("eigvecs", {"perturbation": {"fractoin": 0.1}}),
+        ("sweep", {"points": 5}),
+        ("sweep", {"points": [5]}),
+        ("skin", {"branches": "omega4"}),
+    ]):
+        cfg = write_config(tmp_path / f"t{i}.json", 1, **{command: section})
+        assert run(command, cfg, tmp_path / "out") == 2, section
+        assert not (tmp_path / "out" / f"{command}-t{i}").exists(), section
     err = capsys.readouterr().err
     assert "config error" in err
 

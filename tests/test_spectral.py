@@ -172,6 +172,23 @@ def test_tracking_matches_stepwise_assignment(bands_all_rows):
             assert np.array_equal(band.branches[lab], want[:, i]), (p, n_k, lab)
 
 
+def test_branch_point_convention():
+    """At a square-root branch point the larger-|Im| axis root continues
+    into the Re > 0 member of the newborn pair and the smaller into Re < 0;
+    on re-merging the Re > 0 member continues into the smaller-|Im| axis
+    root.  Both synthetic steps are built so that minimum distance would
+    pair the axis roots the other way; the far roots follow distance."""
+    far = np.array([3.0 + 0.1j, -3.0 + 0.1j])
+    # split: the axis roots 1.0i (slot 1) and 1.2i (slot 3) leave the axis
+    prev = np.array([far[0], 1.0j, far[1], 1.2j])
+    new = np.array([-0.05 + 1.15j, far[1] - 0.01, 0.05 + 1.05j, far[0] + 0.01])
+    assert spectral._continue_step(prev, new).tolist() == [3, 0, 1, 2]
+    # merge: 0.05 + 1.15i (slot 0) and -0.05 + 1.05i (slot 2) meet the axis
+    prev = np.array([0.05 + 1.15j, far[0], -0.05 + 1.05j, far[1]])
+    new = np.array([1.2j, far[1] - 0.01, 1.0j, far[0] + 0.01])
+    assert spectral._continue_step(prev, new).tolist() == [2, 3, 0, 1]
+
+
 def test_branch_first_points_row4(band_row4):
     # canonical labels: lexicographic (Re, Im) at the first midpoint
     first = {lab: band_row4.branches[lab][0] for lab in BRANCH_LABELS}
@@ -240,7 +257,8 @@ def test_eigendecompose_residuals():
 def test_ipr_and_end_weights():
     m = np.zeros((6, 6), dtype=complex)
     m[0, 0] = 1.0  # the lambda = 1 state is pinned to the first site
-    spec = tc.eigendecompose(m, boundary=tc.Boundary.OPEN)
+    p = row_params(1, n_cells=3)
+    spec = tc.eigendecompose(tc.RealSpaceMatrix(entries=m, params=p))
     j = int(np.argmax(np.abs(spec.eigenvalues)))
     assert spec.ipr[j] == pytest.approx(1.0)
     assert spec.left_weight[j] == pytest.approx(1.0)
@@ -262,8 +280,8 @@ def test_branch_effective_matrix_reciprocal_on_m_branch(band_row4):
     while omega4's must not.
     """
     p = row_params(4, n_cells=40)
-    sym = tc.branch_effective_matrix(p, band_row4, "omega6")
-    asym = tc.branch_effective_matrix(p, band_row4, "omega4")
+    sym = tc.branch_effective_matrix(p, band_row4, "omega6").entries
+    asym = tc.branch_effective_matrix(p, band_row4, "omega4").entries
     scale = np.abs(sym).max()
     assert np.abs(sym - sym.T).max() < 1e-10 * scale
     assert np.abs(asym - asym.T).max() > 1e-5 * np.abs(asym).max()

@@ -296,7 +296,24 @@ def test_classify_requires_open_and_gapped():
         tc.classify_states(spec_open, 0.0)
 
 
+def _labels_by_loop(spec, gap):
+    """classify_states's rule applied one state at a time: the reference."""
+    labels = []
+    for lam, ipr, lw, rw in zip(spec.eigenvalues, spec.ipr,
+                                spec.left_weight, spec.right_weight):
+        if abs(lam) < 0.5 * gap and ipr > 5.0 / spec.n_states:
+            labels.append("Edge")
+        elif (lw > 0.5 and lw > 3.0 * max(rw, 1e-300)) or \
+                (rw > 0.5 and rw > 3.0 * max(lw, 1e-300)):
+            labels.append("Skin")
+        else:
+            labels.append("Bulk")
+    return tuple(labels)
+
+
 def test_classification_counts_row4(chain300):
+    for spec, gap, _ in chain300.values():
+        assert spec.labels == _labels_by_loop(spec, gap)
     for lab in ("omega3", "omega6"):
         spec, gap, _ = chain300[lab]
         counts = {t: spec.labels.count(t) for t in ("Edge", "Skin", "Bulk")}
@@ -331,8 +348,7 @@ def test_center_of_mass_shift_basis_free():
     not move the center-of-mass shift."""
     p = row_params(4, n_cells=40)
     band = tc.band_trace(p, 128)
-    entries = tc.branch_effective_matrix(p, band, "omega6")
-    spec = tc.eigendecompose(tc.RealSpaceMatrix(entries=entries, params=p, omega=1.0))
+    spec = tc.eigendecompose(tc.branch_effective_matrix(p, band, "omega6"))
     edge = np.argsort(np.abs(spec.eigenvalues))[:2]
     assert abs(spec.eigenvalues[edge[0]] - spec.eigenvalues[edge[1]]) < 1e-12
     base = tc.center_of_mass_shift(spec)
@@ -368,8 +384,7 @@ def test_perturb_chain_bounds():
 def test_compare_perturbed_identity():
     p = row_params(4, n_cells=40)
     band = tc.band_trace(p, 128)
-    entries = tc.branch_effective_matrix(p, band, "omega6")
-    m = tc.RealSpaceMatrix(entries=entries, params=p, omega=1.0)
+    m = tc.branch_effective_matrix(p, band, "omega6")
     gap = tc.bulk_gap(p, band.branches["omega6"])
     spec = tc.classify_states(tc.eigendecompose(m), gap)
     rep = tc.compare_perturbed(spec, tc.eigendecompose(m), gap)
@@ -384,8 +399,7 @@ def test_compare_perturbed_edge_drift_basis_free():
     an equally valid eigenbasis; the edge drift must not see the mix."""
     p = row_params(4, n_cells=40)
     band = tc.band_trace(p, 128)
-    entries = tc.branch_effective_matrix(p, band, "omega6")
-    m = tc.RealSpaceMatrix(entries=entries, params=p, omega=1.0)
+    m = tc.branch_effective_matrix(p, band, "omega6")
     gap = tc.bulk_gap(p, band.branches["omega6"])
     spec = tc.classify_states(tc.eigendecompose(m), gap)
     pert = tc.eigendecompose(tc.perturb_chain(m, (19, 20, 21), 0.05))

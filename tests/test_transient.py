@@ -68,11 +68,17 @@ def test_lossless_chain_unsupported():
 
 @pytest.mark.parametrize("boundary", [tc.Boundary.OPEN, tc.Boundary.PERIODIC])
 def test_incidence_bond_order(boundary):
-    """Intra-cell bonds first, then inter-cell ones, the ring bond last."""
+    """Intra-cell bonds first, then inter-cell ones, the ring bond last; the
+    chain matrix and the branch incidence both follow that one bond list."""
     p = row_params(4, n_cells=3, boundary=boundary)
     bonds = [(0, 1), (2, 3), (4, 5), (1, 2), (3, 4)]
     if boundary is tc.Boundary.PERIODIC:
         bonds.append((5, 0))
+    tail, head = tc.chain_bonds(3, boundary)
+    assert list(zip(tail.tolist(), head.tolist())) == bonds
+    m = tc.chain_matrix_from_hoppings(1.0, 2.0, 3, boundary)
+    assert set(zip(*np.nonzero(m))) == set(bonds) | {(h, t) for t, h in bonds}
+    assert m[tail, head].tolist() == [1.0] * 3 + [2.0] * (len(bonds) - 3)
     expected = np.zeros((6, len(bonds)))
     for b, (tail, head) in enumerate(bonds):
         expected[tail, b], expected[head, b] = 1.0, -1.0
@@ -165,8 +171,7 @@ def test_trace_layout(short_trace):
     assert tr.times[0] == 0.0
     assert tr.switch_time >= tr.metadata.switch_open_time
     assert tr.cap_voltages.shape == (len(tr.times), 7)
-    fin = tr.final_state()
-    assert fin.dimension == 7 + 8
+    assert tr.cap_voltages[-1].size + tr.ground_currents[-1].size == 7 + 8
 
 
 def test_clamped_nodes_follow_drive(short_trace):

@@ -27,9 +27,7 @@ band = tc.band_trace(p, 1024)
 
 spectra = {}
 for lab in BRANCH_LABELS:
-    entries = tc.branch_effective_matrix(p, band, lab)
-    m = tc.RealSpaceMatrix(entries=entries, params=p,
-                           omega=band.branches[lab][512])
+    m = tc.branch_effective_matrix(p, band, lab)
     spec = tc.eigendecompose(m)
     gap = tc.bulk_gap(p, band.branches[lab])
     spec = tc.classify_states(spec, gap)

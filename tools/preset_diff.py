@@ -7,7 +7,9 @@ checkout's ``src``).  Each tree runs all its presets (or the named presets
 and JSON config files) through ``cli.run_command`` in one subprocess with
 ``PYTHONPATH`` set to that tree, so neither sees the other's code.  A
 config file runs the command its one non-circuit section names, into a
-directory named after the file's stem.  Each output file is then reported
+directory named after the file's stem.  A transient preset or config also
+runs ``netlist`` into ``<name>-netlist``, so the exported chain netlists are
+compared at full chain length.  Each output file is then reported
 as identical, or with its largest absolute and relative numeric
 difference; files whose non-numeric text or value count differs are
 reported as such.  The exit status is 0 only when every file is identical.
@@ -36,6 +38,8 @@ for name in names:
         cfg = cli.load_preset(name)
     command = next(key for key in cfg if key != "circuit")
     cli.run_command(command, cfg, out / name, "csv")
+    if command == "transient":
+        cli.run_command("netlist", cfg, out / f"{name}-netlist", "csv")
 """
 SEPARATORS = re.compile(r'[\s,:\[\]{}"|]+')
 
