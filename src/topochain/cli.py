@@ -26,39 +26,34 @@ from .errors import (
     InvalidParams,
     NumericError,
     OriginCrossing,
+    OutOfRange,
     OutputError,
     TopochainError,
     UnknownKey,
 )
-from .params import CircuitParams, circuit_from_mapping, load_config
+from .params import CircuitParams, check_object, circuit_from_mapping, load_config
 
 OUT_ROOT_ENV = "TOPOCHAIN_OUT"
 COMMANDS = ("bands", "winding", "skin", "eigvecs", "transient", "netlist", "sweep")
 
-SECTION_DEFAULTS = {
-    "bands": {"n_k": 256},
-    "winding": {"n_k": 1024},
-    "skin": {"n_k": 512, "scan": 50, "branches": None},
-    "eigvecs": {"n_k": 1024, "branch": "omega6", "perturbation": None},
+# each section's keys as (JSON type, default); see params.check_object
+PERTURBATION = {"cells": ((list, int), None), "fraction": (float, 0.05)}
+SECTIONS = {
+    "bands": {"n_k": (int, 256)},
+    "winding": {"n_k": (int, 1024)},
+    "skin": {"n_k": (int, 512), "scan": (int, 50), "branches": ((list, str), None)},
+    "eigvecs": {"n_k": (int, 1024), "branch": (str, "omega6"),
+                "perturbation": (PERTURBATION, None)},
     "transient": {
-        "branch": "omega6", "k_at": 3.141592653589793, "n_k": 256,
-        "amplitude": 1.0, "source_nodes": None, "periods_drive": 10.0,
-        "periods_free": 25.0, "fit_t0_periods": 3.0, "max_samples": 8000,
-        "dt": None,
+        "branch": (str, "omega6"), "k_at": (float, 3.141592653589793),
+        "n_k": (int, 256), "amplitude": (float, 1.0),
+        "source_nodes": ((list, int), None), "periods_drive": (float, 10.0),
+        "periods_free": (float, 25.0), "fit_t0_periods": (float, 3.0),
+        "max_samples": (int, 8000), "dt": (float, None),
     },
-    "sweep": {"points": None, "n_k": 256, "check_skin": True},
+    "sweep": {"points": ((list, dict), None), "n_k": (int, 256),
+              "check_skin": (bool, True)},
 }
-# the JSON type of each section value, and of a list's items; an int counts
-# as a float, a bool as neither, and null is taken where the default is null
-SECTION_TYPES = {
-    "n_k": int, "scan": int, "max_samples": int, "check_skin": bool,
-    "branch": str, "branches": (list, str), "points": (list, dict),
-    "source_nodes": (list, int), "perturbation": dict, "k_at": float,
-    "amplitude": float, "periods_drive": float, "periods_free": float,
-    "fit_t0_periods": float, "dt": float,
-}
-PERTURBATION_DEFAULTS = {"cells": None, "fraction": 0.05}
-PERTURBATION_TYPES = {"cells": (list, int), "fraction": float}
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -85,39 +80,8 @@ def _pair(z: complex) -> list[float]:
     return [float(np.real(z)), float(np.imag(z))]
 
 
-def _has_type(value, kind: type) -> bool:
-    if isinstance(value, bool):
-        return kind is bool
-    return isinstance(value, (int, float) if kind is float else kind)
-
-
-def _check_object(where: str, given, defaults: dict, types: dict) -> None:
-    """Raise unless given is an object of known keys with well-typed values."""
-    if not isinstance(given, dict):
-        raise InvalidParams(f"'{where}' must be an object")
-    for key, value in given.items():
-        if key not in defaults:
-            raise UnknownKey(f"{where}.{key}")
-        kind = types[key]
-        kind, item = kind if isinstance(kind, tuple) else (kind, None)
-        if value is None and defaults[key] is None:
-            continue
-        ok = _has_type(value, kind) and (
-            item is None or all(_has_type(v, item) for v in value))
-        if not ok:
-            what = kind.__name__ + (f" of {item.__name__}" if item else "")
-            raise InvalidParams(f"{where}.{key}: expected {what}, got {value!r}")
-
-
 def _section(config: dict, name: str) -> dict:
-    defaults = SECTION_DEFAULTS[name]
-    given = config.get(name, {})
-    _check_object(name, given, defaults, SECTION_TYPES)
-    if given.get("perturbation") is not None:
-        _check_object(f"{name}.perturbation", given["perturbation"],
-                      PERTURBATION_DEFAULTS, PERTURBATION_TYPES)
-    merged = dict(defaults)
-    merged.update(given)
+    merged = check_object(name, config.get(name, {}), SECTIONS[name])
     named = [merged["branch"]] if "branch" in merged else merged.get("branches") or []
     bad = [b for b in named if b not in spectral.BRANCH_LABELS]
     if bad:
@@ -125,20 +89,18 @@ def _section(config: dict, name: str) -> dict:
     return merged
 
 
+def _write_branch_csv(path: Path, k: np.ndarray, curves: dict) -> None:
+    header, cols = ["k"], [k]
+    for lab in spectral.BRANCH_LABELS:
+        header += [f"{lab}_re", f"{lab}_im"]
+        cols += [curves[lab].real, curves[lab].imag]
+    _write_csv(path, header, cols)
+
+
 def cmd_bands(params: CircuitParams, section: dict, outdir: Path, fmt: str) -> None:
-    band = spectral.band_trace(params, int(section["n_k"]))
+    band = spectral.band_trace(params, section["n_k"])
     lam = spectral.lambda_spectrum(params, band)
     labels = spectral.BRANCH_LABELS
-    header = ["k"]
-    cols = [band.k_grid]
-    for lab in labels:
-        header += [f"{lab}_re", f"{lab}_im"]
-        cols += [band.branches[lab].real, band.branches[lab].imag]
-    lam_header = ["k"]
-    lam_cols = [band.k_grid]
-    for lab in labels:
-        lam_header += [f"{lab}_re", f"{lab}_im"]
-        lam_cols += [lam[lab].real, lam[lab].imag]
     if fmt == "json":
         _write_json(outdir / "bands.json", {
             "k": band.k_grid.tolist(),
@@ -146,8 +108,8 @@ def cmd_bands(params: CircuitParams, section: dict, outdir: Path, fmt: str) -> N
             "lambda": {lab: [_pair(z) for z in lam[lab]] for lab in labels},
         })
     else:
-        _write_csv(outdir / "bands.csv", header, cols)
-        _write_csv(outdir / "lambda.csv", lam_header, lam_cols)
+        _write_branch_csv(outdir / "bands.csv", band.k_grid, band.branches)
+        _write_branch_csv(outdir / "lambda.csv", band.k_grid, lam)
     _write_json(outdir / "bands_meta.json", {
         "closure_permutation": list(band.closure_permutation),
         "continuity_residual": {k: float(v) for k, v in band.continuity_residual.items()},
@@ -158,7 +120,7 @@ def cmd_bands(params: CircuitParams, section: dict, outdir: Path, fmt: str) -> N
 
 
 def cmd_winding(params: CircuitParams, section: dict, outdir: Path) -> None:
-    band = spectral.band_trace(params, int(section["n_k"]))
+    band = spectral.band_trace(params, section["n_k"])
     results = topology.winding_per_branch(params, band)
     branches = {}
     for lab in sorted(band.branches):
@@ -174,7 +136,7 @@ def cmd_winding(params: CircuitParams, section: dict, outdir: Path) -> None:
                 "quadrature_residual": abs(r.quadrature - r.winding),
             }
     report = {
-        "n_k": int(section["n_k"]),
+        "n_k": section["n_k"],
         "branches": branches,
         "multiset": sorted(r.winding for r in results.values()),
         "undefined": sorted(set(band.branches) - set(results)),
@@ -183,11 +145,11 @@ def cmd_winding(params: CircuitParams, section: dict, outdir: Path) -> None:
 
 
 def cmd_skin(params: CircuitParams, section: dict, outdir: Path) -> None:
-    band = spectral.band_trace(params, int(section["n_k"]))
+    band = spectral.band_trace(params, section["n_k"])
     chosen = section["branches"]
     report = {}
     for lab in spectral.BRANCH_LABELS if chosen is None else chosen:
-        witness = topology.skin_effect_present(band, lab, scan=int(section["scan"]))
+        witness = topology.skin_effect_present(band, lab, scan=section["scan"])
         traj, clearance = topology.skin_trajectory(
             band, lab, 0.0 if witness is None else witness)
         report[lab] = {
@@ -208,8 +170,15 @@ def _center_cells(n_cells: int) -> list[int]:
 
 def cmd_eigvecs(params: CircuitParams, section: dict, outdir: Path) -> None:
     label = section["branch"]
-    band = spectral.band_trace(params, int(section["n_k"]))
+    band = spectral.band_trace(params, section["n_k"])
     matrix = spectral.branch_effective_matrix(params, band, label)
+    pert_cfg = section["perturbation"]
+    if pert_cfg is not None:
+        cells = pert_cfg["cells"] or _center_cells(params.n_cells)
+        try:
+            perturbed = topology.perturb_chain(matrix, tuple(cells), pert_cfg["fraction"])
+        except OutOfRange as exc:
+            raise InvalidParams(f"eigvecs.perturbation: {exc}") from None
     spectrum = spectral.eigendecompose(matrix)
     gap = spectral.bulk_gap(params, band.branches[label])
     notes = []
@@ -234,16 +203,12 @@ def cmd_eigvecs(params: CircuitParams, section: dict, outdir: Path) -> None:
         "right_weight": spectrum.right_weight.tolist(),
         "notes": notes,
     }
-    pert_cfg = section.get("perturbation")
     if pert_cfg is not None and spectrum.labels is not None:
-        cells = pert_cfg.get("cells") or _center_cells(params.n_cells)
-        fraction = float(pert_cfg.get("fraction", PERTURBATION_DEFAULTS["fraction"]))
-        perturbed = topology.perturb_chain(matrix, tuple(cells), fraction)
         pert_spec = spectral.eigendecompose(perturbed)
         cmp = topology.compare_perturbed(spectrum, pert_spec, gap)
         report["perturbation"] = {
             "cells": list(cells),
-            "fraction": fraction,
+            "fraction": pert_cfg["fraction"],
             "edge_state_drift": cmp.edge_state_drift,
             "skin_state_drift": cmp.skin_state_drift,
             "bulk_state_drift": cmp.bulk_state_drift,
@@ -257,9 +222,9 @@ def cmd_eigvecs(params: CircuitParams, section: dict, outdir: Path) -> None:
 
 
 def _setup_from_section(params: CircuitParams, section: dict) -> tuple[transient.TransientSetup, dict]:
-    band = spectral.band_trace(params, int(section["n_k"]))
+    band = spectral.band_trace(params, section["n_k"])
     label = section["branch"]
-    idx = int(np.argmin(np.abs(band.k_grid - float(section["k_at"]))))
+    idx = int(np.argmin(np.abs(band.k_grid - section["k_at"])))
     mode = band.branches[label][idx]
     omega_r = abs(float(np.real(mode)))
     omega_i = float(np.imag(mode))
@@ -273,9 +238,9 @@ def _setup_from_section(params: CircuitParams, section: dict) -> tuple[transient
         drive_frequency=omega_r,
         source_nodes=(tuple(section["source_nodes"])
                       if section["source_nodes"] is not None else None),
-        source_amplitude=float(section["amplitude"]),
-        switch_open_time=float(section["periods_drive"]) * period,
-        t_end=(float(section["periods_drive"]) + float(section["periods_free"])) * period,
+        source_amplitude=section["amplitude"],
+        switch_open_time=section["periods_drive"] * period,
+        t_end=(section["periods_drive"] + section["periods_free"]) * period,
         dt=section["dt"],
     )
     drive_info = {
@@ -290,11 +255,10 @@ def _setup_from_section(params: CircuitParams, section: dict) -> tuple[transient
 
 def cmd_transient(params: CircuitParams, section: dict, outdir: Path) -> None:
     setup, drive_info = _setup_from_section(params, section)
-    trace = transient.simulate(setup, max_samples=int(section["max_samples"]))
+    trace = transient.simulate(setup, max_samples=section["max_samples"])
     window = (trace.switch_time + 3.0 * setup.drive_period, float(trace.times[-1]))
     profile = transient.ground_current_profile(trace, window)
-    fit_t0 = trace.switch_time + max(3.0, float(section["fit_t0_periods"])) \
-        * setup.drive_period
+    fit_t0 = trace.switch_time + max(3.0, section["fit_t0_periods"]) * setup.drive_period
     n_nodes = 2 * params.n_cells
     watch = sorted({0, n_nodes - 1, n_nodes // 2, *setup.source_nodes})
     fits = {}
@@ -335,8 +299,7 @@ def cmd_netlist(params: CircuitParams, section: dict, outdir: Path) -> None:
     _write_text(outdir / "chain.cir", netlist_mod.netlist_text(setup))
 
 
-def _sweep_point(entry: dict, n_k: int, check_skin: bool) -> dict:
-    params = circuit_from_mapping(entry, prefix="sweep.point")
+def _sweep_point(params: CircuitParams, n_k: int, check_skin: bool) -> dict:
     band = spectral.band_trace(params, n_k)
     results = topology.winding_per_branch(params, band)
     multiset = sorted(r.winding for r in results.values())
@@ -355,19 +318,14 @@ def _sweep_point(entry: dict, n_k: int, check_skin: bool) -> dict:
 def cmd_sweep(params: CircuitParams, section: dict, outdir: Path,
               threads: int = 1) -> None:
     points = section["points"]
-    if not points:
-        points = [dict(
-            r1=params.r1, r2=params.r2, c1=params.c1, c2=params.c2,
-            l=params.l, n_cells=params.n_cells,
-        )]
-    n_k = int(section["n_k"])
-    check_skin = bool(section["check_skin"])
+    grid = ([circuit_from_mapping(e, prefix="sweep.point") for e in points]
+            if points else [params])
+    n_k, check_skin = section["n_k"], section["check_skin"]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(
-                lambda e: _sweep_point(e, n_k, check_skin), points))
+            rows = list(pool.map(lambda p: _sweep_point(p, n_k, check_skin), grid))
     else:
-        rows = [_sweep_point(e, n_k, check_skin) for e in points]
+        rows = [_sweep_point(p, n_k, check_skin) for p in grid]
     lines = ["r1,r2,c1,c2,l,mu_multiset,min_gap,skin"]
     for row in rows:
         p = row["params"]
@@ -418,18 +376,19 @@ def run_command(command: str, config: dict, outdir: Path, fmt: str,
         raise InvalidParams(f"unknown command '{command}'")
     if "circuit" not in config:
         raise InvalidParams("config lacks a 'circuit' section")
-    known = {"circuit"} | set(SECTION_DEFAULTS)
+    known = {"circuit"} | set(SECTIONS)
     for key in config:
         if key not in known:
             raise UnknownKey(key)
     params = circuit_from_mapping(config["circuit"])
     key = "transient" if command == "netlist" else command
     section = _section(config, key)
-    _write_json(outdir / "resolved_config.json",
-                {"circuit": params.to_dict(), key: section})
     options = {"bands": {"fmt": fmt}, "sweep": {"threads": threads}}
     # looked up at call time, so a rebound module attribute is the one called
     globals()[f"cmd_{command}"](params, section, outdir, **options.get(command, {}))
+    # written last, so a refused config leaves no run directory behind
+    _write_json(outdir / "resolved_config.json",
+                {"circuit": params.to_dict(), key: section})
 
 
 def main(argv=None) -> int:

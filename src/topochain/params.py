@@ -69,39 +69,68 @@ class CircuitParams:
         }
 
 
-_CIRCUIT_KEYS = {"r1", "r2", "c1", "c2", "l", "n_cells", "boundary"}
-_REQUIRED_KEYS = {"r1", "r2", "c1", "c2", "l"}
+# schema default of a key the config must give
+REQUIRED = object()
+
+CIRCUIT = {
+    **{key: (float, REQUIRED) for key in ("r1", "r2", "c1", "c2", "l")},
+    "n_cells": (int, 2),
+    "boundary": (str, Boundary.OPEN.value),
+}
+
+
+def _is_json(value: Any, kind: type) -> bool:
+    # an int counts as a float, a bool as neither
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def check_object(where: str, given: Any, schema: Mapping[str, tuple]) -> dict[str, Any]:
+    """The schema's defaults updated by the object given, each value checked.
+
+    A schema maps each key to (JSON type, default).  A list type is written
+    (list, item type) and a nested object's type is its own schema; null is
+    taken where the default is None, and a REQUIRED default marks a key the
+    object must give.  An int given for a float is returned as a float.
+    """
+    if not isinstance(given, Mapping):
+        raise InvalidParams(f"{where}: expected an object, got {given!r}")
+    for key in given:
+        if key not in schema:
+            raise UnknownKey(f"{where}.{key}")
+    merged = {}
+    for key, (kind, default) in schema.items():
+        if key not in given:
+            if default is REQUIRED:
+                raise MissingKey(f"{where}.{key}")
+            merged[key] = default
+            continue
+        value = given[key]
+        kind, item = kind if isinstance(kind, tuple) else (kind, None)
+        if value is None and default is None:
+            pass
+        elif isinstance(kind, Mapping):
+            value = check_object(f"{where}.{key}", value, kind)
+        elif not (_is_json(value, kind)
+                  and all(_is_json(v, item) for v in (value if item else ()))):
+            what = kind.__name__ + (f" of {item.__name__}" if item else "")
+            raise InvalidParams(f"{where}.{key}: expected {what}, got {value!r}")
+        elif kind is float:
+            value = float(value)
+        merged[key] = value
+    return merged
 
 
 def circuit_from_mapping(section: Mapping[str, Any], prefix: str = "circuit") -> CircuitParams:
     """Build CircuitParams from a config section, naming offending keys."""
-    if not isinstance(section, Mapping):
-        raise InvalidParams(f"{prefix}: expected an object, got {section!r}")
-    unknown = set(section) - _CIRCUIT_KEYS
-    if unknown:
-        raise UnknownKey(f"{prefix}.{sorted(unknown)[0]}")
-    missing = _REQUIRED_KEYS - set(section)
-    if missing:
-        raise MissingKey(f"{prefix}.{sorted(missing)[0]}")
-    kw: dict[str, Any] = {}
-    for key in _REQUIRED_KEYS:
-        value = section[key]
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise InvalidParams(f"{prefix}.{key}: expected a number, got {value!r}")
-        kw[key] = float(value)
-    if "n_cells" in section:
-        n = section["n_cells"]
-        if isinstance(n, bool) or not isinstance(n, int):
-            raise InvalidParams(f"{prefix}.n_cells: expected an integer, got {n!r}")
-        kw["n_cells"] = n
-    if "boundary" in section:
-        b = section["boundary"]
-        try:
-            kw["boundary"] = Boundary(str(b).lower())
-        except ValueError:
-            raise InvalidParams(
-                f"{prefix}.boundary: expected 'periodic' or 'open', got {b!r}"
-            ) from None
+    kw = check_object(prefix, section, CIRCUIT)
+    try:
+        kw["boundary"] = Boundary(kw["boundary"].lower())
+    except ValueError:
+        raise InvalidParams(
+            f"{prefix}.boundary: expected 'periodic' or 'open', got {kw['boundary']!r}"
+        ) from None
     return CircuitParams(**kw)
 
 

@@ -101,6 +101,8 @@ class TransientSetup:
             raise InvalidParams("t_end must exceed switch_open_time")
         if self.source_nodes is None:
             object.__setattr__(self, "source_nodes", default_source_nodes(self.params))
+        if not self.source_nodes:
+            raise InvalidParams("source_nodes must name at least one node")
         n_nodes = 2 * self.params.n_cells
         for node in self.source_nodes:
             if not 0 <= node < n_nodes:

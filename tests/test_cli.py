@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import topochain as tc
+from topochain import spectral
 from topochain.cli import load_preset, main, preset_names, run_command
 from topochain.errors import InvalidParams, UnknownKey
 from topochain.netlist import lattice_nodes
@@ -60,6 +61,13 @@ def test_resolved_config_echoes_defaults(tmp_path):
     assert echo["winding"] == {"n_k": 1024}
     assert echo["circuit"]["r1"] == 1.34
     assert echo["circuit"]["boundary"] == "open"
+    # a nested perturbation is echoed with its own defaults merged in
+    cfg = write_config(tmp_path / "e.json", 4, n_cells=10,
+                       eigvecs={"n_k": 128, "perturbation": {"fraction": 0.05}})
+    assert run("eigvecs", cfg, tmp_path / "out") == 0
+    echo = json.loads(
+        (tmp_path / "out" / "eigvecs-e" / "resolved_config.json").read_text())
+    assert echo["eigvecs"]["perturbation"] == {"cells": None, "fraction": 0.05}
 
 
 def test_winding_report_row1(tmp_path):
@@ -234,7 +242,9 @@ def test_config_error_exit_codes(tmp_path, capsys):
                        transient={"branch": "omega9", "n_k": 32})
     assert run("transient", cfg, tmp_path / "out") == 2
     assert not (tmp_path / "out" / "transient-b").exists()
-    # wrong-typed values and unknown nested keys, refused the same way
+    # wrong-typed values, unknown nested keys, out-of-range perturbations,
+    # bad sweep points and bad source nodes, refused the same way
+    point = dict(zip(("r1", "r2", "c1", "c2", "l"), ROWS[1]))
     for i, (command, section) in enumerate([
         ("winding", {"n_k": "abc"}),
         ("transient", {"dt": "x"}),
@@ -243,12 +253,41 @@ def test_config_error_exit_codes(tmp_path, capsys):
         ("sweep", {"points": 5}),
         ("sweep", {"points": [5]}),
         ("skin", {"branches": "omega4"}),
+        ("eigvecs", {"n_k": 128, "perturbation": {"cells": [999]}}),
+        ("eigvecs", {"n_k": 128, "perturbation": {"fraction": 0.5}}),
+        ("sweep", {"points": [point, dict(point, zz=1)]}),
+        ("transient", {"source_nodes": [1, 999]}),
+        ("netlist", {"source_nodes": [1, 999]}),
+        ("transient", {"source_nodes": []}),
     ]):
-        cfg = write_config(tmp_path / f"t{i}.json", 1, **{command: section})
+        key = "transient" if command == "netlist" else command
+        cfg = write_config(tmp_path / f"t{i}.json", 1, n_cells=20,
+                           **{key: section})
         assert run(command, cfg, tmp_path / "out") == 2, section
         assert not (tmp_path / "out" / f"{command}-t{i}").exists(), section
     err = capsys.readouterr().err
     assert "config error" in err
+
+
+def test_config_refused_before_computation(tmp_path, monkeypatch):
+    """An out-of-range perturbation is refused before any eigensolve, and a
+    bad sweep point before any point's band is traced."""
+    calls = {"eigendecompose": 0, "band_trace": 0}
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(spectral, name), **kw):
+            calls[_name] += 1
+            return _real(*args, **kw)
+        monkeypatch.setattr(spectral, name, counted)
+    cfg = write_config(tmp_path / "e.json", 4, n_cells=20,
+                       eigvecs={"n_k": 128, "perturbation": {"cells": [999]}})
+    assert run("eigvecs", cfg, tmp_path / "out") == 2
+    assert calls["eigendecompose"] == 0
+    calls["band_trace"] = 0
+    point = dict(zip(("r1", "r2", "c1", "c2", "l"), ROWS[1]))
+    cfg = write_config(tmp_path / "s.json", 1,
+                       sweep={"points": [point, dict(point, zz=1)]})
+    assert run("sweep", cfg, tmp_path / "out") == 2
+    assert calls["band_trace"] == 0
 
 
 def test_numeric_error_exit_code(tmp_path, capsys):

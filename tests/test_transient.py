@@ -53,6 +53,7 @@ def test_fastest_time_constant_picks_minimum():
     {"drive_frequency": 3.0, "switch_open_time": 21.0, "t_end": 21.0},
     {"drive_frequency": 3.0, "source_nodes": (0, 4)},
     {"drive_frequency": 3.0, "source_nodes": (1, 1)},
+    {"drive_frequency": 3.0, "source_nodes": ()},
 ])
 def test_setup_rejects_bad_values(kw):
     with pytest.raises(InvalidParams):

@@ -9,7 +9,8 @@ and JSON config files) through ``cli.run_command`` in one subprocess with
 config file runs the command its one non-circuit section names, into a
 directory named after the file's stem.  A transient preset or config also
 runs ``netlist`` into ``<name>-netlist``, so the exported chain netlists are
-compared at full chain length.  Each output file is then reported
+compared at full chain length, and a bands preset or config also runs
+``bands --format json`` into ``<name>-json``.  Each output file is then reported
 as identical, or with its largest absolute and relative numeric
 difference; files whose non-numeric text or value count differs are
 reported as such.  The exit status is 0 only when every file is identical.
@@ -40,6 +41,8 @@ for name in names:
     cli.run_command(command, cfg, out / name, "csv")
     if command == "transient":
         cli.run_command("netlist", cfg, out / f"{name}-netlist", "csv")
+    if command == "bands":
+        cli.run_command("bands", cfg, out / f"{name}-json", "json")
 """
 SEPARATORS = re.compile(r'[\s,:\[\]{}"|]+')
 
