@@ -10,6 +10,7 @@ those weights.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -61,38 +62,54 @@ def lambda_diag(params: CircuitParams, omega):
 
 @dataclass(frozen=True)
 class BlochMatrix:
-    """2x2 cell matrix at (omega, k), plus its sigma decomposition.
+    """2x2 zero-diagonal cell matrix Y(omega, k) of the hoppings v, w at k.
 
-    Array-valued omega and k broadcast: entries then has shape (..., 2, 2)
-    and the other fields the broadcast shape.
+    entries holds the off-diagonals v + w e^{-ik} / v + w e^{+ik}; y_x and
+    y_y are the sigma decomposition Y = y_x sigma_x + y_y sigma_y, with
+    y_x = v + w cos k and y_y = w sin k.  Array-valued v, w and k broadcast:
+    entries then has shape (..., 2, 2) and the other forms the broadcast
+    shape.  Each form is computed on its first read, so a caller pays only
+    for the form it reads.
     """
 
-    entries: np.ndarray
-    y_x: complex | np.ndarray
-    y_y: complex | np.ndarray
+    v: complex | np.ndarray
+    w: complex | np.ndarray
+    k: float | np.ndarray
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        upper = self.v + self.w * np.exp(-1j * self.k)
+        m = np.zeros(np.shape(upper) + (2, 2), dtype=complex)
+        m[..., 0, 1] = upper
+        m[..., 1, 0] = self.v + self.w * np.exp(+1j * self.k)
+        return m
+
+    @cached_property
+    def y_x(self) -> complex | np.ndarray:
+        return self.v + self.w * np.cos(self.k)
+
+    @cached_property
+    def y_y(self) -> complex | np.ndarray:
+        return self.w * np.sin(self.k)
 
 
 def bloch_admittance(params: CircuitParams, omega, k) -> BlochMatrix:
-    """Zero-diagonal hopping matrix: off-diagonals v + w e^{-ik} / v + w e^{+ik},
-    elementwise over broadcast omega and k.
-
-    Decomposition accessors satisfy Y = y_x sigma_x + y_y sigma_y with
-    y_x = v + w cos k and y_y = w sin k.
-    """
+    """Y(omega, k), elementwise over broadcast omega and k."""
     hp = hoppings(params, omega)
-    upper = hp.v + hp.w * np.exp(-1j * k)
-    m = np.zeros(np.shape(upper) + (2, 2), dtype=complex)
-    m[..., 0, 1] = upper
-    m[..., 1, 0] = hp.v + hp.w * np.exp(+1j * k)
-    return BlochMatrix(
-        entries=m,
-        y_x=hp.v + hp.w * np.cos(k),
-        y_y=hp.w * np.sin(k),
-    )
+    return BlochMatrix(v=hp.v, w=hp.w, k=k)
 
 
-def bloch_laplacian(params: CircuitParams, omega: complex, k: float) -> BlochMatrix:
-    """Full cell Laplacian i*omega*[Lambda*I - Y(k)]; singular exactly on bands.
+@dataclass(frozen=True)
+class CellLaplacian:
+    """Cell Laplacian i*omega*[Lambda*I - Y(k)] and the sigma components of Y."""
+
+    entries: np.ndarray
+    y_x: complex
+    y_y: complex
+
+
+def bloch_laplacian(params: CircuitParams, omega: complex, k: float) -> CellLaplacian:
+    """Full cell Laplacian at one (omega, k); singular exactly on bands.
 
     det L / (i omega)^2 = Lambda^2 - (y_x^2 + y_y^2), so the natural modes are
     the (omega, k) pairs where Lambda(omega) is an eigenvalue of Y(k).
@@ -100,7 +117,7 @@ def bloch_laplacian(params: CircuitParams, omega: complex, k: float) -> BlochMat
     y = bloch_admittance(params, omega, k)
     lam = lambda_diag(params, omega)
     m = 1j * omega * (lam * np.eye(2, dtype=complex) - y.entries)
-    return BlochMatrix(entries=m, y_x=y.y_x, y_y=y.y_y)
+    return CellLaplacian(entries=m, y_x=y.y_x, y_y=y.y_y)
 
 
 @dataclass(frozen=True)

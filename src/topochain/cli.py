@@ -164,8 +164,9 @@ def cmd_skin(params: CircuitParams, section: dict, outdir: Path) -> None:
 
 
 def _center_cells(n_cells: int) -> list[int]:
+    """The middle cell and its two neighbours, those of them inside the chain."""
     mid = n_cells // 2
-    return [mid - 1, mid, mid + 1]
+    return [c for c in (mid - 1, mid, mid + 1) if c < n_cells]
 
 
 def cmd_eigvecs(params: CircuitParams, section: dict, outdir: Path) -> None:

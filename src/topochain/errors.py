@@ -49,7 +49,7 @@ class DegenerateEta(NumericError):
 
 
 class DegenerateLeadingCoefficient(NumericError):
-    """Band polynomial degree collapsed; caller should take the lossless path."""
+    """The band quartic's s^4 coefficient vanished: k is a zone endpoint (cos k == 1)."""
 
 
 class RootResidualTooLarge(NumericError):

@@ -1,10 +1,19 @@
 """Natural oscillation frequencies, band tracking, and finite-chain spectra.
 
-The source-free modes at wavenumber k solve Lambda(omega)^2 = det-quadratic
-of the cell's off-diagonal weights.  Clearing denominators by
-omega^4 L^2 eta1^2 eta2^2 turns that condition into a degree-6 polynomial in
-omega whose two extra roots are the dissipative poles i/(R1 C1), i/(R2 C2);
-the remaining four are the physical band families.
+The source-free modes at wavenumber k solve Lambda(omega)^2 = y_x^2 + y_y^2.
+Clearing denominators by (omega^2 L eta1 eta2)^2, with
+eta_j = 1 + i omega R_j C_j, gives a sextic that factors exactly as
+eta1 eta2 Q: the dissipation poles i/(R_j C_j) are roots at every k, and the
+quartic Q carries the four physical band families.  In s = -i omega both
+eta_j = 1 - tau_j s (tau_j = R_j C_j) and omega^2 = -s^2 are real, so Q is
+a real quartic in s:
+
+    Q(s) = 1 - (tau1 + tau2) s + (tau1 tau2 + 2 L C1 + 2 L C2) s^2
+           - 2 L (C1 tau2 + C2 tau1) s^3 + 2 L^2 C1 C2 (1 - cos k) s^4.
+
+A real root s is an imaginary-axis frequency omega = i s with Re omega
+exactly 0, and a conjugate pair in s is a mirror pair omega, -conj(omega),
+exactly.
 """
 
 from __future__ import annotations
@@ -25,60 +34,43 @@ from .errors import (
 )
 from .params import Boundary, CircuitParams
 
-# coefficient magnitudes below this fraction of the largest are treated as zero
-LEADING_TOL = 1e-14
-# back-substitution gate, relative to sum_j |c_j| |omega|^j
+# back-substitution gate, relative to sum_j |q_j| |s|^j
 ROOT_RESIDUAL_TOL = 1e-7
-# |Re omega| below this fraction of scale marks a purely imaginary root
-AXIS_TOL = 1e-8
 # relative lead of each root's nearest successor over its second nearest
 # below which a tracking step is left to the assignment solver
 NEAREST_MARGIN = 1e-12
 BRANCH_LABELS = ("omega3", "omega4", "omega5", "omega6")
 
 
-def _coefficients(params: CircuitParams, k) -> np.ndarray:
-    """Ascending coefficients c[..., 0..6] of the frequency polynomial at each k.
-
-    Built by polynomial convolution from the building blocks
-    eta1 = 1 + i R1 C1 omega, eta2 = 1 + i R2 C2 omega,
-    A = L C1 omega^2 eta2, B = L C2 omega^2 eta1, P = eta1 eta2 - A - B:
-    p = P^2 - A^2 - B^2 - 2 cos k * A B.  Only the last term depends on k,
-    so one row per k costs a single outer product.
-    """
-    eta1 = np.array([1.0, 1j * params.r1 * params.c1])
-    eta2 = np.array([1.0, 1j * params.r2 * params.c2])
-    a = np.zeros(4, dtype=complex)
-    a[2:] = params.l * params.c1 * eta2
-    b = np.zeros(4, dtype=complex)
-    b[2:] = params.l * params.c2 * eta1
-    p = np.zeros(4, dtype=complex)
-    p[:3] = np.convolve(eta1, eta2)
-    p -= a + b
-    fixed = np.convolve(p, p) - np.convolve(a, a) - np.convolve(b, b)
-    return fixed - np.multiply.outer(2.0 * np.cos(k), np.convolve(a, b))
+def _quartic(params: CircuitParams, k) -> np.ndarray:
+    """Ascending real coefficients q[..., 0..4] of Q(s) at each k."""
+    t1, t2 = params.r1 * params.c1, params.r2 * params.c2
+    lc1, lc2 = params.l * params.c1, params.l * params.c2
+    top = 2.0 * lc1 * lc2 * (1.0 - np.cos(k))
+    fixed = [1.0, -(t1 + t2), t1 * t2 + 2.0 * (lc1 + lc2), -2.0 * (lc1 * t2 + lc2 * t1)]
+    return np.concatenate([np.broadcast_to(fixed, np.shape(top) + (4,)),
+                           np.expand_dims(top, -1)], axis=-1)
 
 
 def band_polynomial_coefficients(params: CircuitParams, k: float) -> np.ndarray:
-    """Ascending coefficients c[0..6] of the frequency polynomial at fixed k.
+    """Ascending real coefficients q[0..4] of the band quartic Q(s), s = -i omega.
 
-    Raises DegenerateLeadingCoefficient when the degree collapses (lossless
-    limit, or k at an exact zone endpoint where the top coefficient vanishes).
+    Raises DegenerateLeadingCoefficient at a zone endpoint, cos k == 1,
+    the only place where the s^4 coefficient vanishes.
     """
-    coeffs = _coefficients(params, k)
-    if abs(coeffs[-1]) < LEADING_TOL * np.max(np.abs(coeffs)):
+    coeffs = _quartic(params, k)
+    if coeffs[-1] == 0.0:
         raise DegenerateLeadingCoefficient(
-            f"degree-6 coefficient vanished at k={k:.6g} "
-            f"(lossless limit or zone endpoint)"
+            f"s^4 coefficient vanished at k={k:.6g} (zone endpoint)"
         )
     return coeffs
 
 
 @dataclass(frozen=True)
 class FrequencyRoots:
-    roots: np.ndarray            # all finite roots, multiplicity included
-    pole_roots: np.ndarray       # the two roots matched to i/(R C)
-    physical_roots: np.ndarray   # the rest, sorted lexicographic (Re, Im)
+    roots: np.ndarray            # physical roots, then pole roots
+    pole_roots: np.ndarray       # i/(R_j C_j) for each R_j > 0
+    physical_roots: np.ndarray   # roots of Q, sorted lexicographic (Re, Im)
 
 
 def _polish(coeffs: np.ndarray, roots: np.ndarray, steps: int = 2) -> np.ndarray:
@@ -94,7 +86,7 @@ def _polish(coeffs: np.ndarray, roots: np.ndarray, steps: int = 2) -> np.ndarray
 
 
 def _scaled_residual(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    # |p(omega)| relative to the magnitude sum of its terms; stays O(eps)
+    # |Q(s)| relative to the magnitude sum of its terms; stays O(eps)
     # for backward-stable roots of any magnitude
     powers = np.abs(roots[:, :, None]) ** np.arange(coeffs.shape[1])
     scale = np.einsum("jrd,jd->jr", powers, np.abs(coeffs))
@@ -102,59 +94,51 @@ def _scaled_residual(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
     return np.abs(value) / np.maximum(scale, 1e-300)
 
 
-def _solve(params: CircuitParams, ks: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Roots, pole roots and sorted physical roots at every k, one row per k.
+def _solve(params: CircuitParams, ks: np.ndarray) -> np.ndarray:
+    """Physical roots omega at every k, one row per k, sorted lexicographic
+    (Re, Im).
 
-    Every k must give the same polynomial degree.  The companion matrices
-    are laid out as np.roots lays them out and solved as one eigvals stack.
+    Every k must give Q the same degree: 4, or less where cos k == 1 on
+    every row.  The real companion matrices are laid out as np.roots lays
+    them out and solved as one eigvals stack; the roots are polished on Q
+    and mapped to omega = i s.
     """
-    coeffs = _coefficients(params, ks)
-    mags = np.abs(coeffs)
-    # top coefficients below LEADING_TOL of the row's largest are dropped
-    small = mags < LEADING_TOL * mags.max(axis=1, keepdims=True)
-    cut = coeffs.shape[1] - np.cumprod(small[:, ::-1], axis=1).sum(axis=1)
-    if np.any(cut < cut.max()):
-        j = int(np.argmax(cut < cut.max()))
+    coeffs = _quartic(params, ks)
+    # zero coefficients are exact: the s^4 term at cos k == 1, the odd
+    # terms of a lossless circuit
+    deg = int(np.flatnonzero(coeffs.any(axis=0))[-1])
+    if not coeffs[:, deg].all():
+        j = int(np.argmin(coeffs[:, deg] != 0.0))
         raise TrackingAmbiguous(
-            f"band polynomial degree drops from {cut.max() - 1} to {cut[j] - 1} "
-            f"at k={ks[j]:.6g} (zone endpoint)"
+            f"band quartic loses its s^{deg} term at k={ks[j]:.6g} (zone endpoint)"
         )
-    n_k, deg = len(ks), cut[0] - 1
     coeffs = coeffs[:, :deg + 1]
-    desc = coeffs[:, ::-1]
-    companion = np.zeros((n_k, deg, deg), dtype=complex)
+    companion = np.zeros((len(ks), deg, deg))
     companion[:, np.arange(1, deg), np.arange(deg - 1)] = 1.0
-    companion[:, 0, :] = -desc[:, 1:] / desc[:, :1]
-    roots = _polish(coeffs, np.linalg.eigvals(companion))
-    res = _scaled_residual(coeffs, roots).max(axis=1)
+    companion[:, 0, :] = -coeffs[:, -2::-1] / coeffs[:, -1:]
+    s = _polish(coeffs, np.linalg.eigvals(companion).astype(complex))
+    res = _scaled_residual(coeffs, s).max(axis=1)
     if np.any(res > ROOT_RESIDUAL_TOL):
         j = int(np.argmax(res > ROOT_RESIDUAL_TOL))
         raise RootResidualTooLarge(
             f"worst root residual {res[j]:.3e} at k={ks[j]:.6g}"
         )
-    # each finite pole claims the nearest root not yet claimed
-    poles = [pole for pole in params.pole_frequencies() if np.isfinite(pole)]
-    taken = np.zeros(roots.shape, dtype=bool)
-    pole_idx = np.empty((n_k, len(poles)), dtype=int)
-    for i, pole in enumerate(poles):
-        pole_idx[:, i] = np.argmin(np.where(taken, np.inf, np.abs(roots - pole)), axis=1)
-        taken[np.arange(n_k), pole_idx[:, i]] = True
-    physical = roots[~taken].reshape(n_k, -1)
-    order = np.lexsort((physical.imag, physical.real), axis=-1)
-    return (roots, np.take_along_axis(roots, pole_idx, axis=1),
-            np.take_along_axis(physical, order, axis=1))
+    omega = 1j * s
+    return np.take_along_axis(omega, np.lexsort((omega.imag, omega.real), axis=-1), axis=1)
 
 
 def natural_frequencies(params: CircuitParams, k: float) -> FrequencyRoots:
-    """All finite roots at k, the poles filtered out of the physical set.
+    """The roots of Q at k and the dissipation poles i/(R_j C_j).
 
-    Degree-deficient cases (lossless circuit; exact zone endpoints) return
-    fewer than six roots; for R1, R2 > 0 and k strictly inside (0, 2pi) the
-    count is always six.
+    The poles are constants, one for each R_j > 0; a lossless circuit has
+    none.  Q has four roots for every k with cos k != 1, fewer at the zone
+    endpoints.
     """
-    roots, pole_roots, physical = _solve(params, np.array([k], dtype=float))
-    return FrequencyRoots(roots=roots[0], pole_roots=pole_roots[0],
-                          physical_roots=physical[0])
+    physical = _solve(params, np.array([k], dtype=float))[0]
+    poles = np.array([pole for pole in params.pole_frequencies() if np.isfinite(pole)],
+                     dtype=complex)
+    return FrequencyRoots(roots=np.concatenate([physical, poles]), pole_roots=poles,
+                          physical_roots=physical)
 
 
 @dataclass(frozen=True)
@@ -175,10 +159,6 @@ class BandSet:
     params: CircuitParams = field(repr=False)
 
 
-def _axis_mask(values: np.ndarray) -> np.ndarray:
-    return np.abs(values.real) < AXIS_TOL * np.maximum(np.abs(values), 1.0)
-
-
 def _continue_step(prev: np.ndarray, new: np.ndarray) -> np.ndarray:
     """Assign the 4 new roots to the 4 branch slots.
 
@@ -193,7 +173,7 @@ def _continue_step(prev: np.ndarray, new: np.ndarray) -> np.ndarray:
     assigned by minimum distance.  This keeps the assignment deterministic
     and grid-independent.
     """
-    ax_prev, ax_new = _axis_mask(prev), _axis_mask(new)
+    ax_prev, ax_new = prev.real == 0.0, new.real == 0.0
     counts = (np.count_nonzero(ax_prev), np.count_nonzero(ax_new))
     if counts != (2, 0) and counts != (0, 2):
         # the row indices of a square assignment are 0..3 in order
@@ -217,17 +197,11 @@ def _continue_step(prev: np.ndarray, new: np.ndarray) -> np.ndarray:
     return assign
 
 
-def _canonical_first(values: np.ndarray) -> np.ndarray:
-    # snap fp noise on the axis so the label order cannot depend on it
-    re = np.where(_axis_mask(values), 0.0, values.real)
-    return np.lexsort((values.imag, re))
-
-
 def track_on_grid(params: CircuitParams, k_grid: np.ndarray) -> BandSet:
     """Continuity-track the four physical roots over an arbitrary k grid."""
     ks = np.asarray(k_grid, dtype=float)
     n_k = len(ks)
-    _, _, roots = _solve(params, ks)
+    roots = _solve(params, ks)
     if roots.shape[1] != 4:
         raise TrackingAmbiguous(
             f"expected 4 physical roots at k={ks[0]:.6g}, got {roots.shape[1]}"
@@ -246,7 +220,7 @@ def track_on_grid(params: CircuitParams, k_grid: np.ndarray) -> BandSet:
     # by NEAREST_MARGIN of the step's largest distance (far above the
     # rounding of the assignment's path sums), that matching is the
     # minimum-distance assignment _continue_step would find
-    on_axis = _axis_mask(roots).sum(axis=1)
+    on_axis = (roots.real == 0.0).sum(axis=1)
     special = ((on_axis[:-1] == 2) & (on_axis[1:] == 0)) \
         | ((on_axis[:-1] == 0) & (on_axis[1:] == 2))
     dist = np.abs(roots[:-1, :, None] - roots[1:, None, :])
@@ -256,7 +230,8 @@ def track_on_grid(params: CircuitParams, k_grid: np.ndarray) -> BandSet:
     direct = ~special & clear.all(axis=1) \
         & (np.sort(nearest, axis=1) == np.arange(4)).all(axis=1)
     perm = np.empty((n_k, 4), dtype=int)
-    perm[0] = _canonical_first(roots[0])
+    # each row of roots is sorted (Re, Im); the first row names the branches
+    perm[0] = np.arange(4)
     for j in range(1, n_k):
         if direct[j - 1]:
             perm[j] = nearest[j - 1][perm[j - 1]]

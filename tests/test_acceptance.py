@@ -110,7 +110,9 @@ def test_criterion_01_companion_root_mirror_symmetry():
 def test_criterion_02_lossless_limit_closed_form():
     """Zero-resistance bands against the closed-form two-band expression on
     a 256-point grid: omega^2 * X * L * sqrt(C1 C2) = 1 with the large X
-    pairing with the small root.  Frozen worst deviation 3.0e-12."""
+    pairing with the small root.  Frozen worst deviation 6.2e-12
+    (tools/oracles/lossless_duality.py), most of it the closed form's own
+    rounding."""
     c1, c2, l = 0.95, 0.45, 0.81
     p = tc.CircuitParams(0.0, 0.0, c1, c2, l, n_cells=2)
     scale = l * np.sqrt(c1 * c2)
@@ -130,6 +132,10 @@ def test_criterion_02_lossless_limit_closed_form():
 # --- criterion 3 -----------------------------------------------------------
 
 def test_criterion_03_pole_roots_exact_and_k_independent():
+    """The poles are roots at every k because the band sextic factors as
+    p(omega) = eta1 eta2 Q(-i omega): checked at random complex omega
+    against the determinant (omega^2 L eta1 eta2)^2 (Lambda^2 - y_x^2 - y_y^2)
+    straight from the Bloch entries."""
     draws = [(row_params(row), k)
              for row in ROWS for k in tc.midpoint_grid(16)]
     rng = np.random.default_rng(3)
@@ -142,6 +148,15 @@ def test_criterion_03_pole_roots_exact_and_k_independent():
         assert len(got) == 2
         for want in (1j / (p.r1 * p.c1), 1j / (p.r2 * p.c2)):
             assert np.abs(got - want).min() < 1e-8 * abs(want)
+        q = tc.band_polynomial_coefficients(p, k)
+        for w in rng.normal(size=4) + 1j * rng.normal(size=4):
+            eta1, eta2 = 1.0 + 1j * w * p.r1 * p.c1, 1.0 + 1j * w * p.r2 * p.c2
+            y = tc.bloch_admittance(p, w, k)
+            direct = (w**2 * p.l * eta1 * eta2) ** 2 \
+                * (tc.lambda_diag(p, w) ** 2 - y.y_x**2 - y.y_y**2)
+            terms = q * (-1j * w) ** np.arange(5)
+            factored = eta1 * eta2 * terms.sum()
+            assert abs(factored - direct) < 1e-12 * abs(eta1 * eta2) * np.abs(terms).max()
 
 
 # --- criterion 4 -----------------------------------------------------------

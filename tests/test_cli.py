@@ -7,7 +7,7 @@ import pytest
 
 import topochain as tc
 from topochain import spectral
-from topochain.cli import load_preset, main, preset_names, run_command
+from topochain.cli import _center_cells, load_preset, main, preset_names, run_command
 from topochain.errors import InvalidParams, UnknownKey
 from topochain.netlist import lattice_nodes
 
@@ -135,6 +135,14 @@ def test_eigvecs_report_with_perturbation(tmp_path):
     lines = (outdir / "eigvecs.csv").read_text().splitlines()
     assert len(lines) == 81
     assert lines[0].split(",")[:2] == ["site", "state0"]
+
+
+def test_default_perturbation_cells_inside_chain(tmp_path):
+    assert _center_cells(2) == [0, 1]
+    assert _center_cells(20) == [9, 10, 11]
+    cfg = write_config(tmp_path / "c.json", 4, n_cells=2,
+                       eigvecs={"n_k": 128, "perturbation": {}})
+    assert run("eigvecs", cfg, tmp_path / "out") == 0
 
 
 def test_eigvecs_hybrid_branch_notes_undefined_winding(tmp_path):

@@ -29,17 +29,16 @@ ROOTS_ROW4_K21 = [
 
 def test_coefficients_constant_term_is_one():
     coeffs = tc.band_polynomial_coefficients(row_params(1), 1.3)
-    assert coeffs[0] == pytest.approx(1.0)
-    assert len(coeffs) == 7
+    assert coeffs[0] == 1.0
+    assert coeffs.dtype == np.float64 and len(coeffs) == 5
 
 
 def test_coefficients_match_direct_determinant():
-    """Coefficient route against the cleared-denominator determinant.
+    """Quartic route against the cleared-denominator determinant.
 
     (omega^2 L eta1 eta2)^2 (Lambda^2 - y_x^2 - y_y^2) evaluated straight
-    from the matrix entries must reproduce the polynomial; the two code
-    paths share no algebra (tools/oracles/polynomial_crosscheck.py measured
-    7.6e-15 worst-case over 10k samples).
+    from the matrix entries must equal eta1 eta2 Q(-i omega); the two code
+    paths share no algebra (tools/oracles/polynomial_crosscheck.py route B).
     """
     rng = np.random.default_rng(7)
     for _ in range(40):
@@ -57,15 +56,21 @@ def test_coefficients_match_direct_determinant():
             lam = tc.lambda_diag(p, w)
             direct = (w**2 * l * eta1 * eta2) ** 2 \
                 * (lam**2 - y.y_x**2 - y.y_y**2)
-            poly = sum(c * w**j for j, c in enumerate(coeffs))
-            scale = max(abs(c) * abs(w) ** j for j, c in enumerate(coeffs))
+            s = -1j * w
+            poly = eta1 * eta2 * sum(c * s**j for j, c in enumerate(coeffs))
+            scale = abs(eta1 * eta2) * max(abs(c) * abs(s) ** j for j, c in enumerate(coeffs))
             assert abs(poly - direct) / scale < 1e-12
 
 
 def test_degenerate_leading_coefficient_lossless():
+    """A lossless circuit has a biquadratic Q off the zone endpoints; only
+    at cos k == 1 does the degree collapse."""
     p = tc.CircuitParams(0.0, 0.0, 1.0, 1.0, 1.0)
+    coeffs = tc.band_polynomial_coefficients(p, 1.0)
+    assert coeffs[1] == 0.0 and coeffs[3] == 0.0
+    assert coeffs[4] > 0.0
     with pytest.raises(DegenerateLeadingCoefficient):
-        tc.band_polynomial_coefficients(p, 1.0)
+        tc.band_polynomial_coefficients(p, 0.0)
 
 
 def test_roots_against_mpmath_row2():
@@ -149,9 +154,9 @@ def test_branch_structure(row, bands_all_rows):
 def _stepwise_trace(params, n_k):
     """Branches continued one _continue_step per grid step, as tracking ran
     before nearest-neighbour steps were composed directly: the oracle."""
-    _, _, roots = spectral._solve(params, midpoint_grid(n_k))
+    roots = spectral._solve(params, midpoint_grid(n_k))
     traced = np.empty((n_k, 4), dtype=complex)
-    traced[0] = roots[0][spectral._canonical_first(roots[0])]
+    traced[0] = roots[0]
     for j in range(1, n_k):
         traced[j] = roots[j][spectral._continue_step(traced[j - 1], roots[j])]
     return traced

@@ -276,6 +276,17 @@ def test_skin_effect_presence_pattern(row, bands_all_rows):
         assert tc.skin_winding(band, lab, witness).winding != 0
 
 
+def test_axis_branch_has_no_skin_witness():
+    """sweep_points(5001)[105] omega4 lies on the imaginary axis, where v and
+    w are real, so q(k) is real and its curve encloses no area.  Roots of
+    the real quartic put it there exactly; the scan finds no witness (an
+    axis test with a tolerance left roundoff in Re omega and read a false
+    witness at E0 = 14.381)."""
+    band = tc.band_trace(_sweep_draws(5001, 106)[105], 256)
+    assert np.abs(band.branches["omega4"].real).max() == 0.0
+    assert tc.skin_effect_present(band, "omega4") is None
+
+
 def test_row4_witness_needs_sheet_midpoints(band_row4):
     """The row-4 non-reciprocal sliver is ~4e-4 wide; the raster alone
     misses it and the locus-reflection midpoint pass finds it."""

@@ -1,11 +1,15 @@
 """Numerical witness that the root set is closed under omega -> -conj(omega).
 
-The coefficient vector satisfies c_j conj = (-1)^j c_j (even coefficients
-real, odd ones imaginary), which forces roots into mirror pairs straddling
-the imaginary axis.  Mirror pairs project onto identical admittance-plane
-curves, so the four tracked branches can only produce winding multisets
-that pair up.  Verified here over random parameter draws: the reflected set
-matches the root set to solver precision in every draw.
+The symmetry is structural: the physical roots are omega = i s for the roots
+s of the real quartic Q(s), s = -i omega, so a conjugate pair s, conj(s) is
+the mirror pair omega, -conj(omega) and a real s is an imaginary-axis
+omega; the pole roots i/(R_j C_j) lie on the axis.  (In omega, the sextic's
+coefficients satisfy conj(c_j) = (-1)^j c_j.)  Mirror pairs project onto
+identical admittance-plane curves, so the four tracked branches can only
+produce winding multisets that pair up.  Verified here over random
+parameter draws: the reflected set matches the root set in every draw,
+exactly, since LAPACK returns the eigenvalues of a real companion matrix as
+exact conjugate pairs and the polish keeps them so.
 """
 
 import numpy as np

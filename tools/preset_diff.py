@@ -13,7 +13,9 @@ compared at full chain length, and a bands preset or config also runs
 ``bands --format json`` into ``<name>-json``.  Each output file is then reported
 as identical, or with its largest absolute and relative numeric
 difference; files whose non-numeric text or value count differs are
-reported as such.  The exit status is 0 only when every file is identical.
+reported as such.  A changed ``sweep.csv`` also lists its changed rows by
+index (row i is sweep point i), each changed column as ``old -> new``.
+The exit status is 0 only when every file is identical.
 """
 
 from __future__ import annotations
@@ -82,6 +84,19 @@ def compare(old: bytes, new: bytes) -> str:
     return f"max abs diff {worst_abs:.3e}, max rel diff {worst_rel:.3e}"
 
 
+def changed_rows(old: bytes, new: bytes) -> list[str]:
+    """One line per differing data row of two CSV files with one header."""
+    a, b = old.decode().splitlines(), new.decode().splitlines()
+    header = a[0].split(",")
+    lines = []
+    for i, (x, y) in enumerate(zip(a[1:], b[1:])):
+        if x != y:
+            cells = [f"{h} {u} -> {v}" for h, u, v
+                     in zip(header, x.split(","), y.split(",")) if u != v]
+            lines.append(f"  row {i}: " + ", ".join(cells))
+    return lines
+
+
 def main(argv: list[str]) -> int:
     if len(argv) < 2:
         print(__doc__.strip(), file=sys.stderr)
@@ -96,12 +111,15 @@ def main(argv: list[str]) -> int:
         same = 0
         for rel in files:
             a, b = old_out / rel, new_out / rel
+            rows = []
             if not (a.is_file() and b.is_file()):
                 verdict = f"only in {'old' if a.is_file() else 'new'}"
             else:
                 verdict = compare(a.read_bytes(), b.read_bytes())
+                if rel.name == "sweep.csv":
+                    rows = changed_rows(a.read_bytes(), b.read_bytes())
             same += verdict == "identical"
-            print(f"{rel}: {verdict}")
+            print("\n".join([f"{rel}: {verdict}", *rows]))
     print(f"{same} of {len(files)} files identical")
     return 0 if same == len(files) else 1
 
