@@ -192,4 +192,6 @@ def hermitian_reference_bands(l1: float, l2: float, c: float, k: float) -> tuple
     # radicand >= (eta - 1/eta)^2 >= 0 up to roundoff
     assert radicand > -1e-12, radicand
     root = np.sqrt(max(radicand, 0.0))
-    return float(base - root), float(base + root)
+    # base^2 - radicand = 2 - 2 cos k, so the lower band needs no cancelling
+    # difference base - root
+    return float(4.0 * np.sin(0.5 * k) ** 2 / (base + root)), float(base + root)

@@ -2,8 +2,8 @@
 
 Every command takes a JSON config (or a packaged preset), computes, and
 writes plot-ready CSV/JSON plus a resolved-config echo into its own run
-directory.  All grids and scan orders are fixed by the config, so a repeated
-run produces byte-identical files.
+directory.  Every grid is fixed by the config, so a repeated run produces
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ PERTURBATION = {"cells": ((list, int), None), "fraction": (float, 0.05)}
 SECTIONS = {
     "bands": {"n_k": (int, 256)},
     "winding": {"n_k": (int, 1024)},
-    "skin": {"n_k": (int, 512), "scan": (int, 50), "branches": ((list, str), None)},
+    "skin": {"n_k": (int, 512), "branches": ((list, str), None)},
     "eigvecs": {"n_k": (int, 1024), "branch": (str, "omega6"),
                 "perturbation": (PERTURBATION, None)},
     "transient": {
@@ -149,7 +149,7 @@ def cmd_skin(params: CircuitParams, section: dict, outdir: Path) -> None:
     chosen = section["branches"]
     report = {}
     for lab in spectral.BRANCH_LABELS if chosen is None else chosen:
-        witness = topology.skin_effect_present(band, lab, scan=section["scan"])
+        witness = topology.skin_effect_present(band, lab)
         traj, clearance = topology.skin_trajectory(
             band, lab, 0.0 if witness is None else witness)
         report[lab] = {

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 
 from .circuit import RealSpaceMatrix, bloch_admittance, chain_bonds
 from .errors import GapUnknown, OriginCrossing, OutOfRange, SpectrumHit
@@ -20,10 +21,6 @@ MIN_WINDING_SAMPLES = 64
 # a base point E0 lies on a branch's admittance spectrum when its det
 # trajectory E0^2 - q(k) has min|det| under SPECTRUM_GATE * max(1, max|det|)
 SPECTRUM_GATE = 1e-12
-# skin candidates are scanned in batches of this many, in order, stopping at
-# the first witness; each batch's candidate-segment pairs number at most
-# SCAN_CHUNK * n_k however many candidates share a segment's y-range
-SCAN_CHUNK = 256
 # a skin candidate within ON_CURVE_TOL * scale of the polyline q (scale: the
 # largest of 1, |q| and |E0^2|) is on the curve.  Farther out, the rounding
 # of a cross product or of a segment's angle is eps * scale / distance of
@@ -286,53 +283,43 @@ def _first_witness(cands: np.ndarray, qq: np.ndarray) -> complex | None:
     """
     w = cands ** 2
     pad = ON_CURVE_TOL * max(1.0, np.abs(qq).max(), np.abs(w).max())
-    for lo in range(0, len(w), SCAN_CHUNK):
-        chunk = w[lo:lo + SCAN_CHUNK]
-        winding, on_curve = _ray_crossings(qq, chunk, pad)
-        near = np.flatnonzero(on_curve)
-        traj = chunk[near, None] - qq[None, :]
-        clear = _clearance(traj) >= SPECTRUM_GATE
-        winding[near] = 0
-        winding[near[clear]] = _complex_winding(traj[clear])
-        hits = np.flatnonzero(winding)
-        if len(hits):
-            return complex(cands[lo + hits[0]])
-    return None
+    winding, on_curve = _ray_crossings(qq, w, pad)
+    near = np.flatnonzero(on_curve)
+    traj = w[near, None] - qq[None, :]
+    clear = _clearance(traj) >= SPECTRUM_GATE
+    winding[near] = 0
+    winding[near[clear]] = _complex_winding(traj[clear])
+    hits = np.flatnonzero(winding)
+    return complex(cands[hits[0]]) if len(hits) else None
 
 
-def skin_effect_present(band: BandSet, label: str,
-                        scan: int = 50) -> complex | None:
+def skin_effect_present(band: BandSet, label: str) -> complex | None:
     """A base point E0 around which the named branch has a point-gap
-    winding, or None when the scan finds none.
+    winding, or None when no candidate is one.
 
-    Candidates are tried in one order.  First a scan x scan raster over the
-    bounding box of the branch's admittance eigenvalue loci +-sqrt(q),
-    inflated by 10%.  Then midpoints between each locus sheet and its own
-    k -> 2pi - k reflection: whenever the branch is non-reciprocal the
-    sheets fail to retrace and those midpoints sit inside the enclosed
-    sliver, however thin.  Returns the first witness.
+    A point-gap winding needs a curve q(k) that encloses area.  q depends on
+    k only through cos k and the branch omega(k), so a branch that is its
+    own k -> 2pi - k reflection retraces its path back from k = pi and
+    encloses nothing.  Any other branch runs out along q(k) and back along
+    the distinct arc q(2pi - k), and the area lies in the sliver between the
+    two.  The candidates are the midpoints 0.5 (sqrt(q) + its reflection),
+    which sit inside that sliver however thin it is, on every
+    ceil(n_k / 128)-th sample, followed by their conjugates: at most 256.
+    The sheet -sqrt(q) squares to the same E0^2 and adds nothing.  Returns
+    the first witness.
 
     A candidate E0 is a witness when det = E0^2 - q clears SPECTRUM_GATE
     and winds around the origin.  That winding is the winding of the closed
     polyline q around the point E0^2, counted by ray crossings.  Candidates
     within ON_CURVE_TOL of the polyline, where the count and the gate both
     sit at roundoff, are gated first and read by the angle route of
-    skin_winding.  Candidates are checked SCAN_CHUNK at a time, stopping at
-    the first witness.
+    skin_winding.
     """
     qq = _offdiag_product(band, label)
     rad = np.sqrt(qq)
-    locs = np.concatenate([rad, -rad])
-    re_lo, re_hi = locs.real.min(), locs.real.max()
-    im_lo, im_hi = locs.imag.min(), locs.imag.max()
-    re_pad = 0.1 * max(re_hi - re_lo, 1e-6)
-    im_pad = 0.1 * max(im_hi - im_lo, 1e-6)
-    res = np.linspace(re_lo - re_pad, re_hi + re_pad, scan)
-    ims = np.linspace(im_lo - im_pad, im_hi + im_pad, scan)
-    grid = (res[None, :] + 1j * ims[:, None]).ravel()
-    step = max(1, len(rad) // 128)
-    mids = [0.5 * (sheet + sheet[::-1])[::step] for sheet in (rad, -rad, np.conj(rad))]
-    return _first_witness(np.concatenate([grid, *mids]), qq)
+    step = -(-len(rad) // 128)  # ceil(n_k / 128): at most 128 midpoints
+    mids = 0.5 * (rad + rad[::-1])[::step]
+    return _first_witness(np.concatenate([mids, np.conj(mids)]), qq)
 
 
 def classify_states(spectrum: ChainSpectrum, gap: float) -> ChainSpectrum:
@@ -371,13 +358,7 @@ def center_of_mass_shift(spectrum: ChainSpectrum) -> float:
     n = spectrum.n_states
     tol = 1e-8 * max(1.0, float(np.abs(vals).max()))
     close = np.abs(vals[:, None] - vals[None, :]) < tol
-    # label each state by the lowest index it reaches through close pairs
-    cluster = np.arange(n)
-    while True:
-        reached = np.where(close, cluster, n).min(axis=1)
-        if np.array_equal(reached, cluster):
-            break
-        cluster = reached
+    cluster = connected_components(close, directed=False)[1]
     vecs = spectrum.eigenvectors.copy()
     for c in np.flatnonzero(np.bincount(cluster) > 1):
         members = cluster == c

@@ -110,9 +110,8 @@ def test_criterion_01_companion_root_mirror_symmetry():
 def test_criterion_02_lossless_limit_closed_form():
     """Zero-resistance bands against the closed-form two-band expression on
     a 256-point grid: omega^2 * X * L * sqrt(C1 C2) = 1 with the large X
-    pairing with the small root.  Frozen worst deviation 6.2e-12
-    (tools/oracles/lossless_duality.py), most of it the closed form's own
-    rounding."""
+    pairing with the small root.  Frozen worst deviation 5.0e-13
+    (tools/oracles/lossless_duality.py)."""
     c1, c2, l = 0.95, 0.45, 0.81
     p = tc.CircuitParams(0.0, 0.0, c1, c2, l, n_cells=2)
     scale = l * np.sqrt(c1 * c2)

@@ -261,6 +261,7 @@ def test_config_error_exit_codes(tmp_path, capsys):
         ("sweep", {"points": 5}),
         ("sweep", {"points": [5]}),
         ("skin", {"branches": "omega4"}),
+        ("skin", {"scan": 50}),
         ("eigvecs", {"n_k": 128, "perturbation": {"cells": [999]}}),
         ("eigvecs", {"n_k": 128, "perturbation": {"fraction": 0.5}}),
         ("sweep", {"points": [point, dict(point, zz=1)]}),

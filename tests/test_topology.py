@@ -221,14 +221,51 @@ def test_skin_scan_gates_before_angles(monkeypatch, scan_corpus):
     assert (clearance >= topology.SPECTRUM_GATE).all()
 
 
+def raster_and_sheet_candidates(qq, scan=50):
+    """A wider candidate set, in order: a scan x scan raster over the
+    bounding box of +-sqrt(q) inflated by 10%, then the reflection midpoints
+    of the sheets sqrt(q), -sqrt(q) and conj(sqrt(q)).  The reference whose
+    verdicts the reflection midpoints alone must reproduce."""
+    rad = np.sqrt(qq)
+    locs = np.concatenate([rad, -rad])
+    re_lo, re_hi = locs.real.min(), locs.real.max()
+    im_lo, im_hi = locs.imag.min(), locs.imag.max()
+    re_pad = 0.1 * max(re_hi - re_lo, 1e-6)
+    im_pad = 0.1 * max(im_hi - im_lo, 1e-6)
+    res = np.linspace(re_lo - re_pad, re_hi + re_pad, scan)
+    ims = np.linspace(im_lo - im_pad, im_hi + im_pad, scan)
+    grid = (res[None, :] + 1j * ims[:, None]).ravel()
+    step = max(1, len(rad) // 128)
+    mids = [0.5 * (sheet + sheet[::-1])[::step]
+            for sheet in (rad, -rad, np.conj(rad))]
+    return np.concatenate([grid, *mids])
+
+
+def test_reflection_midpoints_match_raster_and_sheet_verdicts(scan_corpus):
+    """On every branch of the scan corpus the reflection midpoints find a
+    witness exactly where the raster and all three sheets do, and every
+    witness winds."""
+    found = 0
+    for band in scan_corpus:
+        for lab in band.branches:
+            qq = topology._offdiag_product(band, lab)
+            witness = tc.skin_effect_present(band, lab)
+            reference = topology._first_witness(raster_and_sheet_candidates(qq), qq)
+            assert (witness is None) == (reference is None), (band.params, lab)
+            if witness is not None:
+                found += 1
+                assert tc.skin_winding(band, lab, witness).winding != 0
+    assert found > 0
+
+
 def test_skin_scan_pairs_bounded_on_near_real_curve(monkeypatch):
     """A curve within 1e-18 of the real axis pairs every segment with every
     real candidate; the scan still finds the right witness through the
-    on-curve fallback, one chunk of pairs at a time."""
+    on-curve fallback, with no more pairs than 256 candidates make."""
     n_k = 256
     k = tc.midpoint_grid(n_k)
     qq = 1.5 + np.cos(k) + 1e-18j * np.sin(k)
-    cands = np.linspace(-2.0, 2.0, 1000) + 0j
+    cands = np.linspace(-2.0, 2.0, 256) + 0j
     sizes = []
     interval_pairs = topology._interval_pairs
 
@@ -242,7 +279,26 @@ def test_skin_scan_pairs_bounded_on_near_real_curve(monkeypatch):
     # E0^2 inside (0.5, 2.5) lies in the counter-clockwise sliver
     assert witness == cands[np.argmax(cands.real ** 2 < 2.5)]
     assert witness == dense_first_witness(cands, qq)
-    assert max(sizes) == topology.SCAN_CHUNK * n_k
+    assert sizes == [len(cands) * n_k]
+
+
+def test_skin_scan_hands_at_most_256_candidates(monkeypatch, band_row4):
+    """ceil(n_k / 128)-th reflection midpoints and their conjugates: at most
+    256 candidates on any grid, so at most 256 * n_k candidate-segment
+    pairs."""
+    counts = []
+    first_witness = topology._first_witness
+
+    def counting(cands, qq):
+        counts.append(len(cands))
+        return first_witness(cands, qq)
+
+    monkeypatch.setattr(topology, "_first_witness", counting)
+    p = row_params(4)
+    for band in (tc.band_trace(p, 64), tc.band_trace(p, 200),
+                 tc.band_trace(p, 256), band_row4):
+        tc.skin_effect_present(band, "omega4")
+    assert counts == [128, 200, 256, 256]
 
 
 def test_skin_winding_trajectory_and_base_point(band_row3):
@@ -288,8 +344,8 @@ def test_axis_branch_has_no_skin_witness():
 
 
 def test_row4_witness_needs_sheet_midpoints(band_row4):
-    """The row-4 non-reciprocal sliver is ~4e-4 wide; the raster alone
-    misses it and the locus-reflection midpoint pass finds it."""
+    """The row-4 non-reciprocal sliver is ~4e-4 wide, and a reflection
+    midpoint inside it is the witness."""
     witness = tc.skin_effect_present(band_row4, "omega4")
     assert witness is not None
     assert abs(witness) < 0.5  # tiny base point inside the sliver

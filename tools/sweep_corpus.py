@@ -1,4 +1,5 @@
-"""Write the five 200-point sweep corpora as CLI config files.
+"""Write the five 200-point sweep corpora and the four table-row skin runs as
+CLI config files.
 
     python tools/sweep_corpus.py OUT_DIR
 
@@ -8,8 +9,14 @@ first 200 of the 2-cell parameter sets drawn as
 them, rows of (r1, r2, c1, c2, l), swept at n_k = 256 with the skin check.
 This is the draw of the benchmark's sweep workload and of
 ``tests/test_topology.py::_sweep_draws``, so row i of a corpus's
-``sweep.csv`` is sweep point i of that seed.  Compare two source trees on
-them with ``python tools/preset_diff.py OLD_SRC NEW_SRC OUT_DIR/*.json``.
+``sweep.csv`` is sweep point i of that seed.
+
+Each file ``skin_row<i>.json`` (i = 1..4) is the circuit of the packaged
+preset ``table1_row<i>`` with an empty ``skin`` section, so every branch is
+scanned at the default grid.  No packaged preset runs ``skin``; these files
+make its ``skin.json`` and det trajectories comparable.  Compare two source
+trees on all nine files with
+``python tools/preset_diff.py OLD_SRC NEW_SRC OUT_DIR/*.json``.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ SEEDS = (5001, 6001, 7001, 8001, 9001)
 COUNT = 200
 N_K = 256
 KEYS = ("r1", "r2", "c1", "c2", "l")
+PRESETS = Path(__file__).resolve().parents[1] / "src" / "topochain" / "presets"
 
 
 def corpus(seed: int) -> dict:
@@ -41,6 +49,10 @@ def main(argv: list[str]) -> int:
     out.mkdir(parents=True, exist_ok=True)
     for seed in SEEDS:
         (out / f"sweep_{seed}.json").write_text(json.dumps(corpus(seed), indent=1) + "\n")
+    for row in range(1, 5):
+        preset = json.loads((PRESETS / f"table1_row{row}.json").read_text())
+        skin = {"circuit": preset["circuit"], "skin": {}}
+        (out / f"skin_row{row}.json").write_text(json.dumps(skin, indent=1) + "\n")
     return 0
 
 
