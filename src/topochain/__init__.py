@@ -40,7 +40,6 @@ from .spectral import (
     lambda_spectrum,
     midpoint_grid,
     natural_frequencies,
-    track_on_grid,
 )
 from .topology import (
     PerturbationReport,
@@ -84,6 +83,6 @@ __all__ = [
     "hermitian_reference_bands", "hoppings", "lambda_diag", "lambda_spectrum",
     "load_config", "midpoint_grid", "natural_frequencies", "perturb_chain",
     "real_space_matrix", "simulate", "skin_effect_present", "skin_trajectory",
-    "skin_winding", "track_on_grid", "winding_crossings", "winding_number",
+    "skin_winding", "winding_crossings", "winding_number",
     "winding_per_branch", "winding_quadrature",
 ]

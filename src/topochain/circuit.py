@@ -99,25 +99,17 @@ def bloch_admittance(params: CircuitParams, omega, k) -> BlochMatrix:
     return BlochMatrix(v=hp.v, w=hp.w, k=k)
 
 
-@dataclass(frozen=True)
-class CellLaplacian:
-    """Cell Laplacian i*omega*[Lambda*I - Y(k)] and the sigma components of Y."""
+def bloch_laplacian(params: CircuitParams, omega: complex, k: float) -> np.ndarray:
+    """2x2 cell Laplacian i*omega*[Lambda*I - Y(k)] at one (omega, k);
+    singular exactly on bands.
 
-    entries: np.ndarray
-    y_x: complex
-    y_y: complex
-
-
-def bloch_laplacian(params: CircuitParams, omega: complex, k: float) -> CellLaplacian:
-    """Full cell Laplacian at one (omega, k); singular exactly on bands.
-
-    det L / (i omega)^2 = Lambda^2 - (y_x^2 + y_y^2), so the natural modes are
-    the (omega, k) pairs where Lambda(omega) is an eigenvalue of Y(k).
+    det L / (i omega)^2 = Lambda^2 - (y_x^2 + y_y^2), with y_x, y_y the
+    sigma components of bloch_admittance, so the natural modes are the
+    (omega, k) pairs where Lambda(omega) is an eigenvalue of Y(k).
     """
-    y = bloch_admittance(params, omega, k)
+    y = bloch_admittance(params, omega, k).entries
     lam = lambda_diag(params, omega)
-    m = 1j * omega * (lam * np.eye(2, dtype=complex) - y.entries)
-    return CellLaplacian(entries=m, y_x=y.y_x, y_y=y.y_y)
+    return 1j * omega * (lam * np.eye(2, dtype=complex) - y)
 
 
 @dataclass(frozen=True)

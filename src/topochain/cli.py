@@ -9,6 +9,7 @@ byte-identical files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -34,7 +35,6 @@ from .errors import (
 from .params import CircuitParams, check_object, circuit_from_mapping, load_config
 
 OUT_ROOT_ENV = "TOPOCHAIN_OUT"
-COMMANDS = ("bands", "winding", "skin", "eigvecs", "transient", "netlist", "sweep")
 
 # each section's keys as (JSON type, default); see params.check_object
 PERTURBATION = {"cells": ((list, int), None), "fraction": (float, 0.05)}
@@ -47,12 +47,25 @@ SECTIONS = {
     "transient": {
         "branch": (str, "omega6"), "k_at": (float, 3.141592653589793),
         "n_k": (int, 256), "amplitude": (float, 1.0),
-        "source_nodes": ((list, int), None), "periods_drive": (float, 10.0),
-        "periods_free": (float, 25.0), "fit_t0_periods": (float, 3.0),
+        "source_nodes": ((list, int), None),
+        "periods_drive": (float, transient.MIN_DRIVE_PERIODS),
+        "periods_free": (float, transient.FREE_PERIODS),
+        "fit_t0_periods": (float, transient.SETTLE_PERIODS),
         "max_samples": (int, 8000), "dt": (float, None),
     },
     "sweep": {"points": ((list, dict), None), "n_k": (int, 256),
               "check_skin": (bool, True)},
+}
+# each subcommand's config section and the flags only it takes, each flag
+# under the cmd_ keyword it fills, as (flag, argparse options)
+COMMANDS = {
+    "bands": ("bands", {"fmt": ("--format", {"choices": ("csv", "json"), "default": "csv"})}),
+    "winding": ("winding", {}),
+    "skin": ("skin", {}),
+    "eigvecs": ("eigvecs", {}),
+    "transient": ("transient", {}),
+    "netlist": ("transient", {}),
+    "sweep": ("sweep", {"threads": ("--threads", {"type": int, "default": 1})}),
 }
 
 
@@ -69,9 +82,9 @@ def _write_json(path: Path, obj) -> None:
 
 
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
-    # tolist() gives Python floats and ints, whose repr is the shortest
-    # round-trip form and the plain digits
-    cells = zip(*(map(repr, col.tolist()) for col in columns))
+    # tolist() gives Python floats, ints and strs; str of a float is the
+    # shortest round-trip form, of an int the plain digits
+    cells = zip(*(map(str, col.tolist()) for col in columns))
     rows = [",".join(header)] + [",".join(row) for row in cells]
     _write_text(path, "\n".join(rows) + "\n")
 
@@ -145,8 +158,10 @@ def cmd_winding(params: CircuitParams, section: dict, outdir: Path) -> None:
 
 
 def cmd_skin(params: CircuitParams, section: dict, outdir: Path) -> None:
-    band = spectral.band_trace(params, section["n_k"])
     chosen = section["branches"]
+    if chosen == []:
+        raise InvalidParams("skin.branches must name at least one branch")
+    band = spectral.band_trace(params, section["n_k"])
     report = {}
     for lab in spectral.BRANCH_LABELS if chosen is None else chosen:
         witness = topology.skin_effect_present(band, lab)
@@ -206,7 +221,7 @@ def cmd_eigvecs(params: CircuitParams, section: dict, outdir: Path) -> None:
     }
     if pert_cfg is not None and spectrum.labels is not None:
         pert_spec = spectral.eigendecompose(perturbed)
-        cmp = topology.compare_perturbed(spectrum, pert_spec, gap)
+        cmp = topology.compare_perturbed(spectrum, pert_spec)
         report["perturbation"] = {
             "cells": list(cells),
             "fraction": pert_cfg["fraction"],
@@ -223,6 +238,9 @@ def cmd_eigvecs(params: CircuitParams, section: dict, outdir: Path) -> None:
 
 
 def _setup_from_section(params: CircuitParams, section: dict) -> tuple[transient.TransientSetup, dict]:
+    if section["fit_t0_periods"] < transient.SETTLE_PERIODS:
+        raise InvalidParams("transient.fit_t0_periods: below the "
+                            f"{transient.SETTLE_PERIODS:g}-period settling after release")
     band = spectral.band_trace(params, section["n_k"])
     label = section["branch"]
     idx = int(np.argmin(np.abs(band.k_grid - section["k_at"])))
@@ -257,23 +275,17 @@ def _setup_from_section(params: CircuitParams, section: dict) -> tuple[transient
 def cmd_transient(params: CircuitParams, section: dict, outdir: Path) -> None:
     setup, drive_info = _setup_from_section(params, section)
     trace = transient.simulate(setup, max_samples=section["max_samples"])
-    window = (trace.switch_time + 3.0 * setup.drive_period, float(trace.times[-1]))
+    window = (trace.switch_time + transient.SETTLE_PERIODS * setup.drive_period,
+              float(trace.times[-1]))
     profile = transient.ground_current_profile(trace, window)
-    fit_t0 = trace.switch_time + max(3.0, section["fit_t0_periods"]) * setup.drive_period
+    fit_t0 = trace.switch_time + section["fit_t0_periods"] * setup.drive_period
     n_nodes = 2 * params.n_cells
     watch = sorted({0, n_nodes - 1, n_nodes // 2, *setup.source_nodes})
     fits = {}
     for node in watch:
         try:
-            fit = transient.fit_damped_oscillation(
-                trace.times, trace.ground_currents[:, node], fit_t0)
-            fits[str(node)] = {
-                "amplitude": fit.amplitude,
-                "omega_r": fit.omega_r,
-                "omega_i": fit.omega_i,
-                "phase": fit.phase,
-                "rms_residual": fit.rms_residual,
-            }
+            fits[str(node)] = dataclasses.asdict(transient.fit_damped_oscillation(
+                trace.times, trace.ground_currents[:, node], fit_t0))
         except (TopochainError, ValueError) as exc:
             fits[str(node)] = {"error": f"{type(exc).__name__}: {exc}"}
     _write_json(outdir / "transient.json", {
@@ -300,20 +312,17 @@ def cmd_netlist(params: CircuitParams, section: dict, outdir: Path) -> None:
     _write_text(outdir / "chain.cir", netlist_mod.netlist_text(setup))
 
 
-def _sweep_point(params: CircuitParams, n_k: int, check_skin: bool) -> dict:
+def _sweep_point(params: CircuitParams, n_k: int,
+                 check_skin: bool) -> tuple[str, float, int]:
+    """One sweep row's winding multiset, min_gap and skin flag."""
     band = spectral.band_trace(params, n_k)
     results = topology.winding_per_branch(params, band)
-    multiset = sorted(r.winding for r in results.values())
-    gaps = [spectral.bulk_gap(params, band.branches[lab])
-            for lab in spectral.BRANCH_LABELS]
+    multiset = "|".join(str(w) for w in sorted(r.winding for r in results.values()))
+    min_gap = min(spectral.bulk_gap(params, band.branches[lab])
+                  for lab in spectral.BRANCH_LABELS)
     skin = check_skin and any(topology.skin_effect_present(band, lab) is not None
                               for lab in spectral.BRANCH_LABELS)
-    return {
-        "params": params,
-        "multiset": multiset,
-        "min_gap": min(gaps),
-        "skin": skin,
-    }
+    return multiset, min_gap, int(skin)
 
 
 def cmd_sweep(params: CircuitParams, section: dict, outdir: Path,
@@ -327,15 +336,10 @@ def cmd_sweep(params: CircuitParams, section: dict, outdir: Path,
             rows = list(pool.map(lambda p: _sweep_point(p, n_k, check_skin), grid))
     else:
         rows = [_sweep_point(p, n_k, check_skin) for p in grid]
-    lines = ["r1,r2,c1,c2,l,mu_multiset,min_gap,skin"]
-    for row in rows:
-        p = row["params"]
-        mu = "|".join(str(m) for m in row["multiset"])
-        lines.append(
-            f"{p.r1!r},{p.r2!r},{p.c1!r},{p.c2!r},{p.l!r},{mu},"
-            f"{row['min_gap']!r},{int(row['skin'])}"
-        )
-    _write_text(outdir / "sweep.csv", "\n".join(lines) + "\n")
+    keys = ["r1", "r2", "c1", "c2", "l"]
+    cols = [np.array([getattr(p, key) for p in grid]) for key in keys]
+    _write_csv(outdir / "sweep.csv", keys + ["mu_multiset", "min_gap", "skin"],
+               cols + [np.array(col) for col in zip(*rows)])
 
 
 def preset_names() -> list[str]:
@@ -359,15 +363,15 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Dissipative SSH-circuit band, topology, and transient toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name, (_, flags) in COMMANDS.items():
         p = sub.add_parser(name)
         src = p.add_mutually_exclusive_group(required=True)
         src.add_argument("--config", type=str, help="JSON config path")
         src.add_argument("--preset", type=str, help="packaged preset name")
         p.add_argument("--out", type=str, default=None,
                        help=f"output root (default ${OUT_ROOT_ENV} or ./topochain_out)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--threads", type=int, default=1)
+        for dest, (flag, spec) in flags.items():
+            p.add_argument(flag, dest=dest, **spec)
     return parser
 
 
@@ -382,11 +386,12 @@ def run_command(command: str, config: dict, outdir: Path, fmt: str,
         if key not in known:
             raise UnknownKey(key)
     params = circuit_from_mapping(config["circuit"])
-    key = "transient" if command == "netlist" else command
+    key, flags = COMMANDS[command]
     section = _section(config, key)
-    options = {"bands": {"fmt": fmt}, "sweep": {"threads": threads}}
+    given = {"fmt": fmt, "threads": threads}
     # looked up at call time, so a rebound module attribute is the one called
-    globals()[f"cmd_{command}"](params, section, outdir, **options.get(command, {}))
+    globals()[f"cmd_{command}"](params, section, outdir,
+                                **{dest: given[dest] for dest in flags})
     # written last, so a refused config leaves no run directory behind
     _write_json(outdir / "resolved_config.json",
                 {"circuit": params.to_dict(), key: section})
@@ -403,8 +408,10 @@ def main(argv=None) -> int:
             run_name = args.preset
         out_root = Path(args.out or os.environ.get(OUT_ROOT_ENV, "topochain_out"))
         outdir = out_root / f"{args.command}-{run_name}"
-        run_command(args.command, config, outdir, args.format,
-                    threads=max(1, args.threads))
+        # fmt and threads are parsed only for the subcommands that take them
+        given = vars(args)
+        run_command(args.command, config, outdir, given.get("fmt"),
+                    threads=given.get("threads", 1))
     except ConfigError as exc:
         print(f"{args.command}: config error: {exc}", file=sys.stderr)
         return 2

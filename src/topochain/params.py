@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping
 
-from .errors import InvalidParams, MissingKey, UnknownKey
+from .errors import ConfigError, InvalidParams, MissingKey, UnknownKey
 
 
 class Boundary(enum.Enum):
@@ -138,9 +138,11 @@ def load_config(path: str | Path) -> dict[str, Any]:
     """Read a JSON config file whose root is an object."""
     p = Path(path)
     try:
-        raw = json.loads(p.read_text())
+        raw = json.loads(p.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise MissingKey(f"config file not found: {p}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {p}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise InvalidParams(f"config is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):

@@ -40,6 +40,9 @@ ROOT_RESIDUAL_TOL = 1e-7
 # below which a tracking step is left to the assignment solver
 NEAREST_MARGIN = 1e-12
 BRANCH_LABELS = ("omega3", "omega4", "omega5", "omega6")
+# the coarsest k grid a band is traced on, and the fewest samples a branch
+# winding is certified from
+MIN_WINDING_SAMPLES = 64
 
 
 def _quartic(params: CircuitParams, k) -> np.ndarray:
@@ -197,15 +200,18 @@ def _continue_step(prev: np.ndarray, new: np.ndarray) -> np.ndarray:
     return assign
 
 
-def track_on_grid(params: CircuitParams, k_grid: np.ndarray) -> BandSet:
-    """Continuity-track the four physical roots over an arbitrary k grid."""
-    ks = np.asarray(k_grid, dtype=float)
-    n_k = len(ks)
-    roots = _solve(params, ks)
-    if roots.shape[1] != 4:
+def midpoint_grid(n_k: int) -> np.ndarray:
+    return (np.arange(n_k) + 0.5) * (2.0 * np.pi / n_k)
+
+
+def band_trace(params: CircuitParams, n_k: int) -> BandSet:
+    """Continuity-track the four physical roots over the n_k-point
+    half-offset grid."""
+    if n_k < MIN_WINDING_SAMPLES:
         raise TrackingAmbiguous(
-            f"expected 4 physical roots at k={ks[0]:.6g}, got {roots.shape[1]}"
-        )
+            f"n_k={n_k} too coarse; need >= {MIN_WINDING_SAMPLES}")
+    ks = midpoint_grid(n_k)
+    roots = _solve(params, ks)
     iu, ju = np.triu_indices(4, 1)
     gaps = np.abs(roots[:, iu] - roots[:, ju]).min(axis=1)
     if np.any(gaps[1:] < 1e-10):
@@ -249,17 +255,6 @@ def track_on_grid(params: CircuitParams, k_grid: np.ndarray) -> BandSet:
     }
     return BandSet(k_grid=ks, branches=branches, continuity_residual=resid,
                    closure_permutation=closure, params=params)
-
-
-def midpoint_grid(n_k: int) -> np.ndarray:
-    return (np.arange(n_k) + 0.5) * (2.0 * np.pi / n_k)
-
-
-def band_trace(params: CircuitParams, n_k: int) -> BandSet:
-    """Track the four branches on the standard half-offset grid."""
-    if n_k < 64:
-        raise TrackingAmbiguous(f"n_k={n_k} too coarse; need >= 64")
-    return track_on_grid(params, midpoint_grid(n_k))
 
 
 def lambda_spectrum(params: CircuitParams, band: BandSet) -> dict[str, np.ndarray]:

@@ -10,14 +10,13 @@ from scipy.sparse.csgraph import connected_components
 from .circuit import RealSpaceMatrix, bloch_admittance, chain_bonds
 from .errors import GapUnknown, OriginCrossing, OutOfRange, SpectrumHit
 from .params import Boundary, CircuitParams
-from .spectral import BandSet, ChainSpectrum, midpoint_grid
+from .spectral import MIN_WINDING_SAMPLES, BandSet, ChainSpectrum, midpoint_grid
 
 ORIGIN_TOL = 1e-10
 # a single polygon segment turning more than this around the origin means
 # the curve passes closer to the origin than the sampling resolves; the
 # winding of such a curve is not certified
 MAX_SEGMENT_TURN = np.pi / 2
-MIN_WINDING_SAMPLES = 64
 # a base point E0 lies on a branch's admittance spectrum when its det
 # trajectory E0^2 - q(k) has min|det| under SPECTRUM_GATE * max(1, max|det|)
 SPECTRUM_GATE = 1e-12
@@ -396,8 +395,6 @@ def perturb_chain(matrix: RealSpaceMatrix, cells: tuple[int, ...],
 
 @dataclass(frozen=True)
 class PerturbationReport:
-    baseline: ChainSpectrum
-    perturbed: ChainSpectrum
     matched_pairs: tuple[tuple[int, int], ...]
     edge_state_drift: float
     skin_state_drift: float
@@ -425,8 +422,8 @@ def _span_distance(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.linalg.norm(cu @ cu.conj().T - cv @ cv.conj().T, 2))
 
 
-def compare_perturbed(baseline: ChainSpectrum, perturbed: ChainSpectrum,
-                      gap: float) -> PerturbationReport:
+def compare_perturbed(baseline: ChainSpectrum,
+                      perturbed: ChainSpectrum) -> PerturbationReport:
     """Match spectra by eigenvalue distance and measure state drift.
 
     The Edge-labelled baseline states are degenerate to roundoff (a pair at
@@ -470,8 +467,6 @@ def compare_perturbed(baseline: ChainSpectrum, perturbed: ChainSpectrum,
     edge_drift = _span_distance(baseline.eigenvectors[:, is_edge],
                                 perturbed.eigenvectors[:, cluster])
     return PerturbationReport(
-        baseline=baseline,
-        perturbed=perturbed,
         matched_pairs=tuple(pairs),
         edge_state_drift=edge_drift,
         skin_state_drift=drift_by["Skin"],

@@ -33,10 +33,13 @@ from .errors import (
 from .params import CircuitParams
 
 DT_SAFETY = 20.0
+# the protocol in drive periods: the default drive (also the shortest) and
+# free ringdown, and the settling after release before any sample is used
 MIN_DRIVE_PERIODS = 10.0
+FREE_PERIODS = 25.0
+SETTLE_PERIODS = 3.0
 LOCAL_ERROR_TOL = 1e-6
 MAX_OUTPUT_SAMPLES = 100_000
-DEFAULT_OUTPUT_SAMPLES = 20_000
 # ringdown fits run until a step changes neither the cost, the parameters
 # nor the gradient by more than roundoff (scipy's Levenberg-Marquardt refuses
 # tolerances at machine epsilon); the evaluation cap is far above the hundred
@@ -96,7 +99,7 @@ class TransientSetup:
                 f"{MIN_DRIVE_PERIODS:g} drive periods"
             )
         if self.t_end is None:
-            object.__setattr__(self, "t_end", self.switch_open_time + 25.0 * period)
+            object.__setattr__(self, "t_end", self.switch_open_time + FREE_PERIODS * period)
         elif self.t_end <= self.switch_open_time:
             raise InvalidParams("t_end must exceed switch_open_time")
         if self.source_nodes is None:
@@ -331,7 +334,7 @@ def _phase(p: np.ndarray, out: np.ndarray, n_steps: int,
     for i in range(1, min(whole, BLOCK)):
         np.matmul(q, out[i - 1], out=out[i])
     if whole > BLOCK:
-        qb_t = _mat_powers(q, BLOCK, BLOCK)[0].T
+        qb_t = np.linalg.matrix_power(q, BLOCK).T
         for j in range(BLOCK, whole, BLOCK):
             rows = min(BLOCK, whole - j)
             np.matmul(out[j - BLOCK:j - BLOCK + rows], qb_t, out=out[j:j + rows])
@@ -340,8 +343,7 @@ def _phase(p: np.ndarray, out: np.ndarray, n_steps: int,
     return steps
 
 
-def simulate(setup: TransientSetup,
-             max_samples: int = DEFAULT_OUTPUT_SAMPLES) -> TransientTrace:
+def simulate(setup: TransientSetup, max_samples: int) -> TransientTrace:
     """Drive, release, and record the chain with fixed-step trapezoid.
 
     The system is linear time-invariant within each phase, so one routine
@@ -443,7 +445,7 @@ def ground_current_profile(trace: TransientTrace,
     """Per-node RMS inductor current over the window, normalized to sum 1."""
     t0, t1 = window
     setup = trace.metadata
-    earliest = trace.switch_time + 3.0 * setup.drive_period
+    earliest = trace.switch_time + SETTLE_PERIODS * setup.drive_period
     if t0 < earliest - 1e-12:
         raise WindowOutOfRange(
             f"window start {t0:.6g} inside the switch transient; "
@@ -539,7 +541,8 @@ def fit_damped_oscillation(times: np.ndarray, series: np.ndarray,
                 method="lm", ftol=FIT_TOL, xtol=FIT_TOL, gtol=FIT_TOL,
                 max_nfev=FIT_MAX_NFEV,
             )
-        except Exception:
+        except ValueError:
+            # least_squares refuses a start whose residuals are not finite
             continue
         if best is None or res.cost < best.cost:
             best = res

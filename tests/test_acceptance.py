@@ -292,9 +292,9 @@ def test_criterion_08_perturbation_robustness(chain300):
     to roundoff, so its drift is the projector distance between the spans;
     each edge mode has decayed below 1e-240 at the perturbed cells, so the
     span moves by roundoff only, and anything above 1e-12 is an error."""
-    spec, gap, matrix = chain300["omega6"]
+    spec, _, matrix = chain300["omega6"]
     pert = tc.perturb_chain(matrix, (149, 150, 151), 0.05)
-    rep = tc.compare_perturbed(spec, tc.eigendecompose(pert), gap)
+    rep = tc.compare_perturbed(spec, tc.eigendecompose(pert))
     assert rep.edge_state_drift < EDGE_DRIFT_BOUND
     assert rep.bulk_state_drift > 10.0 * EDGE_DRIFT_BOUND
     assert rep.edge_state_drift < 1e-12

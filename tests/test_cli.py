@@ -3,6 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import topochain as tc
@@ -201,6 +202,29 @@ def test_sweep_csv(tmp_path):
     assert lines[2].split(",")[5] == "0|0"
 
 
+def test_sweep_threads_write_the_same_bytes(tmp_path):
+    draws = np.random.default_rng(5001).uniform(0.05, 2.0, size=(32, 5))
+    points = [dict(zip(("r1", "r2", "c1", "c2", "l"), row.tolist()), n_cells=2)
+              for row in draws]
+    cfg = write_config(tmp_path / "sw.json", 1, sweep={"points": points})
+    assert run("sweep", cfg, tmp_path / "o1") == 0
+    assert run("sweep", cfg, tmp_path / "o2", "--threads", "2") == 0
+    one = (tmp_path / "o1" / "sweep-sw" / "sweep.csv").read_bytes()
+    assert one.count(b"\n") == 33
+    assert (tmp_path / "o2" / "sweep-sw" / "sweep.csv").read_bytes() == one
+
+
+@pytest.mark.parametrize("command, flag", [("winding", ["--format", "json"]),
+                                           ("bands", ["--threads", "2"])])
+def test_flags_only_where_read(tmp_path, command, flag):
+    """--format exists only on bands and --threads only on sweep."""
+    cfg = write_config(tmp_path / "c.json", 1)
+    with pytest.raises(SystemExit) as exc:
+        run(command, cfg, tmp_path / "out", *flag)
+    assert exc.value.code == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_repeat_runs_byte_identical(tmp_path):
     cfg = write_config(tmp_path / "w.json", 1, winding={"n_k": 256})
     assert run("winding", cfg, tmp_path / "o1") == 0
@@ -244,6 +268,12 @@ def test_config_error_exit_codes(tmp_path, capsys):
     # unknown preset
     assert main(["winding", "--preset", "nonsense",
                  "--out", str(tmp_path / "out")]) == 2
+    # a directory, and a file that is not UTF-8, are no config
+    (tmp_path / "d").mkdir()
+    (tmp_path / "latin.json").write_bytes(b'{"circuit": "\xe9"}')
+    for name in ("d", "latin.json"):
+        assert run("winding", tmp_path / name, tmp_path / "out") == 2, name
+        assert not (tmp_path / "out" / f"winding-{Path(name).stem}").exists(), name
     # unknown branch label, refused before the band is traced at a grid
     # band_trace itself refuses, and before the run directory is made
     cfg = write_config(tmp_path / "b.json", 1,
@@ -262,12 +292,14 @@ def test_config_error_exit_codes(tmp_path, capsys):
         ("sweep", {"points": [5]}),
         ("skin", {"branches": "omega4"}),
         ("skin", {"scan": 50}),
+        ("skin", {"branches": []}),
         ("eigvecs", {"n_k": 128, "perturbation": {"cells": [999]}}),
         ("eigvecs", {"n_k": 128, "perturbation": {"fraction": 0.5}}),
         ("sweep", {"points": [point, dict(point, zz=1)]}),
         ("transient", {"source_nodes": [1, 999]}),
         ("netlist", {"source_nodes": [1, 999]}),
         ("transient", {"source_nodes": []}),
+        ("transient", {"fit_t0_periods": 1.0}),
     ]):
         key = "transient" if command == "netlist" else command
         cfg = write_config(tmp_path / f"t{i}.json", 1, n_cells=20,

@@ -454,7 +454,7 @@ def test_compare_perturbed_identity():
     m = tc.branch_effective_matrix(p, band, "omega6")
     gap = tc.bulk_gap(p, band.branches["omega6"])
     spec = tc.classify_states(tc.eigendecompose(m), gap)
-    rep = tc.compare_perturbed(spec, tc.eigendecompose(m), gap)
+    rep = tc.compare_perturbed(spec, tc.eigendecompose(m))
     assert rep.edge_state_drift == 0.0
     assert rep.bulk_state_drift == 0.0
     assert rep.max_eigenvalue_shift == 0.0
@@ -472,23 +472,23 @@ def test_compare_perturbed_edge_drift_basis_free():
     pert = tc.eigendecompose(tc.perturb_chain(m, (19, 20, 21), 0.05))
     edge = [i for i, lab in enumerate(spec.labels) if lab == "Edge"]
     assert len(edge) == 2
-    rep = tc.compare_perturbed(spec, pert, gap)
+    rep = tc.compare_perturbed(spec, pert)
     rng = np.random.default_rng(7)
     for _ in range(5):
         z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         mixed = spec.eigenvectors[:, edge] @ np.linalg.qr(z)[0]
         vecs = spec.eigenvectors.copy()
         vecs[:, edge] = mixed / np.linalg.norm(mixed, axis=0)
-        rot = tc.compare_perturbed(replace(spec, eigenvectors=vecs), pert, gap)
+        rot = tc.compare_perturbed(replace(spec, eigenvectors=vecs), pert)
         assert rot.edge_state_drift == pytest.approx(rep.edge_state_drift,
                                                      abs=1e-14)
         assert rot.bulk_state_drift == rep.bulk_state_drift
 
 
 def test_compare_perturbed_frozen_drifts(chain300):
-    spec, gap, matrix = chain300["omega6"]
+    spec, _, matrix = chain300["omega6"]
     pert = tc.perturb_chain(matrix, (149, 150, 151), 0.05)
-    rep = tc.compare_perturbed(spec, tc.eigendecompose(pert), gap)
+    rep = tc.compare_perturbed(spec, tc.eigendecompose(pert))
     assert rep.edge_state_drift < 1e-12
     assert rep.skin_state_drift == 0.0
     assert rep.bulk_state_drift == pytest.approx(1.411329684702, rel=1e-6)

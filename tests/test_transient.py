@@ -444,3 +444,17 @@ def test_fit_error_paths():
         tc.fit_damped_oscillation(t, np.zeros_like(t), 0.0)
     with pytest.raises(FitDiverged):
         tc.fit_damped_oscillation(t, np.exp(-0.3 * t), 0.0)
+
+
+@pytest.mark.parametrize("raised, expected", [(ValueError, FitDiverged),
+                                              (RuntimeError, RuntimeError)])
+def test_fit_passes_over_refused_starts_only(monkeypatch, raised, expected):
+    """least_squares raises ValueError for a start whose residuals are not
+    finite; with both starts refused the fit diverged.  Any other exception
+    is a bug and surfaces as itself."""
+    def refuse(*args, **kwargs):
+        raise raised("refused")
+    monkeypatch.setattr(transient, "least_squares", refuse)
+    t = np.linspace(0.0, 40.0, 4000)
+    with pytest.raises(expected):
+        tc.fit_damped_oscillation(t, np.exp(-0.01 * t) * np.cos(3.0 * t), 0.0)

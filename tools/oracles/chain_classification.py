@@ -42,12 +42,12 @@ for lab in BRANCH_LABELS:
     print(f"{lab}: mu={mu} gap={gap:.9f} counts={counts} "
           f"com={com:.6f} skin_present={present}")
 
-spec, gap, matrix = spectra["omega6"]
+spec, _, matrix = spectra["omega6"]
 center = N // 2
 cells = (center - 1, center, center + 1)
 pert = tc.perturb_chain(matrix, cells, 0.05)
 pert_spec = tc.eigendecompose(pert)
-rep = tc.compare_perturbed(spec, pert_spec, gap)
+rep = tc.compare_perturbed(spec, pert_spec)
 print(f"perturbation omega6 cells={cells} fraction=0.05:")
 print(f"  edge_state_drift  {rep.edge_state_drift:.3e}")
 print(f"  skin_state_drift  {rep.skin_state_drift:.12f}")
