@@ -272,6 +272,21 @@ def _setup_from_section(params: CircuitParams, section: dict) -> tuple[transient
     return setup, drive_info
 
 
+def _fit_entry(times: np.ndarray, column: np.ndarray, t0: float) -> dict:
+    """One node's transient.json fit: the fitted parameters, marked with a
+    note when the residual says one damped cosine does not describe the
+    signal, or the error that stopped the fit."""
+    try:
+        fit = transient.fit_damped_oscillation(times, column, t0)
+    except (TopochainError, ValueError) as exc:
+        return {"error": f"{type(exc).__name__}: {exc}"}
+    entry = dataclasses.asdict(fit)
+    if fit.rms_residual > transient.FIT_RMS_BOUND:
+        entry["note"] = (f"rms_residual above {transient.FIT_RMS_BOUND:g}: a summary "
+                         "of a multi-mode signal, not one mode")
+    return entry
+
+
 def cmd_transient(params: CircuitParams, section: dict, outdir: Path) -> None:
     setup, drive_info = _setup_from_section(params, section)
     trace = transient.simulate(setup, max_samples=section["max_samples"])
@@ -281,13 +296,15 @@ def cmd_transient(params: CircuitParams, section: dict, outdir: Path) -> None:
     fit_t0 = trace.switch_time + section["fit_t0_periods"] * setup.drive_period
     n_nodes = 2 * params.n_cells
     watch = sorted({0, n_nodes - 1, n_nodes // 2, *setup.source_nodes})
-    fits = {}
+    fits, fitted = {}, []   # fitted: (column, entry) of each distinct column
     for node in watch:
-        try:
-            fits[str(node)] = dataclasses.asdict(transient.fit_damped_oscillation(
-                trace.times, trace.ground_currents[:, node], fit_t0))
-        except (TopochainError, ValueError) as exc:
-            fits[str(node)] = {"error": f"{type(exc).__name__}: {exc}"}
+        column = trace.ground_currents[:, node]
+        # mirror nodes of a mirror-symmetric run carry equal columns: fit once
+        entry = next((e for col, e in fitted if np.array_equal(col, column)), None)
+        if entry is None:
+            entry = _fit_entry(trace.times, column, fit_t0)
+            fitted.append((column, entry))
+        fits[str(node)] = entry
     _write_json(outdir / "transient.json", {
         "drive": drive_info,
         "switch_time": trace.switch_time,
@@ -389,6 +406,10 @@ def run_command(command: str, config: dict, outdir: Path, fmt: str,
     key, flags = COMMANDS[command]
     section = _section(config, key)
     given = {"fmt": fmt, "threads": threads}
+    for dest, (flag, spec) in flags.items():
+        if "choices" in spec and given[dest] not in spec["choices"]:
+            raise InvalidParams(f"{flag} must be one of {', '.join(spec['choices'])}, "
+                                f"got {given[dest]!r}")
     # looked up at call time, so a rebound module attribute is the one called
     globals()[f"cmd_{command}"](params, section, outdir,
                                 **{dest: given[dest] for dest in flags})

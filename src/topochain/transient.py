@@ -10,11 +10,21 @@ null space, and the solve is closed with a zero-mean gauge on the node
 voltages; the matching consistency condition (inductor currents summing to
 zero) is enforced at the switch instant by the minimum-energy projection,
 which for equal inductors is a plain mean subtraction.
+
+An open chain of an even number N of cells is mirror symmetric, node i
+mapping to 2N-1-i.  When the clamped source set is mirror-invariant too (the
+default pair is), the drive never leaves the mirror-even sector, and that
+sector is exactly the N/2-cell left half-chain clamped at its own sources:
+the middle bond (N-1, N) joins two nodes at one voltage, so its capacitor
+holds zero and carries no current.  simulate then steps that half-chain and
+expands its states into the full trace; every other setup is stepped as it
+is, through the same code with the identity map.
 """
 
 from __future__ import annotations
 
 import ctypes
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +40,7 @@ from .errors import (
     StepRejected,
     WindowOutOfRange,
 )
-from .params import CircuitParams
+from .params import Boundary, CircuitParams
 
 DT_SAFETY = 20.0
 # the protocol in drive periods: the default drive (also the shortest) and
@@ -46,6 +56,9 @@ MAX_OUTPUT_SAMPLES = 100_000
 # or so evaluations a fit takes
 FIT_TOL = 1e-15
 FIT_MAX_NFEV = 10_000
+# a fit whose residual RMS exceeds this share of the signal's RMS summarizes
+# a multi-mode signal rather than describing one mode
+FIT_RMS_BOUND = 0.5
 # rows of recorded state advanced by one matrix product in simulate
 BLOCK = 64
 # glibc mallopt parameter, and the size from which simulate's arrays get
@@ -343,6 +356,72 @@ def _phase(p: np.ndarray, out: np.ndarray, n_steps: int,
     return steps
 
 
+def _mirror_half(setup: TransientSetup) -> TransientSetup | None:
+    """The half-chain whose run is setup's run in the mirror-even sector, or
+    None when setup is not mirror symmetric: a periodic chain, an odd number
+    of cells (no half-chain of whole cells), fewer than four cells, or a clamped
+    set that the mirror i -> 2N-1-i does not map onto itself."""
+    params = setup.params
+    n = params.n_cells
+    clamped = set(setup.source_nodes)
+    if (params.boundary is not Boundary.OPEN or n % 2 or n < 4
+            or clamped != {2 * n - 1 - i for i in clamped}):
+        return None
+    return dataclasses.replace(
+        setup, params=dataclasses.replace(params, n_cells=n // 2),
+        source_nodes=tuple(i for i in setup.source_nodes if i < n))
+
+
+def _fold(n: int) -> np.ndarray:
+    """Each of n mirror-symmetric entries' index in the left half."""
+    i = np.arange(n)
+    return np.minimum(i, n - 1 - i)
+
+
+def _sector(setup: TransientSetup):
+    """The setup to step, and how its states expand into setup's.
+
+    Returns (stepped, src, sign, node_src, weight).  Entry e of a full state
+    is sign[e] * x[src[e]], x being the stepped state with a zero appended;
+    node i's voltage is the stepped node node_src[i]'s; the full energy is
+    weight times the stepped one.  In chain_bonds order a left-half bond j
+    keeps its index and its mirror image (intra bond N-1-j, inter bond
+    N+(N-2-c) for N+c) reads it reversed, hence the sign -1; the middle bond
+    reads the zero; inductor current i and 2N-1-i read the same entry.
+    """
+    n_nodes = 2 * setup.params.n_cells
+    half = _mirror_half(setup)
+    if half is None:
+        dim = len(chain_bonds(setup.params.n_cells, setup.params.boundary)[0]) + n_nodes
+        return setup, np.arange(dim), np.ones(dim), np.arange(n_nodes), 1.0
+    n = setup.params.n_cells
+    m = n // 2
+    src = np.concatenate([_fold(n), m + _fold(n - 1), 2 * m - 1 + _fold(n_nodes)])
+    src[n + m - 1] = 2 * n - 1   # the middle bond (N-1, N): the appended zero
+    sign = np.ones(len(src))
+    sign[m:n] = sign[n + m:2 * n - 1] = -1.0
+    return half, src, sign, _fold(n_nodes), 2.0
+
+
+def _expand(states: np.ndarray, compact: np.ndarray, src: np.ndarray,
+            sign: np.ndarray) -> None:
+    """Expand the stepped states compact, a view of states' leading entries,
+    into the full rows of states, in place (see _sector for src and sign).
+
+    A full row never reaches back into the stepped rows before it, so the
+    rows go in blocks from the last one down, each block copied out before
+    its full rows overwrite it.
+    """
+    dim = compact.shape[1]
+    block = np.zeros((BLOCK, dim + 1))
+    for j in reversed(range(0, len(states), BLOCK)):
+        r = min(BLOCK, len(states) - j)
+        block[:r, :dim] = compact[j:j + r]
+        full = states[j:j + r]
+        np.take(block[:r], src, axis=1, out=full)
+        full *= sign
+
+
 def simulate(setup: TransientSetup, max_samples: int) -> TransientTrace:
     """Drive, release, and record the chain with fixed-step trapezoid.
 
@@ -362,11 +441,20 @@ def simulate(setup: TransientSetup, max_samples: int) -> TransientTrace:
     after release.  Large arrays are kept off the malloc heap (see
     _pin_mmap_threshold), so the process's peak memory does not depend on
     earlier calls.
+
+    A mirror-symmetric run (see _mirror_half) steps the N/2-cell half-chain
+    instead: 2N-1 states, not 4N-1.  Its states go into the contiguous
+    leading rows of the full state array; node voltages and energy are read
+    from them, and then they are expanded in place into the full states.
+    The probes and the energy gate see the half-chain state: the mirror
+    scales both norms of a probe by sqrt 2 and the energy by 2, so they are
+    the same gates.
     """
     if not 1 <= max_samples <= MAX_OUTPUT_SAMPLES:
         raise InvalidParams(f"max_samples outside [1, {MAX_OUTPUT_SAMPLES}]")
     _pin_mmap_threshold()
-    sys = assemble_state_space(setup)
+    stepped, src, sign, node_src, weight = _sector(setup)
+    sys = assemble_state_space(stepped)
     dt = setup.dt
     n_driven = int(np.ceil(setup.switch_open_time / dt))
     switch_time = n_driven * dt
@@ -401,8 +489,10 @@ def simulate(setup: TransientSetup, max_samples: int) -> TransientTrace:
                 f"{name}-phase local error {err[i]:.3e} at t={t[i]:.6g}; reduce dt")
         return steps
 
-    states = np.empty((rows_d + rows_f, sys.dimension))
-    driven, free = states[:rows_d], states[rows_d:]
+    states = np.empty((rows_d + rows_f, len(src)))
+    # the stepped states: the contiguous leading rows x dimension entries
+    compact = states.reshape(-1)[:len(states) * sys.dimension].reshape(-1, sys.dimension)
+    driven, free = compact[:rows_d], compact[rows_d:]
     nb = sys.n_branches
     driven[0] = -z.imag
     steps_d = run_phase("driven", sys.a_driven, sys.b_driven, driven, n_driven, 0)
@@ -413,17 +503,18 @@ def simulate(setup: TransientSetup, max_samples: int) -> TransientTrace:
     steps_f = run_phase("free", sys.a_free, None, free, n_free, n_driven)
 
     times = np.concatenate([steps_d, n_driven + steps_f]) * dt
-    volts = np.empty((len(times), sys.n_nodes))
+    volts = np.empty((len(times), len(node_src)))
     # a row block at a time: one gemm over every row raises peak memory
     for x, v, v_map in ((driven, volts[:rows_d], sys.v_map_driven),
                         (free, volts[rows_d:], sys.v_map_free)):
         for j in range(0, len(x), BLOCK):
-            np.matmul(x[j:j + BLOCK], v_map.T, out=v[j:j + BLOCK])
-    volts[:rows_d] += sys.v_src_driven * drive(times[:rows_d])[:, None]
+            v[j:j + BLOCK] = (x[j:j + BLOCK] @ v_map.T)[:, node_src]
+    volts[:rows_d] += sys.v_src_driven[node_src] * drive(times[:rows_d])[:, None]
 
-    caps, currents = states[:, :nb], states[:, nb:]
-    energy = 0.5 * np.einsum("ij,ij,j->i", caps, caps, sys.branch_caps) \
-        + 0.5 * setup.params.l * np.einsum("ij,ij->i", currents, currents)
+    caps, currents = compact[:, :nb], compact[:, nb:]
+    energy = weight * (
+        0.5 * np.einsum("ij,ij,j->i", caps, caps, sys.branch_caps)
+        + 0.5 * setup.params.l * np.einsum("ij,ij->i", currents, currents))
     # from the pre-projection sample at the switch instant on
     post = times >= switch_time - 0.5 * dt
     e_post = energy[post]
@@ -433,6 +524,9 @@ def simulate(setup: TransientSetup, max_samples: int) -> TransientTrace:
         raise StepRejected(
             f"stored energy grew by {worst:.3e} after release; reduce dt"
         )
+    _expand(states, compact, src, sign)
+    nb = len(src) - len(node_src)
+    caps, currents = states[:, :nb], states[:, nb:]
     return TransientTrace(
         times=times, node_voltages=volts, ground_currents=currents,
         cap_voltages=caps, energy=energy, switch_time=switch_time,

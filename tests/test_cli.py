@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import topochain as tc
-from topochain import spectral
+from topochain import spectral, transient
 from topochain.cli import _center_cells, load_preset, main, preset_names, run_command
 from topochain.errors import InvalidParams, UnknownKey
 from topochain.netlist import lattice_nodes
@@ -173,6 +174,50 @@ def test_transient_outputs(tmp_path):
     assert header == ["time", "v0", "i0", "v2", "i2", "v4", "i4",
                       "v5", "i5", "v7", "i7"]
     assert (outdir / "energy.csv").exists()
+
+
+def test_transient_fits_each_distinct_column_once(tmp_path, monkeypatch):
+    """Mirror nodes of a mirror-symmetric run carry equal ground currents,
+    so 0/7 and 2/5 share a fit: three fits for five watched nodes, and each
+    entry is what fitting its own trace.csv column gives."""
+    fit = transient.fit_damped_oscillation
+    calls = []
+    monkeypatch.setattr(transient, "fit_damped_oscillation",
+                        lambda *a: calls.append(a) or fit(*a))
+    cfg = write_config(
+        tmp_path / "t.json", 4, n_cells=4,
+        transient={"n_k": 128, "branch": "omega6", "max_samples": 2000})
+    assert run("transient", cfg, tmp_path / "out") == 0
+    assert len(calls) == 3
+    outdir = tmp_path / "out" / "transient-t"
+    rep = json.loads((outdir / "transient.json").read_text())
+    header = (outdir / "trace.csv").read_text().splitlines()[0].split(",")
+    table = np.loadtxt(outdir / "trace.csv", delimiter=",", skiprows=1)
+    for node, entry in rep["fits"].items():
+        column = table[:, header.index(f"i{node}")]
+        assert entry == json.loads(json.dumps(
+            dataclasses.asdict(fit(table[:, 0], column, rep["fit_t0"]))))
+
+
+def test_transient_marks_fits_past_rms_bound(tmp_path):
+    """A fit whose residual RMS exceeds FIT_RMS_BOUND carries a note: the
+    beating fig8a end and mid nodes (0.97, 0.88) do, no fig8b node (at most
+    0.072) does."""
+    for name, marked in (("fig8a", {"0", "260", "519"}), ("fig8b", set())):
+        outdir = tmp_path / name
+        run_command("transient", load_preset(name), outdir, "csv")
+        fits = json.loads((outdir / "transient.json").read_text())["fits"]
+        assert {node for node, f in fits.items() if "note" in f} == marked
+        for f in fits.values():
+            assert ("note" in f) == (f["rms_residual"] > transient.FIT_RMS_BOUND)
+
+
+def test_run_command_refuses_unknown_format(tmp_path):
+    """fmt outside the choices COMMANDS declares is refused before the run
+    directory exists, not written as CSV."""
+    with pytest.raises(InvalidParams, match="--format"):
+        run_command("bands", load_preset("fig3"), tmp_path / "out", "xml")
+    assert not (tmp_path / "out").exists()
 
 
 def test_netlist_command(tmp_path):

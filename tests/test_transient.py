@@ -345,6 +345,90 @@ def test_freed_large_array_leaves_no_resident_memory():
     assert kept < 1 << 20
 
 
+def twenty_cell_setup():
+    return tc.TransientSetup(row_params(4, n_cells=20), drive_frequency=3.77,
+                             switch_open_time=17.0, t_end=30.0)
+
+
+def simulated_dims(monkeypatch, setup, max_samples):
+    """simulate(setup) and the state dimension of every operator it built."""
+    assemble = transient.assemble_state_space
+    dims = []
+
+    def recording(s):
+        space = assemble(s)
+        dims.append(space.dimension)
+        return space
+
+    monkeypatch.setattr(transient, "assemble_state_space", recording)
+    trace = tc.simulate(setup, max_samples)
+    monkeypatch.setattr(transient, "assemble_state_space", assemble)
+    return trace, dims
+
+
+@pytest.mark.parametrize("make, max_samples", [(short_setup, 6000),
+                                               (twenty_cell_setup, 3000)])
+def test_mirror_sector_matches_full_chain(monkeypatch, make, max_samples):
+    """A mirror-symmetric run steps the N/2-cell half-chain (2N-1 states,
+    not 4N-1) and expands it; the full chain stepped as it is stays the
+    oracle.  Every trace array agrees to 1e-9 of its largest entry (measured
+    about 1e-11), the middle bond's capacitor holds exactly zero, and
+    mirror nodes' ground currents are bitwise equal."""
+    setup = make()
+    n = setup.params.n_cells
+    sector, dims = simulated_dims(monkeypatch, setup, max_samples)
+    assert dims == [2 * n - 1]
+    monkeypatch.setattr(transient, "_mirror_half", lambda s: None)
+    full, dims = simulated_dims(monkeypatch, setup, max_samples)
+    assert dims == [4 * n - 1]
+    assert np.array_equal(sector.times, full.times)
+    for name in ("node_voltages", "ground_currents", "cap_voltages", "energy"):
+        got, want = getattr(sector, name), getattr(full, name)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() < 1e-9 * np.abs(want).max(), name
+    assert np.all(sector.cap_voltages[:, n + n // 2 - 1] == 0.0)
+    assert np.array_equal(sector.ground_currents, sector.ground_currents[:, ::-1])
+    assert np.array_equal(sector.node_voltages, sector.node_voltages[:, ::-1])
+
+
+@pytest.mark.parametrize("n_cells, boundary, sources", [
+    (4, tc.Boundary.OPEN, (1, 5)),        # not a mirror pair
+    (5, tc.Boundary.OPEN, None),          # no half-chain of whole cells
+    (4, tc.Boundary.PERIODIC, None),      # no mirror
+    (2, tc.Boundary.OPEN, None),          # a 1-cell half is no chain
+])
+def test_asymmetric_runs_step_the_full_chain(monkeypatch, n_cells, boundary, sources):
+    """Every other setup steps its own full chain through the identity map:
+    its operators are full size and its trace is its own run, unchanged."""
+    setup = tc.TransientSetup(row_params(4, n_cells=n_cells, boundary=boundary),
+                              drive_frequency=3.77, source_nodes=sources,
+                              switch_open_time=17.0, t_end=25.0)
+    assert transient._mirror_half(setup) is None
+    trace, dims = simulated_dims(monkeypatch, setup, 2000)
+    space = tc.assemble_state_space(setup)
+    assert dims == [space.dimension]
+    assert trace.cap_voltages.shape[1] == space.n_branches
+    driven = trace.times < trace.switch_time
+    for node in setup.source_nodes:
+        assert_close(trace.node_voltages[driven, node],
+                     np.sin(setup.drive_frequency * trace.times[driven]), 1e-12)
+
+
+def test_mirror_state_map():
+    """At N = 4 the full state reads the half-chain state (3 bonds, 4
+    currents, then the appended zero) as chain_bonds orders it: intra bonds
+    0, 1 and their reversed mirrors 3, 2; inter bond 4 and its reversed
+    mirror 6; the middle bond 5 reads the zero; currents fold i -> 7-i."""
+    half, src, sign, node_src, weight = transient._sector(short_setup())
+    assert half.params.n_cells == 2 and half.source_nodes == (2,)
+    assert (half.dt, half.switch_open_time, half.t_end) == (
+        short_setup().dt, 17.0, 40.0)
+    assert src.tolist() == [0, 1, 1, 0, 2, 7, 2] + [3, 4, 5, 6, 6, 5, 4, 3]
+    assert sign.tolist() == [1, 1, -1, -1, 1, 1, -1] + [1] * 8
+    assert node_src.tolist() == [0, 1, 2, 3, 3, 2, 1, 0]
+    assert weight == 2.0
+
+
 def test_simulate_rejects_bad_max_samples():
     s = tc.TransientSetup(row_params(4, n_cells=2), drive_frequency=3.77)
     with pytest.raises(InvalidParams):
