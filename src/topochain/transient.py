@@ -446,9 +446,9 @@ def simulate(setup: TransientSetup, max_samples: int) -> TransientTrace:
     instead: 2N-1 states, not 4N-1.  Its states go into the contiguous
     leading rows of the full state array; node voltages and energy are read
     from them, and then they are expanded in place into the full states.
-    The probes and the energy gate see the half-chain state: the mirror
-    scales both norms of a probe by sqrt 2 and the energy by 2, so they are
-    the same gates.
+    The probes step the half-chain state: the mirror scales both norms of
+    a probe's relative error by sqrt 2, so it is the same gate.  The energy
+    gate reads the full energy, twice the half-chain's.
     """
     if not 1 <= max_samples <= MAX_OUTPUT_SAMPLES:
         raise InvalidParams(f"max_samples outside [1, {MAX_OUTPUT_SAMPLES}]")
