@@ -389,18 +389,18 @@ def _sector(setup: TransientSetup):
     N+(N-2-c) for N+c) reads it reversed, hence the sign -1; the middle bond
     reads the zero; inductor current i and 2N-1-i read the same entry.
     """
-    n_nodes = 2 * setup.params.n_cells
+    n = setup.params.n_cells
     half = _mirror_half(setup)
     if half is None:
-        dim = len(chain_bonds(setup.params.n_cells, setup.params.boundary)[0]) + n_nodes
-        return setup, np.arange(dim), np.ones(dim), np.arange(n_nodes), 1.0
-    n = setup.params.n_cells
+        dim = len(chain_bonds(n, setup.params.boundary)[0]) + 2 * n
+        return setup, np.arange(dim), np.ones(dim), np.arange(2 * n), 1.0
+    # the half-chain state: n/2 intra bonds, n/2 - 1 inter bonds, n currents
     m = n // 2
-    src = np.concatenate([_fold(n), m + _fold(n - 1), 2 * m - 1 + _fold(n_nodes)])
+    src = np.concatenate([_fold(n), m + _fold(n - 1), n - 1 + _fold(2 * n)])
     src[n + m - 1] = 2 * n - 1   # the middle bond (N-1, N): the appended zero
     sign = np.ones(len(src))
     sign[m:n] = sign[n + m:2 * n - 1] = -1.0
-    return half, src, sign, _fold(n_nodes), 2.0
+    return half, src, sign, _fold(2 * n), 2.0
 
 
 def _expand(states: np.ndarray, compact: np.ndarray, src: np.ndarray,
