@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import operator
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -83,8 +84,21 @@ def _write_json(path: Path, obj) -> None:
 
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
     # tolist() gives Python floats, ints and strs; str of a float is the
-    # shortest round-trip form, of an int the plain digits
-    cells = zip(*(map(str, col.tolist()) for col in columns))
+    # shortest round-trip form, of an int the plain digits.  Each distinct
+    # column is formatted once: a column bitwise equal to an earlier one (the
+    # mirror nodes of a mirror-symmetric ringdown) repeats its strings.
+    # Bitwise, since np.array_equal would also match 0.0 with -0.0 and 1
+    # with 1.0, whose strings differ
+    first, distinct, picks = {}, [], []
+    for col in columns:
+        key = (col.dtype.str, col.tobytes())
+        if key not in first:
+            first[key] = len(distinct)
+            distinct.append(col)
+        picks.append(first[key])
+    cells = zip(*(map(str, col.tolist()) for col in distinct))
+    if len(distinct) < len(columns):
+        cells = map(operator.itemgetter(*picks), cells)
     rows = [",".join(header)] + [",".join(row) for row in cells]
     _write_text(path, "\n".join(rows) + "\n")
 

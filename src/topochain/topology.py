@@ -279,10 +279,24 @@ def _first_witness(cands: np.ndarray, qq: np.ndarray) -> complex | None:
     The winding of det around 0 is that of the polyline qq around E0^2, read
     by ray crossings.  Only candidates on the curve can fail the gate or
     defeat the count; those that clear the gate are read by the angle route.
+
+    The rays run across the curve's long axis.  A curve wider than it is
+    tall (a near-real q, the branches on the imaginary omega axis) is first
+    turned by -90 degrees, (x, y) -> (y, -x), with its candidates: a
+    horizontal ray then pairs each segment only with the candidates level
+    with it, not with every candidate.  The turn is exact in floating point
+    and a rotation, so every winding keeps its sign (a swap of x and y would
+    be a reflection and flip them); the count stays exact for every
+    candidate farther than pad from the curve, whichever way its ray
+    points, and the same distance and bounding-box test flags those within
+    pad.
     """
     w = cands ** 2
     pad = ON_CURVE_TOL * max(1.0, np.abs(qq).max(), np.abs(w).max())
-    winding, on_curve = _ray_crossings(qq, w, pad)
+    curve, points = qq, w
+    if np.ptp(qq.real) > np.ptp(qq.imag):
+        curve, points = qq.imag - 1j * qq.real, w.imag - 1j * w.real
+    winding, on_curve = _ray_crossings(curve, points, pad)
     near = np.flatnonzero(on_curve)
     traj = w[near, None] - qq[None, :]
     clear = _clearance(traj) >= SPECTRUM_GATE

@@ -199,6 +199,35 @@ def test_transient_fits_each_distinct_column_once(tmp_path, monkeypatch):
             dataclasses.asdict(fit(table[:, 0], column, rep["fit_t0"]))))
 
 
+def test_csv_formats_each_distinct_column_once(tmp_path):
+    """A column bitwise equal to an earlier one repeats its strings, and
+    only those: 0.0 against -0.0 and 1 against 1.0 compare equal in numpy
+    but print differently.  The text is what formatting every column gives."""
+    formatted = []
+
+    class Cell:
+        def __init__(self, text):
+            self.text = text
+
+        def __str__(self):
+            formatted.append(self.text)
+            return self.text
+
+    cells = np.array([Cell("a"), Cell("b")], dtype=object)
+    columns = [np.array([0.5, 0.0]), cells, np.array([0.5, -0.0]), np.array([1, 2]),
+               np.array([1.0, 2.0]), cells, np.array([0.5, 0.0]), cells.copy()]
+    header = [f"c{i}" for i in range(len(columns))]
+    tc.cli._write_csv(tmp_path / "t.csv", header, columns)
+    # three references to the same two cells and a copy of their pointers:
+    # formatted once
+    assert formatted == ["a", "b"]
+    want = [",".join(header)] + [",".join(str(col[r]) for col in columns)
+                                 for r in range(2)]
+    assert (tmp_path / "t.csv").read_text() == "\n".join(want) + "\n"
+    assert want[1] == "0.5,a,0.5,1,1.0,a,0.5,a"
+    assert want[2] == "0.0,b,-0.0,2,2.0,b,0.0,b"
+
+
 def test_transient_marks_fits_past_rms_bound(tmp_path):
     """A fit whose residual RMS exceeds FIT_RMS_BOUND carries a note: the
     beating fig8a end and mid nodes (0.97, 0.88) do, no fig8b node (at most

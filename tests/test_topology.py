@@ -171,10 +171,12 @@ def _sweep_draws(seed, count):
 
 @pytest.fixture(scope="module")
 def scan_corpus(bands_all_rows):
-    """40 sweep points, the knife-edge point 190 (a real locus whose witness
-    sits on the curve's end) and the four table rows."""
+    """40 sweep points, point 168 (four branches on the imaginary axis, whose
+    real curves the scan turns; omega3 reports a witness on its real
+    segment), the knife-edge point 190 (a real locus whose witness sits on
+    the curve's end) and the four table rows."""
     draws = _sweep_draws(5001, 191)
-    return [tc.band_trace(p, 256) for p in draws[:40] + draws[190:]] \
+    return [tc.band_trace(p, 256) for p in draws[:40] + draws[168:169] + draws[190:]] \
         + [bands_all_rows[row] for row in ROWS]
 
 
@@ -259,9 +261,10 @@ def test_reflection_midpoints_match_raster_and_sheet_verdicts(scan_corpus):
 
 
 def test_skin_scan_pairs_bounded_on_near_real_curve(monkeypatch):
-    """A curve within 1e-18 of the real axis pairs every segment with every
-    real candidate; the scan still finds the right witness through the
-    on-curve fallback, with no more pairs than 256 candidates make."""
+    """A curve within 1e-18 of the real axis, read by horizontal rays, would
+    pair every segment with every real candidate.  The scan turns it so the
+    rays cross its long axis: 224 pairs instead of 256 * n_k, and still the
+    right witness through the on-curve fallback."""
     n_k = 256
     k = tc.midpoint_grid(n_k)
     qq = 1.5 + np.cos(k) + 1e-18j * np.sin(k)
@@ -279,7 +282,61 @@ def test_skin_scan_pairs_bounded_on_near_real_curve(monkeypatch):
     # E0^2 inside (0.5, 2.5) lies in the counter-clockwise sliver
     assert witness == cands[np.argmax(cands.real ** 2 < 2.5)]
     assert witness == dense_first_witness(cands, qq)
-    assert sizes == [len(cands) * n_k]
+    assert sizes == [224]
+
+
+def test_turned_scan_matches_dense_angle_route(monkeypatch):
+    """A random closed polyline squashed to 1e-3 in Im is wider than tall, so
+    the scan turns it by -90 degrees before counting.  The first witness is
+    the dense angle route's, whatever the candidate order, and the count
+    read on the turned plane is the signed angle winding of every candidate
+    off the curve: a turn keeps the sign, where a swap of Re and Im would
+    flip it and still find the same witnesses."""
+    rng = np.random.default_rng(23)
+    qq = rng.standard_normal(256) + 1e-3j * rng.standard_normal(256)
+    w = 2.0 * rng.standard_normal(2000) + 2e-3j * rng.standard_normal(2000)
+    cands = np.sqrt(w)
+    counts = []
+    ray_crossings = topology._ray_crossings
+
+    def recording(curve, points, pad):
+        winding, on_curve = ray_crossings(curve, points, pad)
+        counts.append((np.ptp(curve.imag) > np.ptp(curve.real), winding, on_curve))
+        return winding.copy(), on_curve
+
+    monkeypatch.setattr(topology, "_ray_crossings", recording)
+    for _ in range(5):
+        cands = rng.permutation(cands)
+        witness = topology._first_witness(cands, qq)
+        assert witness is not None
+        assert witness == dense_first_witness(cands, qq)
+        turned, winding, on_curve = counts.pop()
+        want = topology._complex_winding(cands[:, None] ** 2 - qq[None, :])
+        assert turned
+        assert np.array_equal(winding[~on_curve], want[~on_curve])
+        assert set(want[~on_curve].tolist()) >= {-1, 0, 1}
+
+
+def test_skin_scan_pairs_bounded_on_axis_branches(monkeypatch):
+    """sweep_points(5001)[168]: all four branches on the imaginary axis, so
+    every q(k) is real to roundoff.  Turned, each scan makes at most 5 n_k
+    candidate-segment pairs (256 * n_k before the turn)."""
+    n_k = 256
+    band = tc.band_trace(_sweep_draws(5001, 169)[168], n_k)
+    sizes = []
+    interval_pairs = topology._interval_pairs
+
+    def recording(ys, lo, hi):
+        pairs = interval_pairs(ys, lo, hi)
+        sizes.append(len(pairs[0]))
+        return pairs
+
+    monkeypatch.setattr(topology, "_interval_pairs", recording)
+    for lab, branch in band.branches.items():
+        assert np.abs(branch.real).max() == 0.0
+        tc.skin_effect_present(band, lab)
+    assert len(sizes) == 4
+    assert max(sizes) <= 5 * n_k
 
 
 def test_skin_scan_hands_at_most_256_candidates(monkeypatch, band_row4):
