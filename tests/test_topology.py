@@ -260,15 +260,9 @@ def test_reflection_midpoints_match_raster_and_sheet_verdicts(scan_corpus):
     assert found > 0
 
 
-def test_skin_scan_pairs_bounded_on_near_real_curve(monkeypatch):
-    """A curve within 1e-18 of the real axis, read by horizontal rays, would
-    pair every segment with every real candidate.  The scan turns it so the
-    rays cross its long axis: 224 pairs instead of 256 * n_k, and still the
-    right witness through the on-curve fallback."""
-    n_k = 256
-    k = tc.midpoint_grid(n_k)
-    qq = 1.5 + np.cos(k) + 1e-18j * np.sin(k)
-    cands = np.linspace(-2.0, 2.0, 256) + 0j
+def _record_pair_counts(monkeypatch):
+    """The number of candidate-segment pairs of each _interval_pairs call,
+    appended to the returned list."""
     sizes = []
     interval_pairs = topology._interval_pairs
 
@@ -278,6 +272,19 @@ def test_skin_scan_pairs_bounded_on_near_real_curve(monkeypatch):
         return pairs
 
     monkeypatch.setattr(topology, "_interval_pairs", recording)
+    return sizes
+
+
+def test_skin_scan_pairs_bounded_on_near_real_curve(monkeypatch):
+    """A curve within 1e-18 of the real axis, read by horizontal rays, would
+    pair every segment with every real candidate.  The scan turns it so the
+    rays cross its long axis: 224 pairs instead of 256 * n_k, and still the
+    right witness through the on-curve fallback."""
+    n_k = 256
+    k = tc.midpoint_grid(n_k)
+    qq = 1.5 + np.cos(k) + 1e-18j * np.sin(k)
+    cands = np.linspace(-2.0, 2.0, 256) + 0j
+    sizes = _record_pair_counts(monkeypatch)
     witness = topology._first_witness(cands, qq)
     # E0^2 inside (0.5, 2.5) lies in the counter-clockwise sliver
     assert witness == cands[np.argmax(cands.real ** 2 < 2.5)]
@@ -323,15 +330,7 @@ def test_skin_scan_pairs_bounded_on_axis_branches(monkeypatch):
     candidate-segment pairs (256 * n_k before the turn)."""
     n_k = 256
     band = tc.band_trace(_sweep_draws(5001, 169)[168], n_k)
-    sizes = []
-    interval_pairs = topology._interval_pairs
-
-    def recording(ys, lo, hi):
-        pairs = interval_pairs(ys, lo, hi)
-        sizes.append(len(pairs[0]))
-        return pairs
-
-    monkeypatch.setattr(topology, "_interval_pairs", recording)
+    sizes = _record_pair_counts(monkeypatch)
     for lab, branch in band.branches.items():
         assert np.abs(branch.real).max() == 0.0
         tc.skin_effect_present(band, lab)
