@@ -50,7 +50,6 @@ from .topology import (
     compare_perturbed,
     perturb_chain,
     skin_effect_present,
-    skin_trajectory,
     skin_winding,
     winding_crossings,
     winding_number,
@@ -82,7 +81,7 @@ __all__ = [
     "eigendecompose", "fit_damped_oscillation", "ground_current_profile",
     "hermitian_reference_bands", "hoppings", "lambda_diag", "lambda_spectrum",
     "load_config", "midpoint_grid", "natural_frequencies", "perturb_chain",
-    "real_space_matrix", "simulate", "skin_effect_present", "skin_trajectory",
-    "skin_winding", "winding_crossings", "winding_number",
-    "winding_per_branch", "winding_quadrature",
+    "real_space_matrix", "simulate", "skin_effect_present", "skin_winding",
+    "winding_crossings", "winding_number", "winding_per_branch",
+    "winding_quadrature",
 ]

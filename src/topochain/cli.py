@@ -176,19 +176,10 @@ def cmd_skin(params: CircuitParams, section: dict, outdir: Path) -> None:
     if chosen == []:
         raise InvalidParams("skin.branches must name at least one branch")
     band = spectral.band_trace(params, section["n_k"])
-    report = {}
-    for lab in spectral.BRANCH_LABELS if chosen is None else chosen:
-        witness = topology.skin_effect_present(band, lab)
-        traj, clearance = topology.skin_trajectory(
-            band, lab, 0.0 if witness is None else witness)
-        report[lab] = {
-            "present": witness is not None,
-            "witness": None if witness is None else _pair(witness),
-            "witness_clearance": None if witness is None else clearance,
-        }
-        _write_csv(outdir / f"skin_traj_{lab}.csv",
-                   ["k", "det_re", "det_im"],
-                   [band.k_grid, traj.real, traj.imag])
+    labels = spectral.BRANCH_LABELS
+    report = {lab: {"present": topology.skin_effect_present(band, lab),
+                    "partner": labels[band.closure_permutation[labels.index(lab)]]}
+              for lab in (labels if chosen is None else chosen)}
     _write_json(outdir / "skin.json", report)
 
 
@@ -351,7 +342,7 @@ def _sweep_point(params: CircuitParams, n_k: int,
     multiset = "|".join(str(w) for w in sorted(r.winding for r in results.values()))
     min_gap = min(spectral.bulk_gap(params, band.branches[lab])
                   for lab in spectral.BRANCH_LABELS)
-    skin = check_skin and any(topology.skin_effect_present(band, lab) is not None
+    skin = check_skin and any(topology.skin_effect_present(band, lab)
                               for lab in spectral.BRANCH_LABELS)
     return multiset, min_gap, int(skin)
 

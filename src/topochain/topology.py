@@ -10,7 +10,8 @@ from scipy.sparse.csgraph import connected_components
 from .circuit import RealSpaceMatrix, bloch_admittance, chain_bonds
 from .errors import GapUnknown, OriginCrossing, OutOfRange, SpectrumHit
 from .params import Boundary, CircuitParams
-from .spectral import MIN_WINDING_SAMPLES, BandSet, ChainSpectrum, midpoint_grid
+from .spectral import (BRANCH_LABELS, MIN_WINDING_SAMPLES, BandSet, ChainSpectrum,
+                       midpoint_grid)
 
 ORIGIN_TOL = 1e-10
 # a single polygon segment turning more than this around the origin means
@@ -20,13 +21,6 @@ MAX_SEGMENT_TURN = np.pi / 2
 # a base point E0 lies on a branch's admittance spectrum when its det
 # trajectory E0^2 - q(k) has min|det| under SPECTRUM_GATE * max(1, max|det|)
 SPECTRUM_GATE = 1e-12
-# a skin candidate within ON_CURVE_TOL * scale of the polyline q (scale: the
-# largest of 1, |q| and |E0^2|) is on the curve.  Farther out, the rounding
-# of a cross product or of a segment's angle is eps * scale / distance of
-# what it decides, under 1e-6, so the crossing count and the angle route
-# agree exactly; and min|det| > ON_CURVE_TOL * scale clears SPECTRUM_GATE
-# outright
-ON_CURVE_TOL = 1e-9
 
 
 def _admittance_plane_curve(params: CircuitParams,
@@ -134,63 +128,21 @@ def winding_quadrature(params: CircuitParams,
 def winding_crossings(params: CircuitParams,
                       branch: np.ndarray,
                       k_grid: np.ndarray | None = None) -> int:
-    """Second independent route: signed crossings of the positive x axis."""
-    x, y = _admittance_plane_curve(params, branch, k_grid)
-    _check_away_from_origin(x, y)
-    return int(_ray_crossings(x + 1j * y, np.zeros(1, dtype=complex), 0.0)[0][0])
+    """Second independent route: signed crossings of the positive x axis.
 
-
-def _interval_pairs(ys: np.ndarray, lo: np.ndarray,
-                    hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every (interval, point) index pair with lo[i] <= ys[point] <= hi[i].
-
-    Sorts the points once and reads each interval's run of points off two
-    binary searches, so the cost follows the number of pairs, not
-    len(lo) * len(ys).
+    A segment crosses upward when y0 <= 0 < y1 and downward when
+    y1 <= 0 < y0, so a vertex on the axis counts the two segments meeting
+    there once between them; the crossing lies on the positive side when
+    the origin is left of an upward segment (right of a downward one).
     """
-    order = np.argsort(ys, kind="stable")
-    first = np.searchsorted(ys[order], lo, "left")
-    count = np.searchsorted(ys[order], hi, "right") - first
-    interval = np.repeat(np.arange(len(lo)), count)
-    start = np.repeat(first - np.cumsum(count) + count, count)
-    return interval, order[start + np.arange(len(interval))]
-
-
-def _ray_crossings(curve: np.ndarray, points: np.ndarray,
-                   pad: float) -> tuple[np.ndarray, np.ndarray]:
-    """Winding of a closed complex polyline around each point, and which
-    points lie within pad of it.
-
-    Counts the signed crossings of the rightward horizontal ray from each
-    point, with the half-open rule ylo <= y < yhi, so a ray through a vertex
-    counts the two segments meeting there once between them.  Each segment
-    is paired only with the points whose Im lies in its y-range widened by
-    pad.  A point is flagged when its perpendicular distance to a segment's
-    line is at most pad and it lies in the segment's bounding box widened
-    by pad; an unflagged point is farther than pad from every segment.  The
-    count is exact for every point whose distance from the curve is far
-    above the rounding of the cross products, a few eps times the largest
-    coordinate.
-    """
-    x0, y0 = curve.real, curve.imag
-    end = np.roll(curve, -1)
-    x1, y1 = end.real, end.imag
-    seg, pt = _interval_pairs(points.imag, np.minimum(y0, y1) - pad,
-                              np.maximum(y0, y1) + pad)
-    px, py = points.real[pt], points.imag[pt]
-    y0, y1 = y0[seg], y1[seg]
-    dx, dy = x1[seg] - x0[seg], y1 - y0
-    rx = px - x0[seg]
-    # positive when the point lies left of the segment's direction
-    cross = dx * (py - y0) - rx * dy
-    up = (y0 <= py) & (py < y1) & (cross > 0.0)
-    down = (y1 <= py) & (py < y0) & (cross < 0.0)
-    winding = np.bincount(pt, up.astype(float) - down, minlength=len(points))
-    near = (np.abs(cross) <= pad * np.hypot(dx, dy)) \
-        & (np.abs(rx - 0.5 * dx) <= 0.5 * np.abs(dx) + pad)
-    on_curve = np.zeros(len(points), dtype=bool)
-    on_curve[pt[near]] = True
-    return winding.astype(int), on_curve
+    x0, y0 = _admittance_plane_curve(params, branch, k_grid)
+    _check_away_from_origin(x0, y0)
+    x1, y1 = np.roll(x0, -1), np.roll(y0, -1)
+    # positive when the origin lies left of the segment's direction
+    cross = x0 * (y1 - y0) - (x1 - x0) * y0
+    up = (y0 <= 0.0) & (0.0 < y1) & (cross > 0.0)
+    down = (y1 <= 0.0) & (0.0 < y0) & (cross < 0.0)
+    return int(up.sum()) - int(down.sum())
 
 
 @dataclass(frozen=True)
@@ -233,106 +185,47 @@ def _offdiag_product(band: BandSet, label: str) -> np.ndarray:
     return y[:, 0, 1] * y[:, 1, 0]
 
 
-def _clearance(traj: np.ndarray) -> np.ndarray:
-    """min|det| / max(1, max|det|) of each det trajectory (last axis)."""
-    mag = np.abs(traj)
-    return mag.min(axis=-1) / np.maximum(1.0, mag.max(axis=-1))
+def skin_winding(band: BandSet, label: str, e0: complex) -> SkinWindingResult:
+    """Point-gap winding of det(Y - E0) = E0^2 - q(k) over the zone along
+    the named branch.
 
-
-def _complex_winding(traj: np.ndarray) -> np.ndarray:
-    """Signed turns of each complex trajectory (last axis) around the origin."""
-    return np.rint(_turns(np.angle(traj)).sum(axis=-1) / (2.0 * np.pi)).astype(int)
-
-
-def skin_trajectory(band: BandSet, label: str,
-                    e0: complex) -> tuple[np.ndarray, float]:
-    """det(Y - E0) = E0^2 - q(k) along the branch, and its clearance.
-
-    The clearance min|det| / max(1, max|det|) is what SPECTRUM_GATE bounds:
-    under the gate, E0 lies on the branch's admittance spectrum.
+    A base point whose trajectory has min|det| under
+    SPECTRUM_GATE * max(1, max|det|) sits on the branch's spectrum, where the
+    count is undefined; that raises SpectrumHit.
     """
     traj = e0 * e0 - _offdiag_product(band, label)
-    return traj, float(_clearance(traj))
-
-
-def skin_winding(band: BandSet, label: str, e0: complex) -> SkinWindingResult:
-    """Point-gap winding of det(Y - E0) over the zone along the named branch.
-
-    A base point whose trajectory fails SPECTRUM_GATE sits on the branch's
-    spectrum, where the count is undefined; that raises SpectrumHit.
-    """
-    traj, clearance = skin_trajectory(band, label, e0)
+    mag = np.abs(traj)
+    clearance = mag.min() / max(1.0, mag.max())
     if clearance < SPECTRUM_GATE:
         raise SpectrumHit(
             f"base point {e0} lies on the admittance spectrum of {label} "
             f"(clearance {clearance:.3e} < {SPECTRUM_GATE:g})"
         )
-    return SkinWindingResult(base_point=complex(e0),
-                             winding=int(_complex_winding(traj)),
+    winding = np.rint(_turns(np.angle(traj)).sum() / (2.0 * np.pi))
+    return SkinWindingResult(base_point=complex(e0), winding=int(winding),
                              trajectory=traj)
 
 
-def _first_witness(cands: np.ndarray, qq: np.ndarray) -> complex | None:
-    """First candidate E0 whose det trajectory E0^2 - qq clears SPECTRUM_GATE
-    with a nonzero winding.
+def skin_effect_present(band: BandSet, label: str) -> bool:
+    """Whether the named branch's open chain accumulates at one end: one
+    period of k carries the branch onto another branch, so
+    band.closure_permutation does not fix it.
 
-    The winding of det around 0 is that of the polyline qq around E0^2, read
-    by ray crossings.  Only candidates on the curve can fail the gate or
-    defeat the count; those that clear the gate are read by the angle route.
-
-    The rays run across the curve's long axis.  A curve wider than it is
-    tall (a near-real q, the branches on the imaginary omega axis) is first
-    turned by -90 degrees, (x, y) -> (y, -x), with its candidates: a
-    horizontal ray then pairs each segment only with the candidates level
-    with it, not with every candidate.  The turn is exact in floating point
-    and a rotation, so every winding keeps its sign (a swap of x and y would
-    be a reflection and flip them); the count stays exact for every
-    candidate farther than pad from the curve, whichever way its ray
-    points, and the same distance and bounding-box test flags those within
-    pad.
+    q(k) depends on k only through cos k and the branch omega(k), and the
+    root multiset at k equals the one at 2pi - k.  A branch that closes on
+    itself retraces its own reflection, its curve q encloses no area, and
+    its chain has no skin.  A branch that closes on its partner ends on a
+    different root than it starts, so the symbol of branch_effective_matrix
+    jumps at k = 0; the point-gap-area theorem for finite-range hoppings
+    does not reach such a symbol, and the q-plane area beside a branch
+    point is chord area that shrinks with the grid.  The finite chain
+    follows the closure: on the first 20 seed-1 sweep draws at n_k = 256,
+    the N = 60 chain of every branch that closes on its partner has
+    |center_of_mass_shift| > 1 site (minimum 1.08) and every other one
+    under 1e-6.
     """
-    w = cands ** 2
-    pad = ON_CURVE_TOL * max(1.0, np.abs(qq).max(), np.abs(w).max())
-    curve, points = qq, w
-    if np.ptp(qq.real) > np.ptp(qq.imag):
-        curve, points = qq.imag - 1j * qq.real, w.imag - 1j * w.real
-    winding, on_curve = _ray_crossings(curve, points, pad)
-    near = np.flatnonzero(on_curve)
-    traj = w[near, None] - qq[None, :]
-    clear = _clearance(traj) >= SPECTRUM_GATE
-    winding[near] = 0
-    winding[near[clear]] = _complex_winding(traj[clear])
-    hits = np.flatnonzero(winding)
-    return complex(cands[hits[0]]) if len(hits) else None
-
-
-def skin_effect_present(band: BandSet, label: str) -> complex | None:
-    """A base point E0 around which the named branch has a point-gap
-    winding, or None when no candidate is one.
-
-    A point-gap winding needs a curve q(k) that encloses area.  q depends on
-    k only through cos k and the branch omega(k), so a branch that is its
-    own k -> 2pi - k reflection retraces its path back from k = pi and
-    encloses nothing.  Any other branch runs out along q(k) and back along
-    the distinct arc q(2pi - k), and the area lies in the sliver between the
-    two.  The candidates are the midpoints 0.5 (sqrt(q) + its reflection),
-    which sit inside that sliver however thin it is, on every
-    ceil(n_k / 128)-th sample, followed by their conjugates: at most 256.
-    The sheet -sqrt(q) squares to the same E0^2 and adds nothing.  Returns
-    the first witness.
-
-    A candidate E0 is a witness when det = E0^2 - q clears SPECTRUM_GATE
-    and winds around the origin.  That winding is the winding of the closed
-    polyline q around the point E0^2, counted by ray crossings.  Candidates
-    within ON_CURVE_TOL of the polyline, where the count and the gate both
-    sit at roundoff, are gated first and read by the angle route of
-    skin_winding.
-    """
-    qq = _offdiag_product(band, label)
-    rad = np.sqrt(qq)
-    step = -(-len(rad) // 128)  # ceil(n_k / 128): at most 128 midpoints
-    mids = 0.5 * (rad + rad[::-1])[::step]
-    return _first_witness(np.concatenate([mids, np.conj(mids)]), qq)
+    i = BRANCH_LABELS.index(label)
+    return band.closure_permutation[i] != i
 
 
 def classify_states(spectrum: ChainSpectrum, gap: float) -> ChainSpectrum:

@@ -269,18 +269,19 @@ def test_criterion_07_skin_effect_biconditional(chain300, band_row4):
     shows macroscopic boundary accumulation: Skin-labeled states plus a
     center-of-mass shift beyond one site (frozen: -4.56 sites on the
     zone-boundary-swapped pair, |shift| < 1e-8 on the other two, whose
-    Edge pair is summed as one degenerate cluster)."""
+    Edge pair is summed as one degenerate cluster).  The pair with skin is
+    the pair one period of k carries onto each other."""
     for lab in BRANCH_LABELS:
         spec, gap, _ = chain300[lab]
         com = tc.center_of_mass_shift(spec)
         accumulates = abs(com) > 1.0 and spec.labels.count("Skin") > 0
-        witness = tc.skin_effect_present(band_row4, lab)
-        present = witness is not None
+        present = tc.skin_effect_present(band_row4, lab)
         assert present == accumulates, f"{lab}: {present} vs com {com:.3f}"
-        if present:
-            assert tc.skin_winding(band_row4, lab, witness).winding != 0
-    assert tc.skin_effect_present(band_row4, "omega4") is not None
-    assert tc.skin_effect_present(band_row4, "omega6") is None
+    closure = band_row4.closure_permutation
+    assert BRANCH_LABELS[closure[BRANCH_LABELS.index("omega4")]] == "omega5"
+    assert BRANCH_LABELS[closure[BRANCH_LABELS.index("omega5")]] == "omega4"
+    assert tc.skin_effect_present(band_row4, "omega4") is True
+    assert tc.skin_effect_present(band_row4, "omega6") is False
 
 
 # --- criterion 8 -----------------------------------------------------------

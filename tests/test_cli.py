@@ -91,31 +91,22 @@ def test_skin_report(tmp_path):
     assert run("skin", cfg, tmp_path / "out") == 0
     outdir = tmp_path / "out" / "skin-s"
     rep = json.loads((outdir / "skin.json").read_text())
-    assert set(rep) == {"omega3", "omega4"}
-    assert rep["omega3"] == {"present": False, "witness": None,
-                             "witness_clearance": None}
-    assert rep["omega4"]["present"] is True
-    assert len(rep["omega4"]["witness"]) == 2
-    # the witness clears the skin scan's spectrum gate, 1e-12
-    assert rep["omega4"]["witness_clearance"] >= 1e-12
-    assert (outdir / "skin_traj_omega3.csv").exists()
-    assert (outdir / "skin_traj_omega4.csv").exists()
+    assert rep == {"omega3": {"present": False, "partner": "omega3"},
+                   "omega4": {"present": True, "partner": "omega5"}}
+    assert sorted(f.name for f in outdir.iterdir()) \
+        == ["resolved_config.json", "skin.json"]
 
 
-def test_skin_witness_winds_on_its_own_branch(tmp_path):
+def test_skin_partners_swap_on_row2(tmp_path):
     """The hybrid pair swaps at the zone boundary, so omega4's last sample
-    equals omega5's first; each branch's witness must still come from that
-    branch's own scan and clearance from that branch's own trajectory."""
-    cfg = write_config(tmp_path / "s.json", 2,
-                       skin={"branches": ["omega4", "omega5"]})
+    continues into omega5's first and the reverse; each reports the other
+    as its partner, the m branches themselves."""
+    cfg = write_config(tmp_path / "s.json", 2, skin={})
     assert run("skin", cfg, tmp_path / "out") == 0
     rep = json.loads((tmp_path / "out" / "skin-s" / "skin.json").read_text())
-    band = tc.band_trace(row_params(2), 512)
-    for lab in ("omega4", "omega5"):
-        witness = complex(*rep[lab]["witness"])
-        assert tc.skin_winding(band, lab, witness).winding != 0, lab
-        assert rep[lab]["witness_clearance"] \
-            == tc.skin_trajectory(band, lab, witness)[1], lab
+    assert {lab: (r["present"], r["partner"]) for lab, r in rep.items()} == {
+        "omega3": (False, "omega3"), "omega4": (True, "omega5"),
+        "omega5": (True, "omega4"), "omega6": (False, "omega6")}
 
 
 def test_eigvecs_report_with_perturbation(tmp_path):

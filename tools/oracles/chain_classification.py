@@ -3,7 +3,7 @@
 Branch-effective open chains at the pinned parameter row used by the
 eigenvector figure (N = 300, n_k = 1024): per-branch winding or its
 origin-crossing status, bulk gap, state-label counts, center-of-mass shift,
-skin-witness existence, and the drift numbers of the mid-chain perturbation
+the skin verdict, and the drift numbers of the mid-chain perturbation
 experiment on the gapped branch.  Run once, eyeballed, frozen into tests.
 
 The edge drift is re-derived without compare_perturbed: scipy's eig on both
@@ -36,7 +36,7 @@ for lab in BRANCH_LABELS:
         mu = tc.winding_number(p, band.branches[lab], band.k_grid)
     except OriginCrossing:
         mu = None
-    present = tc.skin_effect_present(band, lab) is not None
+    present = tc.skin_effect_present(band, lab)
     counts = {t: spec.labels.count(t) for t in ("Edge", "Skin", "Bulk")}
     com = tc.center_of_mass_shift(spec)
     print(f"{lab}: mu={mu} gap={gap:.9f} counts={counts} "

@@ -13,8 +13,8 @@ This is the draw of the benchmark's sweep workload and of
 
 Each file ``skin_row<i>.json`` (i = 1..4) is the circuit of the packaged
 preset ``table1_row<i>`` with an empty ``skin`` section, so every branch is
-scanned at the default grid.  No packaged preset runs ``skin``; these files
-make its ``skin.json`` and det trajectories comparable.  Compare two source
+judged at the default grid.  No packaged preset runs ``skin``; these files
+make its ``skin.json`` comparable.  Compare two source
 trees on all nine files with
 ``python tools/preset_diff.py OLD_SRC NEW_SRC OUT_DIR/*.json``.
 """
