@@ -13,7 +13,7 @@ from topochain.cli import _center_cells, load_preset, main, preset_names, run_co
 from topochain.errors import InvalidParams, UnknownKey
 from topochain.netlist import lattice_nodes
 
-from conftest import ROWS, row_params
+from conftest import ROWS
 
 
 def write_config(path: Path, row: int, n_cells: int = 2, boundary: str = "open",
