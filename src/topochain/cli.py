@@ -340,8 +340,7 @@ def _sweep_point(params: CircuitParams, n_k: int,
     band = spectral.band_trace(params, n_k)
     results = topology.winding_per_branch(params, band)
     multiset = "|".join(str(w) for w in sorted(r.winding for r in results.values()))
-    min_gap = min(spectral.bulk_gap(params, band.branches[lab])
-                  for lab in spectral.BRANCH_LABELS)
+    min_gap = spectral.bulk_gap(params, np.stack(list(band.branches.values())))
     skin = check_skin and any(topology.skin_effect_present(band, lab)
                               for lab in spectral.BRANCH_LABELS)
     return multiset, min_gap, int(skin)

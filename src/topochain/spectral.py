@@ -149,10 +149,13 @@ class BandSet:
     """Four frequency branches tracked over the zone.
 
     k_grid is the half-offset uniform grid (j + 1/2) * 2pi / n_k, which keeps
-    clear of the zone endpoints where one root diverges.  closure_permutation
-    maps each branch to the branch whose first value its last value continues
-    into, so the branch set is periodic as a multiset even when individual
-    branches exchange identities over one period.
+    clear of the zone endpoints where one root diverges.  Sample n_k - 1 - j
+    of the branches holds sample j's roots, reordered (band_trace).
+    closure_permutation maps each branch to the branch whose first value its
+    last value continues into, so the branch set is periodic as a multiset
+    even when individual branches exchange identities over one period; it
+    is the product of the swaps at the square-root branch points of
+    0 < k < pi.
     """
 
     k_grid: np.ndarray
@@ -206,16 +209,29 @@ def midpoint_grid(n_k: int) -> np.ndarray:
 
 def band_trace(params: CircuitParams, n_k: int) -> BandSet:
     """Continuity-track the four physical roots over the n_k-point
-    half-offset grid."""
+    half-offset grid.
+
+    Q depends on k only through cos k, so the roots at k and 2pi - k are
+    the same set.  Only the first ceil(n_k / 2) grid points, k <= pi, are
+    solved and tracked; row n_k - 1 - j is row j with its slots permuted.
+    That permutation is the identity at k = pi.  Walking back toward k = 0,
+    a step that retraces its minimum-distance assignment leaves it alone,
+    and each square-root branch point swaps the two slots of its axis pair,
+    since the continuation rule of _continue_step is not its own inverse
+    there.  The closure permutation is its value at k = 0: the product of
+    the branch points' swaps.  A tied step is decided once, in the first
+    half, and the second half retraces that choice.
+    """
     if n_k < MIN_WINDING_SAMPLES:
         raise TrackingAmbiguous(
             f"n_k={n_k} too coarse; need >= {MIN_WINDING_SAMPLES}")
     ks = midpoint_grid(n_k)
-    roots = _solve(params, ks)
+    h = (n_k + 1) // 2
+    roots = _solve(params, ks[:h])
     iu, ju = np.triu_indices(4, 1)
     gaps = np.abs(roots[:, iu] - roots[:, ju]).min(axis=1)
-    if np.any(gaps[1:] < 1e-10):
-        j = 1 + int(np.argmax(gaps[1:] < 1e-10))
+    if np.any(gaps < 1e-10):
+        j = int(np.argmax(gaps < 1e-10))
         raise TrackingAmbiguous(
             f"physical roots within {gaps[j]:.3e} of each other "
             f"near k={ks[j]:.6g}; refine the grid"
@@ -235,26 +251,36 @@ def band_trace(params: CircuitParams, n_k: int) -> BandSet:
     clear = two[:, :, 1] - two[:, :, 0] > NEAREST_MARGIN * dist.max(axis=(1, 2))[:, None]
     direct = ~special & clear.all(axis=1) \
         & (np.sort(nearest, axis=1) == np.arange(4)).all(axis=1)
-    perm = np.empty((n_k, 4), dtype=int)
+    perm = np.empty((h, 4), dtype=int)
     # each row of roots is sorted (Re, Im); the first row names the branches
     perm[0] = np.arange(4)
-    for j in range(1, n_k):
+    for j in range(1, h):
         if direct[j - 1]:
             perm[j] = nearest[j - 1][perm[j - 1]]
         else:
             perm[j] = _continue_step(roots[j - 1][perm[j - 1]], roots[j])
-    traced = np.take_along_axis(roots, perm, axis=1)
-    last = traced[-1]
-    cost = np.abs(last[:, None] - traced[0][None, :])
-    rr, cc = linear_sum_assignment(cost)
-    closure = tuple(int(cc[np.argsort(rr)][i]) for i in range(4))
+    half = np.take_along_axis(roots, perm, axis=1)
+    # mirror[j] permutes row j's slots into row n_k - 1 - j; it changes only
+    # across the branch points, so fill it between them from k = pi down
+    mirror = np.empty((h, 4), dtype=int)
+    closure, top = np.arange(4), h
+    for j in np.flatnonzero(special)[::-1]:
+        mirror[j + 1:top] = closure
+        axis = np.flatnonzero((half[j].real == 0.0) | (half[j + 1].real == 0.0))
+        swap = np.arange(4)
+        swap[axis] = axis[::-1]
+        closure, top = swap[closure], j + 1
+    mirror[:top] = closure
+    # with n_k odd, the row at k = pi is its own mirror
+    traced = np.concatenate(
+        [half, np.take_along_axis(half, mirror, axis=1)[::-1][2 * h - n_k:]])
     branches = {lab: traced[:, i] for i, lab in enumerate(BRANCH_LABELS)}
     resid = {
         lab: float(np.max(np.abs(np.diff(branches[lab]))))
         for lab in BRANCH_LABELS
     }
     return BandSet(k_grid=ks, branches=branches, continuity_residual=resid,
-                   closure_permutation=closure, params=params)
+                   closure_permutation=tuple(closure.tolist()), params=params)
 
 
 def lambda_spectrum(params: CircuitParams, band: BandSet) -> dict[str, np.ndarray]:

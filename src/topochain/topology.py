@@ -26,8 +26,9 @@ SPECTRUM_GATE = 1e-12
 def _admittance_plane_curve(params: CircuitParams,
                             branch: np.ndarray,
                             k_grid: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """Real-projected admittance vector (Re y_x, Re y_y) along a branch; with
-    no explicit grid, the half-offset grid of the branch's length."""
+    """Real-projected admittance vector (Re y_x, Re y_y) along a branch, or
+    along each row of a stack of branches sampled on k_grid; with no
+    explicit grid, the half-offset grid of the branch's length."""
     branch = np.asarray(branch)
     k_grid = midpoint_grid(len(branch)) if k_grid is None else np.asarray(k_grid)
     y = bloch_admittance(params, branch, k_grid)
@@ -160,9 +161,11 @@ def winding_per_branch(params: CircuitParams, band: BandSet) -> dict[str, Windin
     gapless, axis-visiting ones) are omitted rather than reported with a
     non-robust integer; callers detect them as missing keys.
     """
+    # one evaluation over all branches, each row gated on its own
+    xs, ys = _admittance_plane_curve(params, np.stack(list(band.branches.values())),
+                                     band.k_grid)
     out = {}
-    for lab, branch in band.branches.items():
-        x, y = _admittance_plane_curve(params, branch, band.k_grid)
+    for lab, x, y in zip(band.branches, xs, ys):
         try:
             winding, quadrature = _certified_winding(x, y)
         except OriginCrossing:

@@ -152,29 +152,49 @@ def test_branch_structure(row, bands_all_rows):
 
 
 def _stepwise_trace(params, n_k):
-    """Branches continued one _continue_step per grid step, as tracking ran
-    before nearest-neighbour steps were composed directly: the oracle."""
-    roots = spectral._solve(params, midpoint_grid(n_k))
+    """Branches continued one _continue_step per grid step over the band's
+    own mirrored rows (the first ceil(n_k / 2) rows solved, then the same
+    rows reversed), and the last -> first assignment: the oracle of the
+    reflection shortcut, which never reads a second-half step."""
+    h = (n_k + 1) // 2
+    half = spectral._solve(params, midpoint_grid(n_k)[:h])
+    roots = np.concatenate([half, half[::-1][2 * h - n_k:]])
     traced = np.empty((n_k, 4), dtype=complex)
     traced[0] = roots[0]
     for j in range(1, n_k):
         traced[j] = roots[j][spectral._continue_step(traced[j - 1], roots[j])]
-    return traced
+    closure = tuple(spectral._continue_step(traced[-1], traced[0]).tolist())
+    return traced, closure
 
 
 def test_tracking_matches_stepwise_assignment(bands_all_rows):
-    """Bitwise the stepwise oracle's branches on the four rows at 256 and
-    1024 points and on 40 random 2-cell draws (the sweep's element range),
-    some of which pass a square-root branch point."""
+    """Bitwise the stepwise oracle's branches and closure on the four rows
+    at 256, 257 and 1024 points and on 40 random 2-cell draws (the sweep's
+    element range), some of which pass a square-root branch point."""
     rng = np.random.default_rng(5001)
     cases = [(tc.CircuitParams(*row, n_cells=2), 256)
              for row in rng.uniform(0.05, 2.0, size=(40, 5))]
-    cases += [(row_params(row), n_k) for row in ROWS for n_k in (256, 1024)]
+    cases += [(row_params(row), n_k) for row in ROWS for n_k in (256, 257, 1024)]
     for p, n_k in cases:
         band = tc.band_trace(p, n_k)
-        want = _stepwise_trace(p, n_k)
+        want, closure = _stepwise_trace(p, n_k)
         for i, lab in enumerate(BRANCH_LABELS):
             assert np.array_equal(band.branches[lab], want[:, i]), (p, n_k, lab)
+        assert band.closure_permutation == closure, (p, n_k)
+
+
+@pytest.mark.parametrize("n_k", [256, 257])
+def test_band_rows_mirror(n_k):
+    """The first ceil(n_k / 2) rows are bitwise the roots solved there, and
+    row n_k - 1 - j holds row j's roots in some slot order."""
+    p = row_params(4)
+    h = (n_k + 1) // 2
+    band = tc.band_trace(p, n_k)
+    traced = np.stack([band.branches[lab] for lab in BRANCH_LABELS], axis=1)
+    solved = spectral._solve(p, midpoint_grid(n_k)[:h])
+    assert np.array_equal(np.sort(traced[:h], axis=1), solved)
+    for j in range(h):
+        assert np.array_equal(np.sort(traced[n_k - 1 - j]), np.sort(traced[j])), j
 
 
 def test_branch_point_convention():

@@ -149,6 +149,25 @@ def test_roundoff_points_are_skin_free(seed, index, lab):
     assert np.abs(qq - qq[::-1]).max() <= 1e-11 * np.abs(qq).max()
 
 
+# sweep points whose half-zone trace holds a tied step, one whose two
+# candidate assignments differ only in the last bits: (seed, index, what
+# ties).  Settled separately in each half, the tie closed one branch on
+# another and flagged skin; settled once and retraced, every branch
+# closes on itself
+TIED_POINTS = [(1, 154, "a 2<->4 axis-count step"),
+               (4, 703, "two branch points in one grid step")]
+
+
+@pytest.mark.parametrize("seed, index, what", TIED_POINTS)
+def test_tied_step_is_decided_once(seed, index, what):
+    p = _sweep_draws(seed, index + 1)[index]
+    band = tc.band_trace(p, 256)
+    assert band.closure_permutation == (0, 1, 2, 3), what
+    windings = sorted(r.winding for r in tc.winding_per_branch(p, band).values())
+    assert windings == [0, 0, 0]
+    assert not any(tc.skin_effect_present(band, lab) for lab in band.branches)
+
+
 def test_skin_verdict_matches_finite_chain():
     """The verdict against the open chain it predicts: on 20 sweep draws at
     N = 60, a branch with skin moves its states' center of mass by more
