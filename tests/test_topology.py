@@ -149,20 +149,19 @@ def test_roundoff_points_are_skin_free(seed, index, lab):
     assert np.abs(qq - qq[::-1]).max() <= 1e-11 * np.abs(qq).max()
 
 
-# sweep points whose half-zone trace holds a tied step, one whose two
-# candidate assignments differ only in the last bits: (seed, index, what
-# ties).  Settled separately in each half, the tie closed one branch on
-# another and flagged skin; settled once and retraced, every branch
-# closes on itself
-TIED_POINTS = [(1, 154, "a 2<->4 axis-count step"),
-               (4, 703, "two branch points in one grid step")]
+# sweep points whose trace holds a step with two equal-cost assignments:
+# 1/154 has axis-root count 2 -> 4 and 4 -> 2 steps, 4/703 two branch
+# points in one grid step.  Settled by rounding in each half on its own,
+# the tie closed one branch on another and flagged skin; settled once
+# and retraced, every branch closes on itself
+TIED_POINTS = [(1, 154), (4, 703)]
 
 
-@pytest.mark.parametrize("seed, index, what", TIED_POINTS)
-def test_tied_step_is_decided_once(seed, index, what):
+@pytest.mark.parametrize("seed, index", TIED_POINTS)
+def test_tied_step_is_decided_once(seed, index):
     p = _sweep_draws(seed, index + 1)[index]
     band = tc.band_trace(p, 256)
-    assert band.closure_permutation == (0, 1, 2, 3), what
+    assert band.closure_permutation == (0, 1, 2, 3)
     windings = sorted(r.winding for r in tc.winding_per_branch(p, band).values())
     assert windings == [0, 0, 0]
     assert not any(tc.skin_effect_present(band, lab) for lab in band.branches)
