@@ -13,13 +13,9 @@ from .circuit import (
     HoppingPair,
     RealSpaceMatrix,
     bloch_admittance,
-    bloch_laplacian,
     chain_bonds,
-    chain_matrix_from_hoppings,
-    hermitian_reference_bands,
     hoppings,
     lambda_diag,
-    real_space_matrix,
 )
 from .errors import (
     ConfigError,
@@ -72,16 +68,14 @@ __all__ = [
     "BandSet", "BlochMatrix", "Boundary", "ChainSpectrum", "CircuitParams",
     "ConfigError", "DampedFit", "FrequencyRoots", "HoppingPair",
     "NumericError", "OutputError", "PerturbationReport", "RealSpaceMatrix",
-    "SkinWindingResult", "TopochainError", "TransientSetup",
-    "TransientTrace", "WindingResult", "assemble_state_space",
-    "band_polynomial_coefficients", "band_trace", "bloch_admittance",
-    "bloch_laplacian", "branch_effective_matrix", "bulk_gap",
-    "center_of_mass_shift", "chain_bonds", "chain_matrix_from_hoppings",
-    "circuit_from_mapping", "classify_states", "compare_perturbed",
-    "eigendecompose", "fit_damped_oscillation", "ground_current_profile",
-    "hermitian_reference_bands", "hoppings", "lambda_diag", "lambda_spectrum",
-    "load_config", "midpoint_grid", "natural_frequencies", "perturb_chain",
-    "real_space_matrix", "simulate", "skin_effect_present", "skin_winding",
-    "winding_crossings", "winding_number", "winding_per_branch",
-    "winding_quadrature",
+    "SkinWindingResult", "TopochainError", "TransientSetup", "TransientTrace",
+    "WindingResult", "assemble_state_space", "band_polynomial_coefficients",
+    "band_trace", "bloch_admittance", "branch_effective_matrix", "bulk_gap",
+    "center_of_mass_shift", "chain_bonds", "circuit_from_mapping",
+    "classify_states", "compare_perturbed", "eigendecompose",
+    "fit_damped_oscillation", "ground_current_profile", "hoppings",
+    "lambda_diag", "lambda_spectrum", "load_config", "midpoint_grid",
+    "natural_frequencies", "perturb_chain", "simulate", "skin_effect_present",
+    "skin_winding", "winding_crossings", "winding_number",
+    "winding_per_branch", "winding_quadrature",
 ]

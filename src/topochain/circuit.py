@@ -3,8 +3,8 @@
 The chain alternates two series RC pairs between neighboring nodes and
 grounds every node through an inductor.  At complex frequency omega the
 branch admittance of a series RC pair is a complex "hopping" weight; the
-two-site Bloch cell and the finite open/periodic chain are assembled from
-those weights.
+two-site Bloch cell is assembled from those weights, and chain_bonds lists
+the bonds of the finite open/periodic chain.
 """
 
 from __future__ import annotations
@@ -16,11 +16,6 @@ import numpy as np
 
 from .errors import DegenerateEta, ZeroFrequency
 from .params import Boundary, CircuitParams, ETA_FLOOR, OMEGA_FLOOR
-
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-
 
 @dataclass(frozen=True)
 class HoppingPair:
@@ -99,19 +94,6 @@ def bloch_admittance(params: CircuitParams, omega, k) -> BlochMatrix:
     return BlochMatrix(v=hp.v, w=hp.w, k=k)
 
 
-def bloch_laplacian(params: CircuitParams, omega: complex, k: float) -> np.ndarray:
-    """2x2 cell Laplacian i*omega*[Lambda*I - Y(k)] at one (omega, k);
-    singular exactly on bands.
-
-    det L / (i omega)^2 = Lambda^2 - (y_x^2 + y_y^2), with y_x, y_y the
-    sigma components of bloch_admittance, so the natural modes are the
-    (omega, k) pairs where Lambda(omega) is an eigenvalue of Y(k).
-    """
-    y = bloch_admittance(params, omega, k).entries
-    lam = lambda_diag(params, omega)
-    return 1j * omega * (lam * np.eye(2, dtype=complex) - y)
-
-
 @dataclass(frozen=True)
 class RealSpaceMatrix:
     """2N x 2N zero-diagonal hopping matrix of the finite chain.
@@ -136,54 +118,3 @@ def chain_bonds(n_cells: int, boundary: Boundary) -> tuple[np.ndarray, np.ndarra
     n_inter = n if boundary is Boundary.PERIODIC else n - 1
     tail = np.concatenate([2 * np.arange(n), 2 * np.arange(n_inter) + 1])
     return tail, (tail + 1) % (2 * n)
-
-
-def chain_matrix_from_hoppings(
-    v: complex | np.ndarray,
-    w: complex | np.ndarray,
-    n_cells: int,
-    boundary: Boundary,
-) -> np.ndarray:
-    """Assemble the 2N x 2N nearest-neighbor matrix from given weights.
-
-    v and w may be scalars or per-bond arrays (length N for v; N or N-1
-    for w depending on boundary), in the bond order of chain_bonds.
-    """
-    n = int(n_cells)
-    tail, head = chain_bonds(n, boundary)
-    weights = np.concatenate([
-        np.broadcast_to(np.asarray(v, dtype=complex), (n,)),
-        np.broadcast_to(np.asarray(w, dtype=complex), (len(tail) - n,)),
-    ])
-    m = np.zeros((2 * n, 2 * n), dtype=complex)
-    m[tail, head] = weights
-    m[head, tail] = weights
-    return m
-
-
-def real_space_matrix(params: CircuitParams, omega: complex) -> RealSpaceMatrix:
-    hp = hoppings(params, omega)
-    m = chain_matrix_from_hoppings(hp.v, hp.w, params.n_cells, params.boundary)
-    return RealSpaceMatrix(entries=m, params=params)
-
-
-def hermitian_reference_bands(l1: float, l2: float, c: float, k: float) -> tuple[float, float]:
-    """Closed-form two-band dispersion of the lossless two-inductor ladder.
-
-    omega_pm^2 / omega_0^2 = eta + 1/eta +- sqrt(eta^2 + eta^-2 + 2 cos k),
-    eta = sqrt(L1/L2), omega_0^2 = 1/(C sqrt(L1 L2)).  Used purely as an
-    independent oracle for the R -> 0 limit of this package's bands (the
-    lossless chain maps onto this form with the roles of L and C exchanged).
-    Returns (omega_minus^2, omega_plus^2) in units of omega_0^2.
-    """
-    if l1 <= 0 or l2 <= 0 or c <= 0:
-        raise ValueError("l1, l2, c must be positive")
-    eta = np.sqrt(l1 / l2)
-    base = eta + 1.0 / eta
-    radicand = eta * eta + 1.0 / (eta * eta) + 2.0 * np.cos(k)
-    # radicand >= (eta - 1/eta)^2 >= 0 up to roundoff
-    assert radicand > -1e-12, radicand
-    root = np.sqrt(max(radicand, 0.0))
-    # base^2 - radicand = 2 - 2 cos k, so the lower band needs no cancelling
-    # difference base - root
-    return float(4.0 * np.sin(0.5 * k) ** 2 / (base + root)), float(base + root)

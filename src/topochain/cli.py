@@ -14,7 +14,6 @@ import json
 import operator
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 from pathlib import Path
 
@@ -57,16 +56,10 @@ SECTIONS = {
     "sweep": {"points": ((list, dict), None), "n_k": (int, 256),
               "check_skin": (bool, True)},
 }
-# each subcommand's config section and the flags only it takes, each flag
-# under the cmd_ keyword it fills, as (flag, argparse options)
+# each subcommand's config section
 COMMANDS = {
-    "bands": ("bands", {"fmt": ("--format", {"choices": ("csv", "json"), "default": "csv"})}),
-    "winding": ("winding", {}),
-    "skin": ("skin", {}),
-    "eigvecs": ("eigvecs", {}),
-    "transient": ("transient", {}),
-    "netlist": ("transient", {}),
-    "sweep": ("sweep", {"threads": ("--threads", {"type": int, "default": 1})}),
+    "bands": "bands", "winding": "winding", "skin": "skin", "eigvecs": "eigvecs",
+    "transient": "transient", "netlist": "transient", "sweep": "sweep",
 }
 
 
@@ -125,6 +118,8 @@ def _write_branch_csv(path: Path, k: np.ndarray, curves: dict) -> None:
 
 
 def cmd_bands(params: CircuitParams, section: dict, outdir: Path, fmt: str) -> None:
+    if fmt not in ("csv", "json"):
+        raise InvalidParams(f"--format must be one of csv, json, got {fmt!r}")
     band = spectral.band_trace(params, section["n_k"])
     lam = spectral.lambda_spectrum(params, band)
     labels = spectral.BRANCH_LABELS
@@ -346,17 +341,11 @@ def _sweep_point(params: CircuitParams, n_k: int,
     return multiset, min_gap, int(skin)
 
 
-def cmd_sweep(params: CircuitParams, section: dict, outdir: Path,
-              threads: int = 1) -> None:
+def cmd_sweep(params: CircuitParams, section: dict, outdir: Path) -> None:
     points = section["points"]
     grid = ([circuit_from_mapping(e, prefix="sweep.point") for e in points]
             if points else [params])
-    n_k, check_skin = section["n_k"], section["check_skin"]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda p: _sweep_point(p, n_k, check_skin), grid))
-    else:
-        rows = [_sweep_point(p, n_k, check_skin) for p in grid]
+    rows = [_sweep_point(p, section["n_k"], section["check_skin"]) for p in grid]
     keys = ["r1", "r2", "c1", "c2", "l"]
     cols = [np.array([getattr(p, key) for p in grid]) for key in keys]
     _write_csv(outdir / "sweep.csv", keys + ["mu_multiset", "min_gap", "skin"],
@@ -384,15 +373,15 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Dissipative SSH-circuit band, topology, and transient toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, flags) in COMMANDS.items():
+    for name in COMMANDS:
         p = sub.add_parser(name)
         src = p.add_mutually_exclusive_group(required=True)
         src.add_argument("--config", type=str, help="JSON config path")
         src.add_argument("--preset", type=str, help="packaged preset name")
         p.add_argument("--out", type=str, default=None,
                        help=f"output root (default ${OUT_ROOT_ENV} or ./topochain_out)")
-        for dest, (flag, spec) in flags.items():
-            p.add_argument(flag, dest=dest, **spec)
+        if name == "bands":
+            p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
     return parser
 
 
@@ -400,6 +389,9 @@ def run_command(command: str, config: dict, outdir: Path, fmt: str,
                 threads: int = 1) -> None:
     if command not in COMMANDS:
         raise InvalidParams(f"unknown command '{command}'")
+    # perfbench/workloads.run_op passes threads=1; every sweep runs serially
+    if threads != 1:
+        raise InvalidParams(f"threads must be 1, got {threads!r}")
     if "circuit" not in config:
         raise InvalidParams("config lacks a 'circuit' section")
     known = {"circuit"} | set(SECTIONS)
@@ -407,16 +399,11 @@ def run_command(command: str, config: dict, outdir: Path, fmt: str,
         if key not in known:
             raise UnknownKey(key)
     params = circuit_from_mapping(config["circuit"])
-    key, flags = COMMANDS[command]
+    key = COMMANDS[command]
     section = _section(config, key)
-    given = {"fmt": fmt, "threads": threads}
-    for dest, (flag, spec) in flags.items():
-        if "choices" in spec and given[dest] not in spec["choices"]:
-            raise InvalidParams(f"{flag} must be one of {', '.join(spec['choices'])}, "
-                                f"got {given[dest]!r}")
     # looked up at call time, so a rebound module attribute is the one called
     globals()[f"cmd_{command}"](params, section, outdir,
-                                **{dest: given[dest] for dest in flags})
+                                *([fmt] if command == "bands" else []))
     # written last, so a refused config leaves no run directory behind
     _write_json(outdir / "resolved_config.json",
                 {"circuit": params.to_dict(), key: section})
@@ -433,10 +420,8 @@ def main(argv=None) -> int:
             run_name = args.preset
         out_root = Path(args.out or os.environ.get(OUT_ROOT_ENV, "topochain_out"))
         outdir = out_root / f"{args.command}-{run_name}"
-        # fmt and threads are parsed only for the subcommands that take them
-        given = vars(args)
-        run_command(args.command, config, outdir, given.get("fmt"),
-                    threads=given.get("threads", 1))
+        # only bands parses --format
+        run_command(args.command, config, outdir, getattr(args, "fmt", None))
     except ConfigError as exc:
         print(f"{args.command}: config error: {exc}", file=sys.stderr)
         return 2

@@ -11,7 +11,6 @@ circuit follows the same protocol as the internal simulator.
 from __future__ import annotations
 
 from .circuit import chain_bonds
-from .errors import InvalidParams
 from .transient import TransientSetup
 
 SWITCH_MODEL = ".model swmod sw(ron=1e-3 roff=1e9 vt=0.5 vh=0)"
@@ -52,19 +51,3 @@ def netlist_text(setup: TransientSetup) -> str:
     lines.append(f".tran {_num(setup.dt)} {_num(setup.t_end)}")
     lines.append(".end")
     return "\n".join(lines) + "\n"
-
-
-def lattice_nodes(text: str) -> list[str]:
-    """Distinct lattice node names referenced by a netlist, sorted."""
-    found = set()
-    for line in text.splitlines():
-        parts = line.split()
-        if not parts or parts[0].startswith(("*", ".")):
-            continue
-        for tok in parts[1:]:
-            if len(tok) > 2 and tok[0] == "n" and tok[1].isdigit() and \
-                    ("_A" in tok or "_B" in tok):
-                found.add(tok)
-    if not found:
-        raise InvalidParams("no lattice nodes found in netlist text")
-    return sorted(found, key=lambda s: (int(s[1:s.index('_')]), s[-1]))

@@ -10,8 +10,7 @@ from scipy.sparse.csgraph import connected_components
 from .circuit import RealSpaceMatrix, bloch_admittance, chain_bonds
 from .errors import GapUnknown, OriginCrossing, OutOfRange, SpectrumHit
 from .params import Boundary, CircuitParams
-from .spectral import (BRANCH_LABELS, MIN_WINDING_SAMPLES, BandSet, ChainSpectrum,
-                       midpoint_grid)
+from .spectral import BRANCH_LABELS, MIN_WINDING_SAMPLES, BandSet, ChainSpectrum
 
 ORIGIN_TOL = 1e-10
 # a single polygon segment turning more than this around the origin means
@@ -25,13 +24,10 @@ SPECTRUM_GATE = 1e-12
 
 def _admittance_plane_curve(params: CircuitParams,
                             branch: np.ndarray,
-                            k_grid: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+                            k_grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Real-projected admittance vector (Re y_x, Re y_y) along a branch, or
-    along each row of a stack of branches sampled on k_grid; with no
-    explicit grid, the half-offset grid of the branch's length."""
-    branch = np.asarray(branch)
-    k_grid = midpoint_grid(len(branch)) if k_grid is None else np.asarray(k_grid)
-    y = bloch_admittance(params, branch, k_grid)
+    along each row of a stack of branches, sampled on k_grid."""
+    y = bloch_admittance(params, np.asarray(branch), np.asarray(k_grid))
     return y.y_x.real, y.y_y.real
 
 
@@ -100,11 +96,10 @@ def _certified_winding(x: np.ndarray, y: np.ndarray) -> tuple[int, float]:
 
 def winding_number(params: CircuitParams,
                    branch: np.ndarray,
-                   k_grid: np.ndarray | None = None) -> int:
+                   k_grid: np.ndarray) -> int:
     """Signed turns of the real-projected admittance vector around the origin.
 
-    The branch must sample one full period of k; with no explicit grid the
-    standard half-offset grid of matching length is assumed.  Accumulates
+    The branch must sample one full period of k on k_grid.  Accumulates
     wrapped angle increments between consecutive samples and closes the curve
     back to its first point, so the result is an exact integer for any curve
     sampled finely enough that no single step turns by more than pi.  The
@@ -115,7 +110,7 @@ def winding_number(params: CircuitParams,
 
 def winding_quadrature(params: CircuitParams,
                        branch: np.ndarray,
-                       k_grid: np.ndarray | None = None) -> float:
+                       k_grid: np.ndarray) -> float:
     """Independent route: trapezoid quadrature of (x dy - y dx)/(x^2+y^2).
 
     Returns the raw (unrounded) value so tests can compare routes without
@@ -128,7 +123,7 @@ def winding_quadrature(params: CircuitParams,
 
 def winding_crossings(params: CircuitParams,
                       branch: np.ndarray,
-                      k_grid: np.ndarray | None = None) -> int:
+                      k_grid: np.ndarray) -> int:
     """Second independent route: signed crossings of the positive x axis.
 
     A segment crosses upward when y0 <= 0 < y1 and downward when

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 import topochain as tc
-from topochain.circuit import SIGMA_Z
 from topochain.cli import (
     _section,
     _setup_from_section,
@@ -27,6 +26,7 @@ from topochain.spectral import BRANCH_LABELS
 from topochain.topology import winding_crossings
 
 from conftest import ROWS, row_params
+from reference import SIGMA_Z, hermitian_reference_bands
 
 TABLE_MULTISETS = {
     1: sorted([-1, 1, 1, 0]),
@@ -121,7 +121,7 @@ def test_criterion_02_lossless_limit_closed_form():
         assert len(fr.pole_roots) == 0
         pos = np.sort([z.real for z in fr.roots if z.real > 1e-12])
         assert len(pos) == 2
-        x_minus, x_plus = tc.hermitian_reference_bands(c1, c2, l, k)
+        x_minus, x_plus = hermitian_reference_bands(c1, c2, l, k)
         worst = max(worst,
                     abs(pos[0] ** 2 * x_plus * scale - 1.0),
                     abs(pos[1] ** 2 * x_minus * scale - 1.0))

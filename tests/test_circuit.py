@@ -2,10 +2,17 @@ import numpy as np
 import pytest
 
 import topochain as tc
-from topochain.circuit import SIGMA_X, SIGMA_Y, SIGMA_Z
 from topochain.errors import DegenerateEta, ZeroFrequency
 
 from conftest import assert_close, row_params
+from reference import (
+    SIGMA_X,
+    SIGMA_Y,
+    bloch_laplacian,
+    chain_matrix_from_hoppings,
+    hermitian_reference_bands,
+    real_space_matrix,
+)
 
 # 50-digit arithmetic reference at row 1, omega = 1 + 0.5j
 # (tools/oracles/hopping_reference.py)
@@ -73,7 +80,7 @@ def test_laplacian_determinant_factorization():
     # det L / (i omega)^2 must equal Lambda^2 - (y_x^2 + y_y^2)
     p = row_params(3)
     omega, k = 1.3 - 0.4j, 1.9
-    det = np.linalg.det(tc.bloch_laplacian(p, omega, k)) / (1j * omega) ** 2
+    det = np.linalg.det(bloch_laplacian(p, omega, k)) / (1j * omega) ** 2
     lam = tc.lambda_diag(p, omega)
     y = tc.bloch_admittance(p, omega, k)
     assert_close(det, lam**2 - y.y_x**2 - y.y_y**2, 1e-12)
@@ -83,12 +90,12 @@ def test_laplacian_singular_on_root():
     p = row_params(2)
     k = 1.1
     root = tc.natural_frequencies(p, k).physical_roots[0]
-    assert abs(np.linalg.det(tc.bloch_laplacian(p, root, k))) < 1e-9
+    assert abs(np.linalg.det(bloch_laplacian(p, root, k))) < 1e-9
 
 
 def test_real_space_matrix_structure():
     p = row_params(1, n_cells=4)
-    m = tc.real_space_matrix(p, REF_OMEGA)
+    m = real_space_matrix(p, REF_OMEGA)
     hp = tc.hoppings(p, REF_OMEGA)
     assert m.entries.shape == (8, 8)
     assert np.all(np.diag(m.entries) == 0.0)
@@ -102,7 +109,7 @@ def test_real_space_matrix_structure():
 
 def test_real_space_periodic_wrap():
     p = row_params(1, n_cells=4, boundary=tc.Boundary.PERIODIC)
-    m = tc.real_space_matrix(p, REF_OMEGA)
+    m = real_space_matrix(p, REF_OMEGA)
     hp = tc.hoppings(p, REF_OMEGA)
     assert m.entries[7, 0] == hp.w
     assert m.entries[0, 7] == hp.w
@@ -111,7 +118,7 @@ def test_real_space_periodic_wrap():
 def test_chain_matrix_per_bond_weights():
     v = np.array([1.0, 2.0, 3.0])
     w = np.array([10.0, 20.0])
-    m = tc.chain_matrix_from_hoppings(v, w, 3, tc.Boundary.OPEN)
+    m = chain_matrix_from_hoppings(v, w, 3, tc.Boundary.OPEN)
     assert m[0, 1] == 1.0 and m[2, 3] == 2.0 and m[4, 5] == 3.0
     assert m[1, 2] == 10.0 and m[3, 4] == 20.0
 
@@ -124,7 +131,7 @@ def test_bloch_consistent_with_real_space():
     """
     p = row_params(2, n_cells=8, boundary=tc.Boundary.PERIODIC)
     omega = 0.8 + 0.1j
-    m = tc.real_space_matrix(p, omega).entries
+    m = real_space_matrix(p, omega).entries
     k = 2.0 * np.pi * 3 / 8
     y = tc.bloch_admittance(p, omega, k).entries
     evals, evecs = np.linalg.eig(y)
@@ -137,11 +144,11 @@ def test_bloch_consistent_with_real_space():
 
 def test_hermitian_reference_band_shape():
     # equal legs close the gap at the zone edge: both bands meet at 2
-    xm, xp = tc.hermitian_reference_bands(1.0, 1.0, 1.0, np.pi)
+    xm, xp = hermitian_reference_bands(1.0, 1.0, 1.0, np.pi)
     assert xm == pytest.approx(2.0)
     assert xp == pytest.approx(2.0)
     # eta = 2 at k = 0: base 2.5, root sqrt(4 + 0.25 + 2) = 2.5
-    xm0, xp0 = tc.hermitian_reference_bands(2.0, 0.5, 1.0, 0.0)
+    xm0, xp0 = hermitian_reference_bands(2.0, 0.5, 1.0, 0.0)
     assert xm0 == pytest.approx(0.0, abs=1e-12)
     assert xp0 == pytest.approx(5.0)
 

@@ -11,9 +11,9 @@ import topochain as tc
 from topochain import spectral, transient
 from topochain.cli import _center_cells, load_preset, main, preset_names, run_command
 from topochain.errors import InvalidParams, UnknownKey
-from topochain.netlist import lattice_nodes
 
 from conftest import ROWS
+from reference import lattice_nodes
 
 
 def write_config(path: Path, row: int, n_cells: int = 2, boundary: str = "open",
@@ -233,8 +233,8 @@ def test_transient_marks_fits_past_rms_bound(tmp_path):
 
 
 def test_run_command_refuses_unknown_format(tmp_path):
-    """fmt outside the choices COMMANDS declares is refused before the run
-    directory exists, not written as CSV."""
+    """fmt outside bands' csv and json is refused before the run directory
+    exists, not written as CSV."""
     with pytest.raises(InvalidParams, match="--format"):
         run_command("bands", load_preset("fig3"), tmp_path / "out", "xml")
     assert not (tmp_path / "out").exists()
@@ -267,22 +267,33 @@ def test_sweep_csv(tmp_path):
     assert lines[2].split(",")[5] == "0|0"
 
 
-def test_sweep_threads_write_the_same_bytes(tmp_path):
+def test_sweep_repeat_runs_write_the_same_bytes(tmp_path):
     draws = np.random.default_rng(5001).uniform(0.05, 2.0, size=(32, 5))
     points = [dict(zip(("r1", "r2", "c1", "c2", "l"), row.tolist()), n_cells=2)
               for row in draws]
     cfg = write_config(tmp_path / "sw.json", 1, sweep={"points": points})
     assert run("sweep", cfg, tmp_path / "o1") == 0
-    assert run("sweep", cfg, tmp_path / "o2", "--threads", "2") == 0
+    assert run("sweep", cfg, tmp_path / "o2") == 0
     one = (tmp_path / "o1" / "sweep-sw" / "sweep.csv").read_bytes()
     assert one.count(b"\n") == 33
     assert (tmp_path / "o2" / "sweep-sw" / "sweep.csv").read_bytes() == one
 
 
+def test_run_command_refuses_threads(tmp_path):
+    """threads=1 is the only value run_command takes: the sweep runs
+    serially, and any other value is refused before the run directory
+    exists."""
+    with pytest.raises(InvalidParams, match="threads"):
+        run_command("sweep", load_preset("table1_row1"), tmp_path / "out", "csv",
+                    threads=2)
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command, flag", [("winding", ["--format", "json"]),
-                                           ("bands", ["--threads", "2"])])
+                                           ("bands", ["--threads", "2"]),
+                                           ("sweep", ["--threads", "2"])])
 def test_flags_only_where_read(tmp_path, command, flag):
-    """--format exists only on bands and --threads only on sweep."""
+    """--format exists only on bands, and no subcommand takes --threads."""
     cfg = write_config(tmp_path / "c.json", 1)
     with pytest.raises(SystemExit) as exc:
         run(command, cfg, tmp_path / "out", *flag)

@@ -4,9 +4,10 @@ import pytest
 
 import topochain as tc
 from topochain.errors import InvalidParams
-from topochain.netlist import lattice_nodes, netlist_text, node_name
+from topochain.netlist import netlist_text, node_name
 
 from conftest import row_params
+from reference import lattice_nodes
 
 DATA = Path(__file__).parent / "data"
 

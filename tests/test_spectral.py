@@ -11,6 +11,7 @@ from topochain import spectral
 from topochain.spectral import BRANCH_LABELS, midpoint_grid
 
 from conftest import ROWS, assert_close, row_params
+from reference import chain_matrix_from_hoppings, real_space_matrix
 
 # 50-digit mpmath roots (tools/oracles/root_reference.py), lexicographic order
 ROOTS_ROW2_K_THIRD_PI = [
@@ -260,7 +261,7 @@ def test_lambda_spectrum_and_gap(band_row4):
 
 def test_eigendecompose_sorting_and_norms():
     p = row_params(1, n_cells=10)
-    m = tc.real_space_matrix(p, 1.0 + 0.5j)
+    m = real_space_matrix(p, 1.0 + 0.5j)
     spec = tc.eigendecompose(m)
     assert spec.n_states == 20
     norms = np.linalg.norm(spec.eigenvectors, axis=0)
@@ -271,7 +272,7 @@ def test_eigendecompose_sorting_and_norms():
 
 def test_eigendecompose_residuals():
     p = row_params(4, n_cells=30)
-    m = tc.real_space_matrix(p, 0.9 + 0.1j)
+    m = real_space_matrix(p, 0.9 + 0.1j)
     spec = tc.eigendecompose(m)
     for i in range(spec.n_states):
         r = m.entries @ spec.eigenvectors[:, i] \
@@ -314,10 +315,10 @@ def test_branch_effective_matrix_reciprocal_on_m_branch(band_row4):
 
 def test_dimer_reference_zero_modes():
     # |v| < |w| hosts two end modes with exponentially small energy
-    m = tc.chain_matrix_from_hoppings(0.5, 1.0, 20, tc.Boundary.OPEN)
+    m = chain_matrix_from_hoppings(0.5, 1.0, 20, tc.Boundary.OPEN)
     vals = np.sort(np.abs(np.linalg.eigvalsh(m)))
     assert vals[0] < 1e-4 and vals[1] < 1e-4
     assert vals[2] > 0.4
-    m_trivial = tc.chain_matrix_from_hoppings(1.0, 0.5, 20, tc.Boundary.OPEN)
+    m_trivial = chain_matrix_from_hoppings(1.0, 0.5, 20, tc.Boundary.OPEN)
     vals_t = np.sort(np.abs(np.linalg.eigvalsh(m_trivial)))
     assert vals_t[0] > 0.4

@@ -14,6 +14,7 @@ from topochain import topology
 from topochain.topology import winding_crossings
 
 from conftest import ROWS, assert_close, row_params
+from reference import real_space_matrix
 
 # grid-stable winding facts measured at n_k = 256 and 1024
 # (tools/oracles/winding_multisets.py): the gapped m branches certify an
@@ -70,7 +71,7 @@ def test_three_routes_agree_on_defined_branches(row, bands_all_rows):
 def test_winding_rejects_short_branch():
     p = row_params(1)
     with pytest.raises(OutOfRange):
-        tc.winding_number(p, np.full(16, 1.0 + 0.1j))
+        tc.winding_number(p, np.full(16, 1.0 + 0.1j), tc.midpoint_grid(16))
 
 
 def test_winding_routes_random_draws(random_draw_bands):
@@ -122,7 +123,7 @@ def test_crossings_count_vertex_on_positive_axis(monkeypatch):
     assert y[0] == 0.0 and x[0] > 0.0
     monkeypatch.setattr(topology, "_admittance_plane_curve",
                         lambda params, branch, k_grid: (x, y))
-    assert winding_crossings(row_params(1), np.zeros(64)) == 1
+    assert winding_crossings(row_params(1), np.zeros(64), tc.midpoint_grid(64)) == 1
 
 
 def _sweep_draws(seed, count):
@@ -226,12 +227,12 @@ def test_axis_branch_has_no_skin_witness():
 
 def test_classify_requires_open_and_gapped():
     p = row_params(1, n_cells=6, boundary=tc.Boundary.PERIODIC)
-    m = tc.real_space_matrix(p, 1.0 + 0.5j)
+    m = real_space_matrix(p, 1.0 + 0.5j)
     spec = tc.eigendecompose(m)
     with pytest.raises(GapUnknown):
         tc.classify_states(spec, 1.0)
     p_open = row_params(1, n_cells=6)
-    spec_open = tc.eigendecompose(tc.real_space_matrix(p_open, 1.0 + 0.5j))
+    spec_open = tc.eigendecompose(real_space_matrix(p_open, 1.0 + 0.5j))
     with pytest.raises(GapUnknown):
         tc.classify_states(spec_open, 0.0)
 
@@ -304,7 +305,7 @@ def test_center_of_mass_shift_basis_free():
 
 def test_perturb_chain_locality():
     p = row_params(1, n_cells=8)
-    m = tc.real_space_matrix(p, 1.0 + 0.5j)
+    m = real_space_matrix(p, 1.0 + 0.5j)
     out = tc.perturb_chain(m, (3,), 0.1)
     diff = out.entries != m.entries
     changed = set(zip(*np.nonzero(diff)))
@@ -314,7 +315,7 @@ def test_perturb_chain_locality():
 
 def test_perturb_chain_bounds():
     p = row_params(1, n_cells=8)
-    m = tc.real_space_matrix(p, 1.0 + 0.5j)
+    m = real_space_matrix(p, 1.0 + 0.5j)
     with pytest.raises(OutOfRange):
         tc.perturb_chain(m, (3,), 0.5)
     with pytest.raises(OutOfRange):

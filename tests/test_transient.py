@@ -23,6 +23,7 @@ from topochain.transient import (
 )
 
 from conftest import assert_close, row_params
+from reference import chain_matrix_from_hoppings
 
 
 def test_setup_defaults_frozen():
@@ -77,7 +78,7 @@ def test_incidence_bond_order(boundary):
         bonds.append((5, 0))
     tail, head = tc.chain_bonds(3, boundary)
     assert list(zip(tail.tolist(), head.tolist())) == bonds
-    m = tc.chain_matrix_from_hoppings(1.0, 2.0, 3, boundary)
+    m = chain_matrix_from_hoppings(1.0, 2.0, 3, boundary)
     assert set(zip(*np.nonzero(m))) == set(bonds) | {(h, t) for t, h in bonds}
     assert m[tail, head].tolist() == [1.0] * 3 + [2.0] * (len(bonds) - 3)
     expected = np.zeros((6, len(bonds)))

@@ -8,13 +8,19 @@ Two exact identities hold for the zero-diagonal cell matrix Y(omega, k):
 The dagger form needs the frequency reflected through the imaginary axis
 because conjugating Y conjugates the hopping weights, and v(-conj(omega))
 = conj(v(omega)).  Worst absolute deviations over 10^4 random draws are
-printed and frozen.
+printed and frozen.  SIGMA_Z comes from tests/reference.py, the tests'
+own definition.
 """
+
+import sys
+from pathlib import Path
 
 import numpy as np
 
 from topochain import CircuitParams, bloch_admittance
-from topochain.circuit import SIGMA_Z
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "tests"))
+from reference import SIGMA_Z  # noqa: E402
 
 rng = np.random.default_rng(23)
 worst_anti = 0.0

@@ -6,17 +6,20 @@ band pair (the small-X band pairs with the large-omega root and vice
 versa).  Evaluated on a 256-point midpoint grid; the worst relative
 deviation freezes the acceptance tolerance.  The roots come from np.roots
 on the band quartic Q(s), s = -i omega, which for R1 = R2 = 0 is the
-biquadratic 1 + 2L(C1 + C2) s^2 + 2L^2 C1 C2 (1 - cos k) s^4.
+biquadratic 1 + 2L(C1 + C2) s^2 + 2L^2 C1 C2 (1 - cos k) s^4.  The
+closed form is hermitian_reference_bands from tests/reference.py, the
+definition the acceptance test reads.
 """
+
+import sys
+from pathlib import Path
 
 import numpy as np
 
-from topochain import (
-    CircuitParams,
-    band_polynomial_coefficients,
-    hermitian_reference_bands,
-    midpoint_grid,
-)
+from topochain import CircuitParams, band_polynomial_coefficients, midpoint_grid
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "tests"))
+from reference import hermitian_reference_bands  # noqa: E402
 
 C1, C2, L = 0.95, 0.45, 0.81
 p = CircuitParams(0.0, 0.0, C1, C2, L, n_cells=2)
