@@ -329,23 +329,25 @@ def cmd_netlist(params: CircuitParams, section: dict, outdir: Path) -> None:
     _write_text(outdir / "chain.cir", netlist_mod.netlist_text(setup))
 
 
-def _sweep_point(params: CircuitParams, n_k: int,
-                 check_skin: bool) -> tuple[str, float, int]:
+def _sweep_point(params: CircuitParams, n_k: int) -> tuple[str, float, int]:
     """One sweep row's winding multiset, min_gap and skin flag."""
     band = spectral.band_trace(params, n_k)
     results = topology.winding_per_branch(params, band)
     multiset = "|".join(str(w) for w in sorted(r.winding for r in results.values()))
     min_gap = spectral.bulk_gap(params, np.stack(list(band.branches.values())))
-    skin = check_skin and any(topology.skin_effect_present(band, lab)
-                              for lab in spectral.BRANCH_LABELS)
+    skin = any(topology.skin_effect_present(band, lab) for lab in spectral.BRANCH_LABELS)
     return multiset, min_gap, int(skin)
 
 
 def cmd_sweep(params: CircuitParams, section: dict, outdir: Path) -> None:
+    # perfbench's sweep configs pin the key; false would write skin 0, as
+    # "checked, none" does
+    if not section["check_skin"]:
+        raise InvalidParams("sweep.check_skin must be true")
     points = section["points"]
     grid = ([circuit_from_mapping(e, prefix="sweep.point") for e in points]
             if points else [params])
-    rows = [_sweep_point(p, section["n_k"], section["check_skin"]) for p in grid]
+    rows = [_sweep_point(p, section["n_k"]) for p in grid]
     keys = ["r1", "r2", "c1", "c2", "l"]
     cols = [np.array([getattr(p, key) for p in grid]) for key in keys]
     _write_csv(outdir / "sweep.csv", keys + ["mu_multiset", "min_gap", "skin"],

@@ -18,11 +18,11 @@ exactly.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.optimize import linear_sum_assignment
 
 from .circuit import RealSpaceMatrix, bloch_admittance, lambda_diag
 from .errors import (
@@ -36,13 +36,16 @@ from .params import Boundary, CircuitParams
 
 # back-substitution gate, relative to sum_j |q_j| |s|^j
 ROOT_RESIDUAL_TOL = 1e-7
-# relative lead of each root's nearest successor over its second nearest
-# below which a tracking step is left to the assignment solver
-NEAREST_MARGIN = 1e-12
 BRANCH_LABELS = ("omega3", "omega4", "omega5", "omega6")
 # the coarsest k grid a band is traced on, and the fewest samples a branch
 # winding is certified from
 MIN_WINDING_SAMPLES = 64
+# the 24 permutations of four slots in lexicographic order, their inverses,
+# and _COMPOSE[p][q], the index of _PERMS[p] followed by _PERMS[q]
+_ORDER = {p: i for i, p in enumerate(itertools.permutations(range(4)))}
+_PERMS = np.array(list(_ORDER))
+_INVERSE = np.argsort(_PERMS, axis=1)
+_COMPOSE = [[_ORDER[tuple(q[p].tolist())] for q in _PERMS] for p in _PERMS]
 
 
 def _quartic(params: CircuitParams, k) -> np.ndarray:
@@ -165,62 +168,71 @@ class BandSet:
     params: CircuitParams = field(repr=False)
 
 
-def _continue_step(prev: np.ndarray, new: np.ndarray) -> np.ndarray:
-    """Assign the 4 new roots to the 4 branch slots.
-
-    Generic steps use minimum-distance assignment.  Steps where an
-    imaginary-axis pair collides and splits off-axis (or the reverse) are
-    square-root branch points; there the minimum-distance cost is degenerate,
-    so a fixed continuation convention is applied instead: the larger-|Im|
-    axis root continues into the Re > 0 member of the newborn pair, the
-    smaller into Re < 0 (and the mirrored rule when the pair re-merges: the
-    Re > 0 member into the smaller-|Im| axis root).  The off-axis pair is the
-    two roots nearest the axis pair's center; the other two roots are
-    assigned by minimum distance.  This keeps the assignment deterministic
-    and grid-independent.
-    """
-    ax_prev, ax_new = prev.real == 0.0, new.real == 0.0
-    counts = (np.count_nonzero(ax_prev), np.count_nonzero(ax_new))
-    if counts != (2, 0) and counts != (0, 2):
-        # the row indices of a square assignment are 0..3 in order
-        return linear_sum_assignment(np.abs(prev[:, None] - new[None, :]))[1]
-    splits = counts == (2, 0)
-    on_axis, off_axis, ax = (prev, new, ax_prev) if splits else (new, prev, ax_new)
-    axis = np.where(ax)[0]
-    axis = axis[np.argsort(on_axis[axis].imag)]                # small, large |Im|
-    pair = np.argsort(np.abs(off_axis - on_axis[axis].mean()))[:2]
-    pair = pair[np.argsort(off_axis[pair].real)]               # Re<0, Re>0
-    rest = np.ones(4, dtype=bool)
-    rest[pair] = False
-    # pinned slots and roots, then the two slots and roots left over
-    slots, roots, free_slots, free_roots = (
-        (axis, pair, ~ax, rest) if splits else (pair[::-1], axis, rest, ~ax))
-    assign = np.empty(4, dtype=int)
-    assign[slots] = roots
-    rr, cc = linear_sum_assignment(
-        np.abs(prev[free_slots][:, None] - new[free_roots][None, :]))
-    assign[np.where(free_slots)[0][rr]] = np.where(free_roots)[0][cc]
-    return assign
-
-
 def midpoint_grid(n_k: int) -> np.ndarray:
     return (np.arange(n_k) + 0.5) * (2.0 * np.pi / n_k)
+
+
+def _step_costs(roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cost[j, p] of continuing row j of roots into row j + 1 by _PERMS[p]
+    (root i into root _PERMS[p, i]), infinite where p breaks the branch-point
+    convention of band_trace, and the indices j of the branch-point steps.
+    Each row is sorted (Re, Im).  The four |delta omega| terms are sorted by
+    a 5-comparator network and added smallest first.
+    """
+    terms = np.abs(roots[:-1, :, None] - roots[1:, None, :])[:, np.arange(4), _PERMS]
+    v = list(np.moveaxis(terms, -1, 0))
+    for x, y in ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2)):
+        v[x], v[y] = np.minimum(v[x], v[y]), np.maximum(v[x], v[y])
+    cost = v[0] + v[1] + v[2] + v[3]
+    # a step is a branch point only when the axis-root count goes 2 -> 0 or
+    # 0 -> 2, which the root sets decide whatever their order.  A row with
+    # two axis roots holds them at sorted indices 1 (smaller Im) and 2, and
+    # a row with none holds the Re < 0 members at 0 and 1
+    on_axis = (roots.real == 0.0).sum(axis=1)
+    split = (on_axis[:-1] == 2) & (on_axis[1:] == 0)
+    special = split | ((on_axis[:-1] == 0) & (on_axis[1:] == 2))
+    at = np.flatnonzero(special)
+    merge = ~split[at]
+    axis_row = np.where(merge[:, None], roots[at + 1], roots[at])
+    near = np.abs(np.where(merge[:, None], roots[at], roots[at + 1])
+                  - axis_row[:, 1:3].mean(axis=1, keepdims=True))
+    # a split sends axis roots 1, 2 to the newborn pair's Re < 0 and Re > 0
+    # members; a merge sends the Re > 0 and Re < 0 members to 1, 2
+    pins = np.stack([near[:, :2].argmin(axis=1), 2 + near[:, 2:].argmin(axis=1)], axis=1)
+    pins[merge] = pins[merge, ::-1]
+    table = np.where(merge[:, None, None], _INVERSE, _PERMS)
+    cost[at] = np.where((table[:, :, 1:3] == pins[:, None, :]).all(axis=2), cost[at], np.inf)
+    return cost, at
 
 
 def band_trace(params: CircuitParams, n_k: int) -> BandSet:
     """Continuity-track the four physical roots over the n_k-point
     half-offset grid.
 
+    Each grid step continues the roots by the cheapest of the 24 slot
+    permutations, scored by summed |delta omega|; the four terms are added
+    smallest first, so permutations pairing the same distances cost bitwise
+    the same, and an exact tie goes to the permutation first in
+    lexicographic order of the (Re, Im)-sorted roots.  Where a mirror pair
+    meets the imaginary axis beside another axis pair (axis-root count
+    2 <-> 4) the pair's members are equidistant from each axis root, and
+    that tie pairs the Re < 0 member with the smaller-Im axis root.  A step
+    where an axis pair collides and splits off the axis (count 2 -> 0), or
+    the reverse, is a square-root branch point where distance is degenerate;
+    there only the permutations keeping a fixed convention compete: the
+    smaller-Im axis root continues into the Re < 0 member of the newborn
+    pair (the one nearest the axis pair's center) and the larger into
+    Re > 0, and on re-merging the Re > 0 member continues into the
+    smaller-Im axis root.
+
     Q depends on k only through cos k, so the roots at k and 2pi - k are
     the same set.  Only the first ceil(n_k / 2) grid points, k <= pi, are
     solved and tracked; row n_k - 1 - j is row j with its slots permuted.
     That permutation is the identity at k = pi.  Walking back toward k = 0,
-    a step that retraces its minimum-distance assignment leaves it alone,
-    and each square-root branch point swaps the two slots of its axis pair,
-    since the continuation rule of _continue_step is not its own inverse
-    there.  The closure permutation is its value at k = 0: the product of
-    the branch points' swaps.  A tied step is decided once, in the first
-    half, and the second half retraces that choice.
+    a step that retraces its cheapest permutation leaves it alone, and each
+    square-root branch point swaps the two slots of its axis pair, since
+    the convention is not its own inverse there.  The closure permutation
+    is its value at k = 0: the product of the branch points' swaps.
     """
     if n_k < MIN_WINDING_SAMPLES:
         raise TrackingAmbiguous(
@@ -236,35 +248,17 @@ def band_trace(params: CircuitParams, n_k: int) -> BandSet:
             f"physical roots within {gaps[j]:.3e} of each other "
             f"near k={ks[j]:.6g}; refine the grid"
         )
-    # a step is a branch point only when the axis-root count goes 2 -> 0 or
-    # 0 -> 2, which the root sets decide whatever their order.  Elsewhere,
-    # when every root's nearest successor is distinct and beats the runner-up
-    # by NEAREST_MARGIN of the step's largest distance (far above the
-    # rounding of the assignment's path sums), that matching is the
-    # minimum-distance assignment _continue_step would find
-    on_axis = (roots.real == 0.0).sum(axis=1)
-    special = ((on_axis[:-1] == 2) & (on_axis[1:] == 0)) \
-        | ((on_axis[:-1] == 0) & (on_axis[1:] == 2))
-    dist = np.abs(roots[:-1, :, None] - roots[1:, None, :])
-    nearest = dist.argmin(axis=2)
-    two = np.sort(dist, axis=2)[:, :, :2]
-    clear = two[:, :, 1] - two[:, :, 0] > NEAREST_MARGIN * dist.max(axis=(1, 2))[:, None]
-    direct = ~special & clear.all(axis=1) \
-        & (np.sort(nearest, axis=1) == np.arange(4)).all(axis=1)
-    perm = np.empty((h, 4), dtype=int)
-    # each row of roots is sorted (Re, Im); the first row names the branches
-    perm[0] = np.arange(4)
-    for j in range(1, h):
-        if direct[j - 1]:
-            perm[j] = nearest[j - 1][perm[j - 1]]
-        else:
-            perm[j] = _continue_step(roots[j - 1][perm[j - 1]], roots[j])
+    # each row of roots is sorted (Re, Im); the first row names the
+    # branches, and argmin takes the first of tied permutations
+    cost, at = _step_costs(roots)
+    steps = cost.argmin(axis=1).tolist()
+    perm = _PERMS[list(itertools.accumulate(steps, lambda p, q: _COMPOSE[p][q], initial=0))]
     half = np.take_along_axis(roots, perm, axis=1)
     # mirror[j] permutes row j's slots into row n_k - 1 - j; it changes only
     # across the branch points, so fill it between them from k = pi down
     mirror = np.empty((h, 4), dtype=int)
     closure, top = np.arange(4), h
-    for j in np.flatnonzero(special)[::-1]:
+    for j in at[::-1]:
         mirror[j + 1:top] = closure
         axis = np.flatnonzero((half[j].real == 0.0) | (half[j + 1].real == 0.0))
         swap = np.arange(4)

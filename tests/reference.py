@@ -1,7 +1,8 @@
 """Reference constructions that only the tests and the oracles read.
 
 The Pauli matrices, the 2x2 cell Laplacian, the finite chain matrix at one
-frequency, the lossless closed-form bands and the netlist node parser.  The
+frequency, the lossless closed-form bands, the netlist node parser and a
+stepwise band continuation by the assignment solver.  The
 package computes none of its outputs from these; they are independent
 routes the tests compare it against.  Test modules import this file
 directly (pytest puts ``tests/`` on the path); the scripts under
@@ -11,6 +12,7 @@ directly (pytest puts ``tests/`` on the path); the scripts under
 from __future__ import annotations
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from topochain import Boundary, CircuitParams, RealSpaceMatrix, chain_bonds
 from topochain.circuit import bloch_admittance, hoppings, lambda_diag
@@ -99,3 +101,55 @@ def lattice_nodes(text: str) -> list[str]:
     if not found:
         raise InvalidParams("no lattice nodes found in netlist text")
     return sorted(found, key=lambda s: (int(s[1:s.index('_')]), s[-1]))
+
+
+def continue_step(prev: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """Assign the 4 new roots to the 4 branch slots.
+
+    Generic steps use minimum-distance assignment.  Steps where an
+    imaginary-axis pair collides and splits off-axis (or the reverse) are
+    square-root branch points; there the minimum-distance cost is degenerate,
+    so a fixed continuation convention is applied instead: the larger-|Im|
+    axis root continues into the Re > 0 member of the newborn pair, the
+    smaller into Re < 0 (and the mirrored rule when the pair re-merges: the
+    Re > 0 member into the smaller-|Im| axis root).  The off-axis pair is the
+    two roots nearest the axis pair's center; the other two roots are
+    assigned by minimum distance.  This keeps the assignment deterministic
+    and grid-independent.
+
+    Where a mirror pair lands on the axis beside another axis pair, or
+    leaves it (axis-root count 2 <-> 4), the pair's members are equidistant
+    from each axis root and the two assignments tie; the Re < 0 member is
+    pinned to the smaller-Im of the two axis roots nearest the pair's
+    center, the Re > 0 member to the larger.
+    """
+    ax_prev, ax_new = prev.real == 0.0, new.real == 0.0
+    counts = (np.count_nonzero(ax_prev), np.count_nonzero(ax_new))
+    if counts in ((2, 4), (4, 2)):
+        lands = counts == (2, 4)
+        two, four = (prev, new) if lands else (new, prev)
+        pair = np.where(two.real != 0.0)[0]
+        pair = pair[np.argsort(two[pair].real)]                # Re<0, Re>0
+        axis = np.argsort(np.abs(four - two[pair].mean()))[:2]
+        axis = axis[np.argsort(four[axis].imag)]               # small, large Im
+        slots, roots = (pair, axis) if lands else (axis, pair)
+    elif counts in ((2, 0), (0, 2)):
+        splits = counts == (2, 0)
+        on_axis, off_axis, ax = (prev, new, ax_prev) if splits else (new, prev, ax_new)
+        axis = np.where(ax)[0]
+        axis = axis[np.argsort(on_axis[axis].imag)]            # small, large |Im|
+        pair = np.argsort(np.abs(off_axis - on_axis[axis].mean()))[:2]
+        pair = pair[np.argsort(off_axis[pair].real)]           # Re<0, Re>0
+        slots, roots = (axis, pair) if splits else (pair[::-1], axis)
+    else:
+        # the row indices of a square assignment are 0..3 in order
+        return linear_sum_assignment(np.abs(prev[:, None] - new[None, :]))[1]
+    # pinned slots and roots, then the two slots and roots left over
+    free_slots, free_roots = np.ones(4, dtype=bool), np.ones(4, dtype=bool)
+    free_slots[slots], free_roots[roots] = False, False
+    assign = np.empty(4, dtype=int)
+    assign[slots] = roots
+    rr, cc = linear_sum_assignment(
+        np.abs(prev[free_slots][:, None] - new[free_roots][None, :]))
+    assign[np.where(free_slots)[0][rr]] = np.where(free_roots)[0][cc]
+    return assign

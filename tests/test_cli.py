@@ -257,8 +257,7 @@ def test_sweep_csv(tmp_path):
         dict(zip(("r1", "r2", "c1", "c2", "l"), ROWS[2]), n_cells=2),
     ]
     cfg = write_config(tmp_path / "sw.json", 1,
-                       sweep={"points": points, "n_k": 256,
-                              "check_skin": False})
+                       sweep={"points": points, "n_k": 256})
     assert run("sweep", cfg, tmp_path / "out") == 0
     lines = (tmp_path / "out" / "sweep-sw" / "sweep.csv").read_text().splitlines()
     assert lines[0] == "r1,r2,c1,c2,l,mu_multiset,min_gap,skin"
@@ -286,6 +285,13 @@ def test_run_command_refuses_threads(tmp_path):
     with pytest.raises(InvalidParams, match="threads"):
         run_command("sweep", load_preset("table1_row1"), tmp_path / "out", "csv",
                     threads=2)
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_refuses_unchecked_skin(tmp_path):
+    """check_skin takes only true: false wrote the skin 0 of "checked, none"."""
+    cfg = write_config(tmp_path / "sw.json", 1, sweep={"check_skin": False})
+    assert run("sweep", cfg, tmp_path / "out") == 2
     assert not (tmp_path / "out").exists()
 
 

@@ -11,7 +11,7 @@ from topochain import spectral
 from topochain.spectral import BRANCH_LABELS, midpoint_grid
 
 from conftest import ROWS, assert_close, row_params
-from reference import chain_matrix_from_hoppings, real_space_matrix
+from reference import chain_matrix_from_hoppings, continue_step, real_space_matrix
 
 # 50-digit mpmath roots (tools/oracles/root_reference.py), lexicographic order
 ROOTS_ROW2_K_THIRD_PI = [
@@ -152,10 +152,16 @@ def test_branch_structure(row, bands_all_rows):
     assert band.continuity_residual["omega6"] < 1.0
 
 
+def _sweep_point(seed, index):
+    # point `index` of perfbench's sweep_points(seed): rows of (r1, r2, c1, c2, l)
+    draws = np.random.default_rng(seed).uniform(0.05, 2.0, size=(index + 1, 5))
+    return tc.CircuitParams(*draws[index], n_cells=2)
+
+
 def _stepwise_trace(params, n_k):
-    """Branches continued one _continue_step per grid step over the band's
-    own mirrored rows (the first ceil(n_k / 2) rows solved, then the same
-    rows reversed), and the last -> first assignment: the oracle of the
+    """Branches continued one reference.continue_step per grid step over the
+    band's own mirrored rows (the first ceil(n_k / 2) rows solved, then the
+    same rows reversed), and the last -> first assignment: the oracle of the
     reflection shortcut, which never reads a second-half step."""
     h = (n_k + 1) // 2
     half = spectral._solve(params, midpoint_grid(n_k)[:h])
@@ -163,25 +169,49 @@ def _stepwise_trace(params, n_k):
     traced = np.empty((n_k, 4), dtype=complex)
     traced[0] = roots[0]
     for j in range(1, n_k):
-        traced[j] = roots[j][spectral._continue_step(traced[j - 1], roots[j])]
-    closure = tuple(spectral._continue_step(traced[-1], traced[0]).tolist())
+        traced[j] = roots[j][continue_step(traced[j - 1], roots[j])]
+    closure = tuple(continue_step(traced[-1], traced[0]).tolist())
     return traced, closure
 
 
 def test_tracking_matches_stepwise_assignment(bands_all_rows):
     """Bitwise the stepwise oracle's branches and closure on the four rows
-    at 256, 257 and 1024 points and on 40 random 2-cell draws (the sweep's
-    element range), some of which pass a square-root branch point."""
+    at 256, 257 and 1024 points, on 40 random 2-cell draws (the sweep's
+    element range), some of which pass a square-root branch point, and on
+    three sweep points with 2 <-> 4 tie steps."""
     rng = np.random.default_rng(5001)
     cases = [(tc.CircuitParams(*row, n_cells=2), 256)
              for row in rng.uniform(0.05, 2.0, size=(40, 5))]
     cases += [(row_params(row), n_k) for row in ROWS for n_k in (256, 257, 1024)]
+    cases += [(_sweep_point(seed, i), 256) for seed, i in ((8001, 100), (5001, 48), (1, 154))]
     for p, n_k in cases:
         band = tc.band_trace(p, n_k)
         want, closure = _stepwise_trace(p, n_k)
         for i, lab in enumerate(BRANCH_LABELS):
             assert np.array_equal(band.branches[lab], want[:, i]), (p, n_k, lab)
         assert band.closure_permutation == closure, (p, n_k)
+
+
+def test_axis_pair_tie_goes_to_smaller_im():
+    """sweep_points(8001)[100], step 33 of n_k = 256: a mirror pair lands on
+    the imaginary axis beside another axis pair (axis count 2 -> 4).  The
+    two cheapest permutations cost bitwise the same, and the trace continues
+    the Re < 0 member into the smaller-Im axis root.  The closures of four
+    points with such steps do not depend on the grid."""
+    p = _sweep_point(8001, 100)
+    roots = spectral._solve(p, midpoint_grid(256)[:128])
+    assert [np.count_nonzero(roots[j].real == 0.0) for j in (33, 34)] == [2, 4]
+    cost = np.sort(spectral._step_costs(roots)[0][33])
+    assert cost[0] == cost[1] < cost[2]
+    traced = np.stack(list(tc.band_trace(p, 256).branches.values()), axis=1)
+    (neg,), (pos,) = np.flatnonzero(traced[33].real < 0.0), np.flatnonzero(traced[33].real > 0.0)
+    assert np.all(traced[34].real == 0.0)
+    assert traced[34, neg].imag < traced[34, pos].imag
+    for (seed, i), want in {(5001, 48): (0, 1, 3, 2), (8001, 8): (1, 0, 2, 3),
+                            (8001, 100): (1, 0, 2, 3), (8001, 136): (0, 1, 3, 2)}.items():
+        for n_k in (256, 257, 512, 1024, 4096):
+            assert tc.band_trace(_sweep_point(seed, i), n_k).closure_permutation == want, \
+                (seed, i, n_k)
 
 
 @pytest.mark.parametrize("n_k", [256, 257])
@@ -198,21 +228,41 @@ def test_band_rows_mirror(n_k):
         assert np.array_equal(np.sort(traced[n_k - 1 - j]), np.sort(traced[j])), j
 
 
+def _step(prev, new):
+    """The index of new that band_trace continues each root of prev into."""
+    op, on = np.lexsort((prev.imag, prev.real)), np.lexsort((new.imag, new.real))
+    cost = spectral._step_costs(np.stack([prev[op], new[on]]))[0][0]
+    step = np.empty(4, dtype=int)
+    step[op] = on[spectral._PERMS[cost.argmin()]]
+    return step.tolist()
+
+
 def test_branch_point_convention():
     """At a square-root branch point the larger-|Im| axis root continues
     into the Re > 0 member of the newborn pair and the smaller into Re < 0;
     on re-merging the Re > 0 member continues into the smaller-|Im| axis
     root.  Both synthetic steps are built so that minimum distance would
-    pair the axis roots the other way; the far roots follow distance."""
+    pair the axis roots the other way; the far roots follow distance.  A
+    mirror pair leaving the axis beside another axis pair (4 -> 2) ties,
+    and the smaller-Im axis root continues into the Re < 0 member."""
     far = np.array([3.0 + 0.1j, -3.0 + 0.1j])
     # split: the axis roots 1.0i (slot 1) and 1.2i (slot 3) leave the axis
     prev = np.array([far[0], 1.0j, far[1], 1.2j])
     new = np.array([-0.05 + 1.15j, far[1] - 0.01, 0.05 + 1.05j, far[0] + 0.01])
-    assert spectral._continue_step(prev, new).tolist() == [3, 0, 1, 2]
+    assert _step(prev, new) == [3, 0, 1, 2]
     # merge: 0.05 + 1.15i (slot 0) and -0.05 + 1.05i (slot 2) meet the axis
     prev = np.array([0.05 + 1.15j, far[0], -0.05 + 1.05j, far[1]])
     new = np.array([1.2j, far[1] - 0.01, 1.0j, far[0] + 0.01])
-    assert spectral._continue_step(prev, new).tolist() == [2, 3, 0, 1]
+    assert _step(prev, new) == [2, 3, 0, 1]
+    # tie: 1.2i (slot 0) and 1.0i (slot 2) leave as +-0.1 + 1.1i; 0.5i and
+    # 2.0i stay on the axis
+    prev = np.array([1.2j, 0.5j, 1.0j, 2.0j])
+    new = np.array([0.1 + 1.1j, 2.02j, -0.1 + 1.1j, 0.48j])
+    rows = np.stack([np.sort_complex(prev), np.sort_complex(new)])
+    cost = np.sort(spectral._step_costs(rows)[0][0])
+    assert cost[0] == cost[1]
+    assert _step(prev, new) == [0, 3, 2, 1]
+    assert continue_step(prev, new).tolist() == [0, 3, 2, 1]
 
 
 def test_branch_first_points_row4(band_row4):
