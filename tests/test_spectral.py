@@ -249,11 +249,11 @@ def test_branch_point_convention():
     # split: the axis roots 1.0i (slot 1) and 1.2i (slot 3) leave the axis
     prev = np.array([far[0], 1.0j, far[1], 1.2j])
     new = np.array([-0.05 + 1.15j, far[1] - 0.01, 0.05 + 1.05j, far[0] + 0.01])
-    assert _step(prev, new) == [3, 0, 1, 2]
+    assert _step(prev, new) == continue_step(prev, new).tolist() == [3, 0, 1, 2]
     # merge: 0.05 + 1.15i (slot 0) and -0.05 + 1.05i (slot 2) meet the axis
     prev = np.array([0.05 + 1.15j, far[0], -0.05 + 1.05j, far[1]])
     new = np.array([1.2j, far[1] - 0.01, 1.0j, far[0] + 0.01])
-    assert _step(prev, new) == [2, 3, 0, 1]
+    assert _step(prev, new) == continue_step(prev, new).tolist() == [2, 3, 0, 1]
     # tie: 1.2i (slot 0) and 1.0i (slot 2) leave as +-0.1 + 1.1i; 0.5i and
     # 2.0i stay on the axis
     prev = np.array([1.2j, 0.5j, 1.0j, 2.0j])
@@ -261,8 +261,7 @@ def test_branch_point_convention():
     rows = np.stack([np.sort_complex(prev), np.sort_complex(new)])
     cost = np.sort(spectral._step_costs(rows)[0][0])
     assert cost[0] == cost[1]
-    assert _step(prev, new) == [0, 3, 2, 1]
-    assert continue_step(prev, new).tolist() == [0, 3, 2, 1]
+    assert _step(prev, new) == continue_step(prev, new).tolist() == [0, 3, 2, 1]
 
 
 def test_branch_first_points_row4(band_row4):
