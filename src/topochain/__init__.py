@@ -39,14 +39,12 @@ from .spectral import (
 )
 from .topology import (
     PerturbationReport,
-    SkinWindingResult,
     WindingResult,
     center_of_mass_shift,
     classify_states,
     compare_perturbed,
     perturb_chain,
     skin_effect_present,
-    skin_winding,
     winding_crossings,
     winding_number,
     winding_per_branch,
@@ -68,14 +66,14 @@ __all__ = [
     "BandSet", "BlochMatrix", "Boundary", "ChainSpectrum", "CircuitParams",
     "ConfigError", "DampedFit", "FrequencyRoots", "HoppingPair",
     "NumericError", "OutputError", "PerturbationReport", "RealSpaceMatrix",
-    "SkinWindingResult", "TopochainError", "TransientSetup", "TransientTrace",
-    "WindingResult", "assemble_state_space", "band_polynomial_coefficients",
+    "TopochainError", "TransientSetup", "TransientTrace", "WindingResult",
+    "assemble_state_space", "band_polynomial_coefficients",
     "band_trace", "bloch_admittance", "branch_effective_matrix", "bulk_gap",
     "center_of_mass_shift", "chain_bonds", "circuit_from_mapping",
     "classify_states", "compare_perturbed", "eigendecompose",
     "fit_damped_oscillation", "ground_current_profile", "hoppings",
     "lambda_diag", "lambda_spectrum", "load_config", "midpoint_grid",
     "natural_frequencies", "perturb_chain", "simulate", "skin_effect_present",
-    "skin_winding", "winding_crossings", "winding_number",
-    "winding_per_branch", "winding_quadrature",
+    "winding_crossings", "winding_number", "winding_per_branch",
+    "winding_quadrature",
 ]

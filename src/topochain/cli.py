@@ -241,6 +241,8 @@ def _setup_from_section(params: CircuitParams, section: dict) -> tuple[transient
     if section["fit_t0_periods"] < transient.SETTLE_PERIODS:
         raise InvalidParams("transient.fit_t0_periods: below the "
                             f"{transient.SETTLE_PERIODS:g}-period settling after release")
+    if not 0.0 <= section["k_at"] <= 2.0 * np.pi:
+        raise InvalidParams(f"transient.k_at: {section['k_at']} outside [0, 2pi]")
     band = spectral.band_trace(params, section["n_k"])
     label = section["branch"]
     idx = int(np.argmin(np.abs(band.k_grid - section["k_at"])))

@@ -64,10 +64,6 @@ class OriginCrossing(NumericError):
     """Winding curve passes through the origin; the invariant is undefined."""
 
 
-class SpectrumHit(NumericError):
-    """Base point E0 lies on the determinant trajectory."""
-
-
 class GapUnknown(NumericError):
     """State classification requested with a non-positive bulk gap."""
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping
@@ -80,10 +81,13 @@ CIRCUIT = {
 
 
 def _is_json(value: Any, kind: type) -> bool:
-    # an int counts as a float, a bool as neither
+    # an int counts as a float, a bool as neither; a float must be finite,
+    # since Python's json reads NaN and Infinity (and 1e400 as inf)
     if isinstance(value, bool):
         return kind is bool
-    return isinstance(value, (int, float) if kind is float else kind)
+    if kind is float:
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    return isinstance(value, kind)
 
 
 def check_object(where: str, given: Any, schema: Mapping[str, tuple]) -> dict[str, Any]:
@@ -92,7 +96,8 @@ def check_object(where: str, given: Any, schema: Mapping[str, tuple]) -> dict[st
     A schema maps each key to (JSON type, default).  A list type is written
     (list, item type) and a nested object's type is its own schema; null is
     taken where the default is None, and a REQUIRED default marks a key the
-    object must give.  An int given for a float is returned as a float.
+    object must give.  A float must be finite, and an int given for a float
+    is returned as a float.
     """
     if not isinstance(given, Mapping):
         raise InvalidParams(f"{where}: expected an object, got {given!r}")
@@ -114,7 +119,8 @@ def check_object(where: str, given: Any, schema: Mapping[str, tuple]) -> dict[st
             value = check_object(f"{where}.{key}", value, kind)
         elif not (_is_json(value, kind)
                   and all(_is_json(v, item) for v in (value if item else ()))):
-            what = kind.__name__ + (f" of {item.__name__}" if item else "")
+            what = " of ".join("finite float" if t is float else t.__name__
+                               for t in (kind, item) if t)
             raise InvalidParams(f"{where}.{key}: expected {what}, got {value!r}")
         elif kind is float:
             value = float(value)

@@ -19,7 +19,7 @@ exactly.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -165,7 +165,6 @@ class BandSet:
     branches: dict[str, np.ndarray]
     continuity_residual: dict[str, float]
     closure_permutation: tuple[int, ...]
-    params: CircuitParams = field(repr=False)
 
 
 def midpoint_grid(n_k: int) -> np.ndarray:
@@ -274,7 +273,7 @@ def band_trace(params: CircuitParams, n_k: int) -> BandSet:
         for lab in BRANCH_LABELS
     }
     return BandSet(k_grid=ks, branches=branches, continuity_residual=resid,
-                   closure_permutation=tuple(closure.tolist()), params=params)
+                   closure_permutation=tuple(closure.tolist()))
 
 
 def lambda_spectrum(params: CircuitParams, band: BandSet) -> dict[str, np.ndarray]:

@@ -8,7 +8,7 @@ import numpy as np
 from scipy.sparse.csgraph import connected_components
 
 from .circuit import RealSpaceMatrix, bloch_admittance, chain_bonds
-from .errors import GapUnknown, OriginCrossing, OutOfRange, SpectrumHit
+from .errors import GapUnknown, OriginCrossing, OutOfRange
 from .params import Boundary, CircuitParams
 from .spectral import BRANCH_LABELS, MIN_WINDING_SAMPLES, BandSet, ChainSpectrum
 
@@ -17,9 +17,6 @@ ORIGIN_TOL = 1e-10
 # the curve passes closer to the origin than the sampling resolves; the
 # winding of such a curve is not certified
 MAX_SEGMENT_TURN = np.pi / 2
-# a base point E0 lies on a branch's admittance spectrum when its det
-# trajectory E0^2 - q(k) has min|det| under SPECTRUM_GATE * max(1, max|det|)
-SPECTRUM_GATE = 1e-12
 
 
 def _admittance_plane_curve(params: CircuitParams,
@@ -168,40 +165,6 @@ def winding_per_branch(params: CircuitParams, band: BandSet) -> dict[str, Windin
         out[lab] = WindingResult(label=lab, winding=winding, quadrature=quadrature,
                                  curve_min_radius=float(np.hypot(x, y).min()))
     return out
-
-
-@dataclass(frozen=True)
-class SkinWindingResult:
-    base_point: complex
-    winding: int
-    trajectory: np.ndarray
-
-
-def _offdiag_product(band: BandSet, label: str) -> np.ndarray:
-    """q(k) = (v + w e^{-ik})(v + w e^{+ik}) along a tracked branch."""
-    y = bloch_admittance(band.params, band.branches[label], band.k_grid).entries
-    return y[:, 0, 1] * y[:, 1, 0]
-
-
-def skin_winding(band: BandSet, label: str, e0: complex) -> SkinWindingResult:
-    """Point-gap winding of det(Y - E0) = E0^2 - q(k) over the zone along
-    the named branch.
-
-    A base point whose trajectory has min|det| under
-    SPECTRUM_GATE * max(1, max|det|) sits on the branch's spectrum, where the
-    count is undefined; that raises SpectrumHit.
-    """
-    traj = e0 * e0 - _offdiag_product(band, label)
-    mag = np.abs(traj)
-    clearance = mag.min() / max(1.0, mag.max())
-    if clearance < SPECTRUM_GATE:
-        raise SpectrumHit(
-            f"base point {e0} lies on the admittance spectrum of {label} "
-            f"(clearance {clearance:.3e} < {SPECTRUM_GATE:g})"
-        )
-    winding = np.rint(_turns(np.angle(traj)).sum() / (2.0 * np.pi))
-    return SkinWindingResult(base_point=complex(e0), winding=int(winding),
-                             trajectory=traj)
 
 
 def skin_effect_present(band: BandSet, label: str) -> bool:

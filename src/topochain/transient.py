@@ -17,8 +17,9 @@ default pair is), the drive never leaves the mirror-even sector, and that
 sector is exactly the N/2-cell left half-chain clamped at its own sources:
 the middle bond (N-1, N) joins two nodes at one voltage, so its capacitor
 holds zero and carries no current.  simulate then steps that half-chain and
-expands its states into the full trace; every other setup is stepped as it
-is, through the same code with the identity map.
+reads the full chain's node voltages and ground currents off it by one
+gather; every other setup is stepped as it is, through the same code with
+the identity gather.
 """
 
 from __future__ import annotations
@@ -99,6 +100,8 @@ class TransientSetup:
         bound = fastest_time_constant(self.params, self.drive_frequency) / DT_SAFETY
         if self.dt is None:
             object.__setattr__(self, "dt", bound)
+        elif not self.dt > 0.0:
+            raise InvalidParams(f"dt must be > 0, got {self.dt}")
         elif self.dt > bound * (1.0 + 1e-12):
             raise InvalidParams(
                 f"dt={self.dt:.3e} exceeds the stability budget {bound:.3e} "
@@ -234,7 +237,6 @@ class TransientTrace:
     times: np.ndarray
     node_voltages: np.ndarray    # shape (n_samples, 2N)
     ground_currents: np.ndarray  # shape (n_samples, 2N)
-    cap_voltages: np.ndarray     # shape (n_samples, n_branches)
     energy: np.ndarray
     switch_time: float
     metadata: TransientSetup
@@ -372,54 +374,19 @@ def _mirror_half(setup: TransientSetup) -> TransientSetup | None:
         source_nodes=tuple(i for i in setup.source_nodes if i < n))
 
 
-def _fold(n: int) -> np.ndarray:
-    """Each of n mirror-symmetric entries' index in the left half."""
-    i = np.arange(n)
-    return np.minimum(i, n - 1 - i)
-
-
 def _sector(setup: TransientSetup):
-    """The setup to step, and how its states expand into setup's.
+    """The setup to step, and how its trace maps onto setup's.
 
-    Returns (stepped, src, sign, node_src, weight).  Entry e of a full state
-    is sign[e] * x[src[e]], x being the stepped state with a zero appended;
-    node i's voltage is the stepped node node_src[i]'s; the full energy is
-    weight times the stepped one.  In chain_bonds order a left-half bond j
-    keeps its index and its mirror image (intra bond N-1-j, inter bond
-    N+(N-2-c) for N+c) reads it reversed, hence the sign -1; the middle bond
-    reads the zero; inductor current i and 2N-1-i read the same entry.
+    Returns (stepped, node_src, weight): node i's voltage and ground current
+    are the stepped node node_src[i]'s, and the full energy is weight times
+    the stepped one.
     """
-    n = setup.params.n_cells
+    n = 2 * setup.params.n_cells
     half = _mirror_half(setup)
+    i = np.arange(n)
     if half is None:
-        dim = len(chain_bonds(n, setup.params.boundary)[0]) + 2 * n
-        return setup, np.arange(dim), np.ones(dim), np.arange(2 * n), 1.0
-    # the half-chain state: n/2 intra bonds, n/2 - 1 inter bonds, n currents
-    m = n // 2
-    src = np.concatenate([_fold(n), m + _fold(n - 1), n - 1 + _fold(2 * n)])
-    src[n + m - 1] = 2 * n - 1   # the middle bond (N-1, N): the appended zero
-    sign = np.ones(len(src))
-    sign[m:n] = sign[n + m:2 * n - 1] = -1.0
-    return half, src, sign, _fold(2 * n), 2.0
-
-
-def _expand(states: np.ndarray, compact: np.ndarray, src: np.ndarray,
-            sign: np.ndarray) -> None:
-    """Expand the stepped states compact, a view of states' leading entries,
-    into the full rows of states, in place (see _sector for src and sign).
-
-    A full row never reaches back into the stepped rows before it, so the
-    rows go in blocks from the last one down, each block copied out before
-    its full rows overwrite it.
-    """
-    dim = compact.shape[1]
-    block = np.zeros((BLOCK, dim + 1))
-    for j in reversed(range(0, len(states), BLOCK)):
-        r = min(BLOCK, len(states) - j)
-        block[:r, :dim] = compact[j:j + r]
-        full = states[j:j + r]
-        np.take(block[:r], src, axis=1, out=full)
-        full *= sign
+        return setup, i, 1.0
+    return half, np.minimum(i, n - 1 - i), 2.0
 
 
 def simulate(setup: TransientSetup, max_samples: int) -> TransientTrace:
@@ -432,28 +399,28 @@ def simulate(setup: TransientSetup, max_samples: int) -> TransientTrace:
     particular response to the sinusoidal drive to all its rows at once.
     This is arithmetically the fixed-step trapezoid solution, evaluated at
     the decimated output times and recorded into one state array whose
-    column blocks are the capacitor voltages and inductor currents.  The
-    switch instant is recorded twice, before and after the release
-    projection.  Local accuracy is audited by step-doubling probes on
-    recorded rows spread through each phase: one trapezoid step of dt
-    against two of dt/2, taken from all of a phase's probe rows at once in
-    three linear solves.  Stored energy is checked to be non-increasing
-    after release.  Large arrays are kept off the malloc heap (see
-    _pin_mmap_threshold), so the process's peak memory does not depend on
-    earlier calls.
+    column blocks are the capacitor voltages and inductor currents; the
+    trace keeps the node voltages, the inductor (ground) currents and the
+    stored energy read from it.  The switch instant is recorded twice,
+    before and after the release projection.  Local accuracy is audited by
+    step-doubling probes on recorded rows spread through each phase: one
+    trapezoid step of dt against two of dt/2, taken from all of a phase's
+    probe rows at once in three linear solves.  Stored energy is checked to
+    be non-increasing after release.  Large arrays are kept off the malloc
+    heap (see _pin_mmap_threshold), so the process's peak memory does not
+    depend on earlier calls.
 
     A mirror-symmetric run (see _mirror_half) steps the N/2-cell half-chain
-    instead: 2N-1 states, not 4N-1.  Its states go into the contiguous
-    leading rows of the full state array; node voltages and energy are read
-    from them, and then they are expanded in place into the full states.
-    The probes step the half-chain state: the mirror scales both norms of
-    a probe's relative error by sqrt 2, so it is the same gate.  The energy
-    gate reads the full energy, twice the half-chain's.
+    instead: 2N-1 states, not 4N-1.  Node i's voltage and ground current are
+    read from its half-chain node (see _sector).  The probes step the
+    half-chain state: the mirror scales both norms of a probe's relative
+    error by sqrt 2, so it is the same gate.  The energy gate reads the full
+    energy, twice the half-chain's.
     """
     if not 1 <= max_samples <= MAX_OUTPUT_SAMPLES:
         raise InvalidParams(f"max_samples outside [1, {MAX_OUTPUT_SAMPLES}]")
     _pin_mmap_threshold()
-    stepped, src, sign, node_src, weight = _sector(setup)
+    stepped, node_src, weight = _sector(setup)
     sys = assemble_state_space(stepped)
     dt = setup.dt
     n_driven = int(np.ceil(setup.switch_open_time / dt))
@@ -489,10 +456,8 @@ def simulate(setup: TransientSetup, max_samples: int) -> TransientTrace:
                 f"{name}-phase local error {err[i]:.3e} at t={t[i]:.6g}; reduce dt")
         return steps
 
-    states = np.empty((rows_d + rows_f, len(src)))
-    # the stepped states: the contiguous leading rows x dimension entries
-    compact = states.reshape(-1)[:len(states) * sys.dimension].reshape(-1, sys.dimension)
-    driven, free = compact[:rows_d], compact[rows_d:]
+    states = np.empty((rows_d + rows_f, sys.dimension))
+    driven, free = states[:rows_d], states[rows_d:]
     nb = sys.n_branches
     driven[0] = -z.imag
     steps_d = run_phase("driven", sys.a_driven, sys.b_driven, driven, n_driven, 0)
@@ -511,7 +476,7 @@ def simulate(setup: TransientSetup, max_samples: int) -> TransientTrace:
             v[j:j + BLOCK] = (x[j:j + BLOCK] @ v_map.T)[:, node_src]
     volts[:rows_d] += sys.v_src_driven[node_src] * drive(times[:rows_d])[:, None]
 
-    caps, currents = compact[:, :nb], compact[:, nb:]
+    caps, currents = states[:, :nb], states[:, nb:]
     energy = weight * (
         0.5 * np.einsum("ij,ij,j->i", caps, caps, sys.branch_caps)
         + 0.5 * setup.params.l * np.einsum("ij,ij->i", currents, currents))
@@ -524,13 +489,9 @@ def simulate(setup: TransientSetup, max_samples: int) -> TransientTrace:
         raise StepRejected(
             f"stored energy grew by {worst:.3e} after release; reduce dt"
         )
-    _expand(states, compact, src, sign)
-    nb = len(src) - len(node_src)
-    caps, currents = states[:, :nb], states[:, nb:]
     return TransientTrace(
-        times=times, node_voltages=volts, ground_currents=currents,
-        cap_voltages=caps, energy=energy, switch_time=switch_time,
-        metadata=setup,
+        times=times, node_voltages=volts, ground_currents=currents[:, node_src],
+        energy=energy, switch_time=switch_time, metadata=setup,
     )
 
 

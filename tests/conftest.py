@@ -22,11 +22,6 @@ def band_row4():
 
 
 @pytest.fixture(scope="session")
-def band_row3():
-    return tc.band_trace(row_params(3), 1024)
-
-
-@pytest.fixture(scope="session")
 def bands_all_rows():
     return {row: tc.band_trace(row_params(row), 1024) for row in ROWS}
 

@@ -1,8 +1,9 @@
 """Reference constructions that only the tests and the oracles read.
 
-The Pauli matrices, the 2x2 cell Laplacian, the finite chain matrix at one
-frequency, the lossless closed-form bands, the netlist node parser and a
-stepwise band continuation by the assignment solver.  The
+The Pauli matrices, the 2x2 cell Laplacian, the off-diagonal product q(k)
+along a branch, the finite chain matrix at one frequency, the lossless
+closed-form bands, the netlist node parser and a stepwise band continuation
+by the assignment solver.  The
 package computes none of its outputs from these; they are independent
 routes the tests compare it against.  Test modules import this file
 directly (pytest puts ``tests/`` on the path); the scripts under
@@ -34,6 +35,14 @@ def bloch_laplacian(params: CircuitParams, omega: complex, k: float) -> np.ndarr
     y = bloch_admittance(params, omega, k).entries
     lam = lambda_diag(params, omega)
     return 1j * omega * (lam * np.eye(2, dtype=complex) - y)
+
+
+def offdiag_product(params: CircuitParams, branch: np.ndarray,
+                    k_grid: np.ndarray) -> np.ndarray:
+    """q(k) = (v + w e^{-ik})(v + w e^{+ik}) along a tracked branch: the
+    det(Y - E0) = E0^2 - q(k) of its Bloch admittance."""
+    y = bloch_admittance(params, branch, k_grid).entries
+    return y[:, 0, 1] * y[:, 1, 0]
 
 
 def chain_matrix_from_hoppings(

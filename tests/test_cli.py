@@ -251,6 +251,14 @@ def test_netlist_command(tmp_path):
     assert "transient" in echo
 
 
+@pytest.mark.parametrize("k_at", [0.0, 2.0 * np.pi])
+def test_netlist_takes_k_at_at_zone_ends(tmp_path, k_at):
+    """k_at may be any point of [0, 2pi], its ends included."""
+    cfg = write_config(tmp_path / "n.json", 1, n_cells=3,
+                       transient={"n_k": 128, "k_at": k_at})
+    assert run("netlist", cfg, tmp_path / "out") == 0
+
+
 def test_sweep_csv(tmp_path):
     points = [
         dict(zip(("r1", "r2", "c1", "c2", "l"), ROWS[1]), n_cells=2),
@@ -382,12 +390,32 @@ def test_config_error_exit_codes(tmp_path, capsys):
         ("netlist", {"source_nodes": [1, 999]}),
         ("transient", {"source_nodes": []}),
         ("transient", {"fit_t0_periods": 1.0}),
+        # Python's json reads NaN and Infinity; no section takes them
+        ("transient", {"amplitude": float("nan")}),
+        ("netlist", {"periods_free": float("inf")}),
+        ("sweep", {"points": [dict(point, r2=float("nan"))]}),
+        ("transient", {"dt": 0.0}),
+        ("transient", {"dt": -0.01}),
+        ("transient", {"k_at": -np.pi}),
+        ("transient", {"k_at": 100.0}),
+        ("netlist", {"k_at": float("nan")}),
+        ("netlist", {"k_at": 2.0 * np.pi + 1e-9}),
     ]):
         key = "transient" if command == "netlist" else command
         cfg = write_config(tmp_path / f"t{i}.json", 1, n_cells=20,
                            **{key: section})
         assert run(command, cfg, tmp_path / "out") == 2, section
         assert not (tmp_path / "out" / f"{command}-t{i}").exists(), section
+    # a non-finite circuit value, on every command that reads the circuit
+    for i, (command, key, value) in enumerate([
+        ("bands", "r1", float("nan")), ("winding", "c1", float("inf")),
+        ("transient", "l", float("-inf"))]):
+        cfg = write_config(tmp_path / f"c{i}.json", 1)
+        raw = json.loads(cfg.read_text())
+        raw["circuit"][key] = value
+        cfg.write_text(json.dumps(raw))
+        assert run(command, cfg, tmp_path / "out") == 2, key
+        assert not (tmp_path / "out" / f"{command}-c{i}").exists(), key
     err = capsys.readouterr().err
     assert "config error" in err
 

@@ -8,13 +8,12 @@ from topochain.errors import (
     GapUnknown,
     OriginCrossing,
     OutOfRange,
-    SpectrumHit,
 )
 from topochain import topology
 from topochain.topology import winding_crossings
 
 from conftest import ROWS, assert_close, row_params
-from reference import real_space_matrix
+from reference import offdiag_product, real_space_matrix
 
 # grid-stable winding facts measured at n_k = 256 and 1024
 # (tools/oracles/winding_multisets.py): the gapped m branches certify an
@@ -143,10 +142,11 @@ ROUNDOFF_POINTS = [(5001, 168, "omega3"), (7001, 157, "omega4"),
 
 @pytest.mark.parametrize("seed, index, lab", ROUNDOFF_POINTS)
 def test_roundoff_points_are_skin_free(seed, index, lab):
-    band = tc.band_trace(_sweep_draws(seed, index + 1)[index], 256)
+    p = _sweep_draws(seed, index + 1)[index]
+    band = tc.band_trace(p, 256)
     assert band.closure_permutation == (0, 1, 2, 3)
     assert not any(tc.skin_effect_present(band, b) for b in band.branches)
-    qq = topology._offdiag_product(band, lab)
+    qq = offdiag_product(p, band.branches[lab], band.k_grid)
     assert np.abs(qq - qq[::-1]).max() <= 1e-11 * np.abs(qq).max()
 
 
@@ -183,24 +183,6 @@ def test_skin_verdict_matches_finite_chain():
             assert com > 1.0 if present else com < 1e-6, (p, lab, com)
             counts[present] += 1
     assert counts == {True: 32, False: 48}
-
-
-def test_skin_winding_trajectory_and_base_point(band_row3):
-    res = tc.skin_winding(band_row3, "omega4", -1.4 - 0.012j)
-    assert res.winding == -1
-    assert res.base_point == -1.4 - 0.012j
-    assert len(res.trajectory) == 1024
-    far = tc.skin_winding(band_row3, "omega4", 300.0 + 300.0j)
-    assert far.winding == 0
-
-
-def test_skin_winding_rejects_base_point_on_spectrum(band_row3):
-    p = row_params(3)
-    branch = band_row3.branches["omega4"]
-    qq_point = tc.bloch_admittance(p, branch[10], band_row3.k_grid[10])
-    e0 = np.sqrt(qq_point.entries[0, 1] * qq_point.entries[1, 0])
-    with pytest.raises(SpectrumHit):
-        tc.skin_winding(band_row3, "omega4", complex(e0))
 
 
 # skin per row: the zone-boundary-swapped hybrid pair closes on its partner,

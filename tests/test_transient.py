@@ -1,3 +1,4 @@
+import dataclasses
 import platform
 import subprocess
 import sys
@@ -55,6 +56,9 @@ def test_fastest_time_constant_picks_minimum():
     {"drive_frequency": 3.0, "source_nodes": (0, 4)},
     {"drive_frequency": 3.0, "source_nodes": (1, 1)},
     {"drive_frequency": 3.0, "source_nodes": ()},
+    {"drive_frequency": 3.0, "dt": 0.0},
+    {"drive_frequency": 3.0, "dt": -0.01},
+    {"drive_frequency": 3.0, "dt": float("nan")},
 ])
 def test_setup_rejects_bad_values(kw):
     with pytest.raises(InvalidParams):
@@ -172,8 +176,10 @@ def test_trace_layout(short_trace):
     assert tr.times[np.argmin(gaps)] == tr.switch_time
     assert tr.times[0] == 0.0
     assert tr.switch_time >= tr.metadata.switch_open_time
-    assert tr.cap_voltages.shape == (len(tr.times), 7)
-    assert tr.cap_voltages[-1].size + tr.ground_currents[-1].size == 7 + 8
+    assert tr.energy.shape == (len(tr.times),)
+    assert [f.name for f in dataclasses.fields(tr)] == [
+        "times", "node_voltages", "ground_currents", "energy", "switch_time",
+        "metadata"]
 
 
 def test_clamped_nodes_follow_drive(short_trace):
@@ -371,10 +377,10 @@ def simulated_dims(monkeypatch, setup, max_samples):
                                                (twenty_cell_setup, 3000)])
 def test_mirror_sector_matches_full_chain(monkeypatch, make, max_samples):
     """A mirror-symmetric run steps the N/2-cell half-chain (2N-1 states,
-    not 4N-1) and expands it; the full chain stepped as it is stays the
-    oracle.  Every trace array agrees to 1e-9 of its largest entry (measured
-    about 1e-11), the middle bond's capacitor holds exactly zero, and
-    mirror nodes' ground currents are bitwise equal."""
+    not 4N-1) and reads the full chain's nodes off it; the full chain
+    stepped as it is stays the oracle.  Every trace array agrees to 1e-9 of
+    its largest entry (measured about 1e-11), and mirror nodes' voltages and
+    ground currents are bitwise equal."""
     setup = make()
     n = setup.params.n_cells
     sector, dims = simulated_dims(monkeypatch, setup, max_samples)
@@ -383,11 +389,10 @@ def test_mirror_sector_matches_full_chain(monkeypatch, make, max_samples):
     full, dims = simulated_dims(monkeypatch, setup, max_samples)
     assert dims == [4 * n - 1]
     assert np.array_equal(sector.times, full.times)
-    for name in ("node_voltages", "ground_currents", "cap_voltages", "energy"):
+    for name in ("node_voltages", "ground_currents", "energy"):
         got, want = getattr(sector, name), getattr(full, name)
         assert got.shape == want.shape
         assert np.abs(got - want).max() < 1e-9 * np.abs(want).max(), name
-    assert np.all(sector.cap_voltages[:, n + n // 2 - 1] == 0.0)
     assert np.array_equal(sector.ground_currents, sector.ground_currents[:, ::-1])
     assert np.array_equal(sector.node_voltages, sector.node_voltages[:, ::-1])
 
@@ -408,7 +413,7 @@ def test_asymmetric_runs_step_the_full_chain(monkeypatch, n_cells, boundary, sou
     trace, dims = simulated_dims(monkeypatch, setup, 2000)
     space = tc.assemble_state_space(setup)
     assert dims == [space.dimension]
-    assert trace.cap_voltages.shape[1] == space.n_branches
+    assert trace.ground_currents.shape == (len(trace.times), space.n_nodes)
     driven = trace.times < trace.switch_time
     for node in setup.source_nodes:
         assert_close(trace.node_voltages[driven, node],
@@ -416,16 +421,13 @@ def test_asymmetric_runs_step_the_full_chain(monkeypatch, n_cells, boundary, sou
 
 
 def test_mirror_state_map():
-    """At N = 4 the full state reads the half-chain state (3 bonds, 4
-    currents, then the appended zero) as chain_bonds orders it: intra bonds
-    0, 1 and their reversed mirrors 3, 2; inter bond 4 and its reversed
-    mirror 6; the middle bond 5 reads the zero; currents fold i -> 7-i."""
-    half, src, sign, node_src, weight = transient._sector(short_setup())
+    """At N = 4 the half-chain has 2 cells, clamped at the left source
+    only; node i of the full chain reads half-chain node min(i, 7 - i), and
+    the full energy is twice the half-chain's."""
+    half, node_src, weight = transient._sector(short_setup())
     assert half.params.n_cells == 2 and half.source_nodes == (2,)
     assert (half.dt, half.switch_open_time, half.t_end) == (
         short_setup().dt, 17.0, 40.0)
-    assert src.tolist() == [0, 1, 1, 0, 2, 7, 2] + [3, 4, 5, 6, 6, 5, 4, 3]
-    assert sign.tolist() == [1, 1, -1, -1, 1, 1, -1] + [1] * 8
     assert node_src.tolist() == [0, 1, 2, 3, 3, 2, 1, 0]
     assert weight == 2.0
 
@@ -462,7 +464,7 @@ def test_ground_current_profile_zero_signal(short_trace):
         times=tr.times, node_voltages=tr.node_voltages,
         ground_currents=np.zeros_like(tr.ground_currents),
         energy=tr.energy, switch_time=tr.switch_time,
-        metadata=tr.metadata, cap_voltages=tr.cap_voltages)
+        metadata=tr.metadata)
     t0 = tr.switch_time + 3.5 * tr.metadata.drive_period
     with pytest.raises(InsufficientSignal):
         tc.ground_current_profile(dead, (t0, tr.times[-1]))
