@@ -298,9 +298,9 @@ def cmd_transient(params: CircuitParams, section: dict, outdir: Path) -> None:
     fit_t0 = trace.switch_time + section["fit_t0_periods"] * setup.drive_period
     n_nodes = 2 * params.n_cells
     watch = sorted({0, n_nodes - 1, n_nodes // 2, *setup.source_nodes})
+    currents = trace.ground_currents(watch)
     fits, fitted = {}, []   # fitted: (column, entry) of each distinct column
-    for node in watch:
-        column = trace.ground_currents[:, node]
+    for node, column in zip(watch, currents.T):
         # mirror nodes of a mirror-symmetric run carry equal columns: fit once
         entry = next((e for col, e in fitted if np.array_equal(col, column)), None)
         if entry is None:
@@ -318,9 +318,9 @@ def cmd_transient(params: CircuitParams, section: dict, outdir: Path) -> None:
     })
     cols = [trace.times]
     header = ["time"]
-    for node in watch:
+    for node, volts, column in zip(watch, trace.node_voltages(watch).T, currents.T):
         header += [f"v{node}", f"i{node}"]
-        cols += [trace.node_voltages[:, node], trace.ground_currents[:, node]]
+        cols += [volts, column]
     _write_csv(outdir / "trace.csv", header, cols)
     _write_csv(outdir / "energy.csv", ["time", "energy"],
                [trace.times, trace.energy])

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -46,10 +47,13 @@ class CircuitParams:
     boundary: Boundary = Boundary.OPEN
 
     def __post_init__(self) -> None:
-        if self.r1 < 0 or self.r2 < 0:
+        for name in ("r1", "r2", "c1", "c2", "l"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidParams(f"{name} must be finite, got {getattr(self, name)}")
+        if not (self.r1 >= 0 and self.r2 >= 0):
             raise InvalidParams(f"resistances must be >= 0, got r1={self.r1}, r2={self.r2}")
         for name in ("c1", "c2", "l"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise InvalidParams(f"{name} must be > 0, got {getattr(self, name)}")
         if int(self.n_cells) != self.n_cells or self.n_cells < 2:
             raise InvalidParams(f"n_cells must be an integer >= 2, got {self.n_cells}")

@@ -16,16 +16,18 @@ mapping to 2N-1-i.  When the clamped source set is mirror-invariant too (the
 default pair is), the drive never leaves the mirror-even sector, and that
 sector is exactly the N/2-cell left half-chain clamped at its own sources:
 the middle bond (N-1, N) joins two nodes at one voltage, so its capacitor
-holds zero and carries no current.  simulate then steps that half-chain and
-reads the full chain's node voltages and ground currents off it by one
-gather; every other setup is stepped as it is, through the same code with
-the identity gather.
+holds zero and carries no current.  simulate then steps that half-chain, and
+the trace reads each full-chain node's voltage and ground current off its
+half-chain node; every other setup is stepped as it is, through the same
+code with the identity map.
 """
 
 from __future__ import annotations
 
 import ctypes
 import dataclasses
+import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,7 +96,12 @@ class TransientSetup:
     dt: float | None = None
 
     def __post_init__(self):
-        if self.drive_frequency <= 0.0:
+        for name in ("drive_frequency", "source_amplitude", "switch_open_time",
+                     "t_end", "dt"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise InvalidParams(f"{name} must be finite, got {value}")
+        if not self.drive_frequency > 0.0:
             raise InvalidParams(f"drive_frequency must be > 0, got {self.drive_frequency}")
         period = 2.0 * np.pi / self.drive_frequency
         bound = fastest_time_constant(self.params, self.drive_frequency) / DT_SAFETY
@@ -109,14 +116,14 @@ class TransientSetup:
             )
         if self.switch_open_time is None:
             object.__setattr__(self, "switch_open_time", MIN_DRIVE_PERIODS * period)
-        elif self.switch_open_time < MIN_DRIVE_PERIODS * period * (1.0 - 1e-12):
+        elif not self.switch_open_time >= MIN_DRIVE_PERIODS * period * (1.0 - 1e-12):
             raise InvalidParams(
                 f"switch_open_time={self.switch_open_time:.3e} shorter than "
                 f"{MIN_DRIVE_PERIODS:g} drive periods"
             )
         if self.t_end is None:
             object.__setattr__(self, "t_end", self.switch_open_time + FREE_PERIODS * period)
-        elif self.t_end <= self.switch_open_time:
+        elif not self.t_end > self.switch_open_time:
             raise InvalidParams("t_end must exceed switch_open_time")
         if self.source_nodes is None:
             object.__setattr__(self, "source_nodes", default_source_nodes(self.params))
@@ -232,22 +239,76 @@ def assemble_state_space(setup: TransientSetup) -> StateSpace:
     )
 
 
+def _drive(setup: TransientSetup, t: np.ndarray) -> np.ndarray:
+    """The source voltage at the times t."""
+    return setup.source_amplitude * np.sin(setup.drive_frequency * t)
+
+
 @dataclass(frozen=True)
 class TransientTrace:
+    """Sample times, stored energy and the recorded state of one run.
+
+    The state rows are those of the stepped chain (the half-chain of a
+    mirror-symmetric run, see _sector), one row per sample.  Node columns
+    are computed on demand from them: node i reads stepped node
+    _node_src[i], so mirror nodes' columns are bitwise equal.
+    """
+
     times: np.ndarray
-    node_voltages: np.ndarray    # shape (n_samples, 2N)
-    ground_currents: np.ndarray  # shape (n_samples, 2N)
     energy: np.ndarray
     switch_time: float
     metadata: TransientSetup
+    _states: np.ndarray = field(repr=False)
+    _space: StateSpace = field(repr=False)
+    _node_src: np.ndarray = field(repr=False)
+    _rows_driven: int = field(repr=False)
+
+    def _sources(self, nodes) -> np.ndarray:
+        """The stepped node that each of the full-chain nodes reads."""
+        nodes = np.asarray(nodes)
+        n_nodes = len(self._node_src)
+        if (nodes.ndim != 1 or not np.issubdtype(nodes.dtype, np.integer)
+                or np.any((nodes < 0) | (nodes >= n_nodes))):
+            raise InvalidParams(f"nodes must be a sequence of node indices in [0, {n_nodes})")
+        return self._node_src[nodes]
+
+    def ground_currents(self, nodes) -> np.ndarray:
+        """Inductor (ground) currents of the named nodes: shape
+        (n_samples, len(nodes)), gathered from the state's current block."""
+        return self._states[:, self._space.n_branches + self._sources(nodes)]
+
+    def node_voltages(self, nodes) -> np.ndarray:
+        """Voltages of the named nodes: shape (n_samples, len(nodes)).
+
+        Each distinct stepped node's column is its row of the phase's
+        voltage map applied to the state rows, plus v_src times the drive
+        while driven; it is computed once and gathered onto every node that
+        reads it.
+        """
+        distinct, back = np.unique(self._sources(nodes), return_inverse=True)
+        space, rows_d, x = self._space, self._rows_driven, self._states
+        volts = np.empty((len(x), len(distinct)))
+        np.matmul(x[:rows_d], space.v_map_driven[distinct].T, out=volts[:rows_d])
+        np.matmul(x[rows_d:], space.v_map_free[distinct].T, out=volts[rows_d:])
+        volts[:rows_d] += (space.v_src_driven[distinct]
+                           * _drive(self.metadata, self.times[:rows_d])[:, None])
+        return volts[:, back]
 
 
-def _propagator(a: np.ndarray, dt: float) -> np.ndarray:
-    """Exact one-step map of the implicit trapezoid rule."""
+def _propagator(a: np.ndarray, dt: float,
+                b: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
+    """Exact one-step map p of the implicit trapezoid rule, and with a source
+    vector b its source column g = (I - dt/2 a)^-1 dt/2 b, solved as one more
+    right-hand side: a step is x' = p x + g (u(t) + u(t + dt))."""
     n = a.shape[0]
     lhs = np.eye(n) - 0.5 * dt * a
     rhs = np.eye(n) + 0.5 * dt * a
-    return np.linalg.solve(lhs, rhs)
+    if b is None:
+        return np.linalg.solve(lhs, rhs), None
+    # the extra column goes last, so the first n see the same triangular
+    # solves as without it (bitwise so with OpenBLAS)
+    out = np.linalg.solve(lhs, np.column_stack([rhs, 0.5 * dt * b]))
+    return np.ascontiguousarray(out[:, :n]), out[:, n].copy()
 
 
 def _mat_powers(p: np.ndarray, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -273,12 +334,11 @@ def _mat_powers(p: np.ndarray, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
 def _pin_mmap_threshold() -> None:
     """Give every allocation of MMAP_THRESHOLD_BYTES or more its own mapping.
 
-    simulate allocates and frees dozens of dim x dim matrices and
-    sample-by-node arrays.  glibc raises its mmap threshold to the size of
-    the first such block freed, so later ones come from the brk heap, whose
-    high-water mark then depends on what earlier calls left there: the same
-    fig8b run peaked at 241 or 261 MB resident depending on which presets
-    ran before it in the process.  A fixed threshold (which turns the
+    simulate allocates and frees dozens of dim x dim matrices.  glibc
+    raises its mmap threshold to the size of the first such block freed, so
+    later ones come from the brk heap, whose high-water mark then depends on
+    what earlier calls left there: the same fig8b run peaked at 241 or 261
+    MB resident depending on which presets ran before it in the process.  A fixed threshold (which turns the
     dynamic one off) returns each large block to the system when freed.
     Without glibc's mallopt this does nothing.
     """
@@ -310,16 +370,20 @@ def _trapezoid_step(a: np.ndarray, b: np.ndarray | None, u_of_t,
     return np.linalg.solve(np.eye(len(a)) - 0.5 * h * a, rhs)
 
 
-def _probe_local_error(a: np.ndarray, b: np.ndarray | None, u_of_t,
-                       x: np.ndarray, t: np.ndarray, dt: float) -> np.ndarray:
+def _probe_local_error(a: np.ndarray, b: np.ndarray | None, p: np.ndarray,
+                       g: np.ndarray | None, u_of_t, x: np.ndarray,
+                       t: np.ndarray, dt: float) -> np.ndarray:
     """One step of dt against two of dt/2 from each column of x at the times
-    t: the relative difference per column.
+    t: the relative difference per column.  The step of dt is the phase's
+    own one-step map p with source column g (see _propagator).
 
     The source term is included; without it the probe would excite
     fictitious fast relaxation of the quasi-statically forced stiff
     components and overestimate the error.
     """
-    coarse = _trapezoid_step(a, b, u_of_t, x, t, dt)
+    coarse = p @ x
+    if g is not None:
+        coarse += np.outer(g, u_of_t(t) + u_of_t(t + dt))
     mid = _trapezoid_step(a, b, u_of_t, x, t, 0.5 * dt)
     fine = _trapezoid_step(a, b, u_of_t, mid, t + 0.5 * dt, 0.5 * dt)
     scale = np.maximum(np.linalg.norm(fine, axis=0), 1e-300)
@@ -396,16 +460,18 @@ def simulate(setup: TransientSetup, max_samples: int) -> TransientTrace:
     steps both: it applies powers of the phase's one-step map to the
     recorded state, row by row for the first BLOCK rows and then a block of
     rows per matrix product, and the driven phase then adds the closed-form
-    particular response to the sinusoidal drive to all its rows at once.
-    This is arithmetically the fixed-step trapezoid solution, evaluated at
+    particular response to the sinusoidal drive to its rows, a block of rows
+    at a time.  This is arithmetically the fixed-step trapezoid solution, evaluated at
     the decimated output times and recorded into one state array whose
-    column blocks are the capacitor voltages and inductor currents; the
-    trace keeps the node voltages, the inductor (ground) currents and the
-    stored energy read from it.  The switch instant is recorded twice,
-    before and after the release projection.  Local accuracy is audited by
-    step-doubling probes on recorded rows spread through each phase: one
-    trapezoid step of dt against two of dt/2, taken from all of a phase's
-    probe rows at once in three linear solves.  Stored energy is checked to
+    column blocks are the capacitor voltages and inductor currents.  The
+    trace keeps that array with the sample times and the stored energy, and
+    builds no node-by-sample array: its node_voltages(nodes) and
+    ground_currents(nodes) compute just the columns asked for.  The switch
+    instant is recorded twice, before and after the release projection.
+    Local accuracy is audited by step-doubling probes on recorded rows
+    spread through each phase: one step of dt by the phase's own one-step
+    map against two trapezoid steps of dt/2, taken from all of a phase's
+    probe rows at once in two linear solves.  Stored energy is checked to
     be non-increasing after release.  Large arrays are kept off the malloc
     heap (see _pin_mmap_threshold), so the process's peak memory does not
     depend on earlier calls.
@@ -430,9 +496,7 @@ def simulate(setup: TransientSetup, max_samples: int) -> TransientTrace:
     rows_d = 1 + (n_driven + stride - 1) // stride
     rows_f = 1 + (n_free + stride - 1) // stride
 
-    def drive(t):
-        return setup.source_amplitude * np.sin(setup.drive_frequency * t)
-
+    drive = functools.partial(_drive, setup)
     # driven phase: x_n = y_n + Im(z rho^n), y homogeneous
     z = _sinusoid_particular(sys.a_driven, sys.b_driven, setup.source_amplitude,
                              setup.drive_frequency, dt)
@@ -440,15 +504,17 @@ def simulate(setup: TransientSetup, max_samples: int) -> TransientTrace:
 
     def run_phase(name: str, a: np.ndarray, b: np.ndarray | None,
                   rows: np.ndarray, n_steps: int, first: int) -> np.ndarray:
-        """Step one phase into rows, then probe them; the one-step map is
-        freed when _phase returns, before the probes solve their steps."""
-        steps = _phase(_propagator(a, dt), rows, n_steps, stride)
+        """Step one phase into rows, then probe them."""
+        p, g = _propagator(a, dt, b)
+        steps = _phase(p, rows, n_steps, stride)
         if b is not None:
+            # a row block at a time, so no rows-by-dimension complex array;
             # z first: the reversed product rounds differently in the last bit
-            rows += np.imag(z * rho ** steps[:, None])
+            for j in range(0, len(rows), BLOCK):
+                rows[j:j + BLOCK] += np.imag(z * rho ** steps[j:j + BLOCK, None])
         probes = _probe_rows(steps, n_steps, stride)
         t = (first + steps[probes]) * dt
-        err = _probe_local_error(a, b, drive, rows[probes].T, t, dt)
+        err = _probe_local_error(a, b, p, g, drive, rows[probes].T, t, dt)
         bad = np.flatnonzero(err > LOCAL_ERROR_TOL)
         if len(bad):
             i = bad[0]
@@ -468,14 +534,6 @@ def simulate(setup: TransientSetup, max_samples: int) -> TransientTrace:
     steps_f = run_phase("free", sys.a_free, None, free, n_free, n_driven)
 
     times = np.concatenate([steps_d, n_driven + steps_f]) * dt
-    volts = np.empty((len(times), len(node_src)))
-    # a row block at a time: one gemm over every row raises peak memory
-    for x, v, v_map in ((driven, volts[:rows_d], sys.v_map_driven),
-                        (free, volts[rows_d:], sys.v_map_free)):
-        for j in range(0, len(x), BLOCK):
-            v[j:j + BLOCK] = (x[j:j + BLOCK] @ v_map.T)[:, node_src]
-    volts[:rows_d] += sys.v_src_driven[node_src] * drive(times[:rows_d])[:, None]
-
     caps, currents = states[:, :nb], states[:, nb:]
     energy = weight * (
         0.5 * np.einsum("ij,ij,j->i", caps, caps, sys.branch_caps)
@@ -490,14 +548,18 @@ def simulate(setup: TransientSetup, max_samples: int) -> TransientTrace:
             f"stored energy grew by {worst:.3e} after release; reduce dt"
         )
     return TransientTrace(
-        times=times, node_voltages=volts, ground_currents=currents[:, node_src],
-        energy=energy, switch_time=switch_time, metadata=setup,
+        times=times, energy=energy, switch_time=switch_time, metadata=setup,
+        _states=states, _space=sys, _node_src=node_src, _rows_driven=rows_d,
     )
 
 
 def ground_current_profile(trace: TransientTrace,
                            window: tuple[float, float]) -> np.ndarray:
-    """Per-node RMS inductor current over the window, normalized to sum 1."""
+    """Per-node RMS inductor current over the window, normalized to sum 1.
+
+    The RMS is taken once per stepped node, over the window's rows of the
+    state's current block, and then gathered onto the full chain's nodes.
+    """
     t0, t1 = window
     setup = trace.metadata
     earliest = trace.switch_time + SETTLE_PERIODS * setup.drive_period
@@ -508,10 +570,13 @@ def ground_current_profile(trace: TransientTrace,
         )
     if t1 <= t0 or t1 > trace.times[-1] + 1e-12:
         raise WindowOutOfRange(f"window ({t0:.6g}, {t1:.6g}) outside the trace")
-    mask = (trace.times >= t0) & (trace.times <= t1)
-    if mask.sum() < 8:
+    # the times never decrease, so the window is one run of rows
+    lo = np.searchsorted(trace.times, t0, side="left")
+    hi = np.searchsorted(trace.times, t1, side="right")
+    if hi - lo < 8:
         raise WindowOutOfRange("window covers fewer than 8 output samples")
-    rms = np.sqrt(np.mean(trace.ground_currents[mask] ** 2, axis=0))
+    currents = trace._states[lo:hi, trace._space.n_branches:]
+    rms = np.sqrt(np.mean(currents ** 2, axis=0))[trace._node_src]
     total = rms.sum()
     if total <= 0.0:
         raise InsufficientSignal("all ground currents identically zero in window")

@@ -2,8 +2,9 @@
 
 The Pauli matrices, the 2x2 cell Laplacian, the off-diagonal product q(k)
 along a branch, the finite chain matrix at one frequency, the lossless
-closed-form bands, the netlist node parser and a stepwise band continuation
-by the assignment solver.  The
+closed-form bands, the netlist node parser, a stepwise band continuation
+by the assignment solver and the full-width node columns of a transient
+trace.  The
 package computes none of its outputs from these; they are independent
 routes the tests compare it against.  Test modules import this file
 directly (pytest puts ``tests/`` on the path); the scripts under
@@ -162,3 +163,25 @@ def continue_step(prev: np.ndarray, new: np.ndarray) -> np.ndarray:
         np.abs(prev[free_slots][:, None] - new[free_roots][None, :]))
     assign[np.where(free_slots)[0][rr]] = np.where(free_roots)[0][cc]
     return assign
+
+
+def full_width_columns(trace) -> tuple[np.ndarray, np.ndarray]:
+    """Every node's voltages and ground currents of a transient trace, each
+    (n_samples, 2N), gathered as simulate once stored them.
+
+    Each row block of 64 states goes through the phase's whole voltage map,
+    one column per stepped node, and is gathered onto the full chain by the
+    trace's node map; the source term is added after the gather.  The
+    ground currents are the state's current block gathered the same way.
+    """
+    space, rows_d, node_src = trace._space, trace._rows_driven, trace._node_src
+    states = trace._states
+    volts = np.empty((len(states), len(node_src)))
+    for x, v, v_map in ((states[:rows_d], volts[:rows_d], space.v_map_driven),
+                        (states[rows_d:], volts[rows_d:], space.v_map_free)):
+        for j in range(0, len(x), 64):
+            v[j:j + 64] = (x[j:j + 64] @ v_map.T)[:, node_src]
+    setup = trace.metadata
+    drive = setup.source_amplitude * np.sin(setup.drive_frequency * trace.times[:rows_d])
+    volts[:rows_d] += space.v_src_driven[node_src] * drive[:, None]
+    return volts, states[:, space.n_branches:][:, node_src]

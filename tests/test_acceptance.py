@@ -315,10 +315,10 @@ def _ringdown(preset: str):
     wall = time.perf_counter() - t0
     fit_t0 = trace.switch_time + float(section["fit_t0_periods"]) * setup.drive_period
     n_nodes = 2 * params.n_cells
+    nodes = (0, n_nodes // 2, n_nodes - 1)
     fits = {}
-    for node in (0, n_nodes // 2, n_nodes - 1):
-        fits[node] = tc.fit_damped_oscillation(
-            trace.times, trace.ground_currents[:, node], fit_t0)
+    for node, column in zip(nodes, trace.ground_currents(nodes).T):
+        fits[node] = tc.fit_damped_oscillation(trace.times, column, fit_t0)
     window = (trace.switch_time + 3.0 * setup.drive_period,
               float(trace.times[-1]))
     profile = tc.ground_current_profile(trace, window)

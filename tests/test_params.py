@@ -24,6 +24,10 @@ def test_frozen():
 @pytest.mark.parametrize("kw", [
     {"c1": 0.0}, {"c2": -1.0}, {"l": 0.0}, {"r1": -0.5},
     {"n_cells": 1}, {"n_cells": 0},
+    {"r1": float("nan")}, {"r2": float("nan")}, {"c1": float("nan")},
+    {"c2": float("nan")}, {"l": float("nan")},
+    {"r1": float("inf")}, {"r2": float("inf")}, {"c1": float("inf")},
+    {"c2": float("-inf")}, {"l": float("inf")},
 ])
 def test_rejects_bad_values(kw):
     base = dict(r1=1.0, r2=1.0, c1=1.0, c2=1.0, l=1.0, n_cells=4)

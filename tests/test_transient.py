@@ -2,6 +2,7 @@ import dataclasses
 import platform
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,14 +18,10 @@ from topochain.errors import (
     WindowOutOfRange,
 )
 from topochain import transient
-from topochain.transient import (
-    TransientTrace,
-    default_source_nodes,
-    fastest_time_constant,
-)
+from topochain.transient import default_source_nodes, fastest_time_constant
 
 from conftest import assert_close, row_params
-from reference import chain_matrix_from_hoppings
+from reference import chain_matrix_from_hoppings, full_width_columns
 
 
 def test_setup_defaults_frozen():
@@ -59,6 +56,15 @@ def test_fastest_time_constant_picks_minimum():
     {"drive_frequency": 3.0, "dt": 0.0},
     {"drive_frequency": 3.0, "dt": -0.01},
     {"drive_frequency": 3.0, "dt": float("nan")},
+    {"drive_frequency": 3.0, "dt": float("inf")},
+    {"drive_frequency": float("nan")},
+    {"drive_frequency": float("inf")},
+    {"drive_frequency": 3.0, "source_amplitude": float("nan")},
+    {"drive_frequency": 3.0, "source_amplitude": float("-inf")},
+    {"drive_frequency": 3.0, "switch_open_time": float("nan")},
+    {"drive_frequency": 3.0, "switch_open_time": float("inf")},
+    {"drive_frequency": 3.0, "t_end": float("nan")},
+    {"drive_frequency": 3.0, "t_end": float("inf")},
 ])
 def test_setup_rejects_bad_values(kw):
     with pytest.raises(InvalidParams):
@@ -150,7 +156,8 @@ def test_trapezoid_against_adaptive_rk45():
         rtol=1e-11, atol=1e-13)
     v_ref = space.v_map_driven @ sol.y[:, -1] \
         + space.v_src_driven * np.sin(s.drive_frequency * t_mid)
-    assert np.abs(v_ref - trace.node_voltages[mid]).max() < 3e-6
+    got = trace.node_voltages(range(space.n_nodes))[mid]
+    assert np.abs(v_ref - got).max() < 3e-6
 
 
 def short_setup():
@@ -165,9 +172,9 @@ def short_trace():
 
 def test_trace_layout(short_trace):
     tr = short_trace
-    n_nodes = 8
-    assert tr.node_voltages.shape == (len(tr.times), n_nodes)
-    assert tr.ground_currents.shape == (len(tr.times), n_nodes)
+    nodes = [7, 0, 3, 3]
+    assert tr.node_voltages(nodes).shape == (len(tr.times), len(nodes))
+    assert tr.ground_currents(nodes).shape == (len(tr.times), len(nodes))
     # the switch instant is recorded twice, before and after the release
     # projection; otherwise times strictly increase
     gaps = np.diff(tr.times)
@@ -178,8 +185,15 @@ def test_trace_layout(short_trace):
     assert tr.switch_time >= tr.metadata.switch_open_time
     assert tr.energy.shape == (len(tr.times),)
     assert [f.name for f in dataclasses.fields(tr)] == [
-        "times", "node_voltages", "ground_currents", "energy", "switch_time",
-        "metadata"]
+        "times", "energy", "switch_time", "metadata", "_states", "_space",
+        "_node_src", "_rows_driven"]
+
+
+@pytest.mark.parametrize("nodes", [[8], [-1], [[0, 1]], [0.0]])
+def test_trace_columns_reject_bad_nodes(short_trace, nodes):
+    for columns in (short_trace.node_voltages, short_trace.ground_currents):
+        with pytest.raises(InvalidParams, match=r"node indices in \[0, 8\)"):
+            columns(nodes)
 
 
 def test_clamped_nodes_follow_drive(short_trace):
@@ -187,9 +201,9 @@ def test_clamped_nodes_follow_drive(short_trace):
     s = tr.metadata
     driven = tr.times < tr.switch_time
     u = s.source_amplitude * np.sin(s.drive_frequency * tr.times[driven])
-    for node in s.source_nodes:
-        assert_close(tr.node_voltages[driven, node], u, 1e-12,
-                     f"clamped node {node}")
+    volts = tr.node_voltages(s.source_nodes)
+    for node, column in zip(s.source_nodes, volts.T):
+        assert_close(column[driven], u, 1e-12, f"clamped node {node}")
 
 
 def test_energy_monotone_after_release(short_trace):
@@ -203,10 +217,11 @@ def test_energy_monotone_after_release(short_trace):
 def test_free_phase_conserves_total_charge(short_trace):
     tr = short_trace
     free = tr.times > tr.switch_time
-    sums = tr.ground_currents[free].sum(axis=1)
+    currents = tr.ground_currents(range(8))
+    sums = currents[free].sum(axis=1)
     # roundoff accumulates over ~3e5 trapezoid steps; the invariant is exact
     # in exact arithmetic
-    assert np.abs(sums).max() < 1e-11 * np.abs(tr.ground_currents).max()
+    assert np.abs(sums).max() < 1e-11 * np.abs(currents).max()
 
 
 def record_probes(monkeypatch) -> list:
@@ -215,8 +230,8 @@ def record_probes(monkeypatch) -> list:
     probe = transient._probe_local_error
     calls = []
 
-    def recording(a, b, u_of_t, x, t, dt):
-        err = probe(a, b, u_of_t, x, t, dt)
+    def recording(a, b, p, g, u_of_t, x, t, dt):
+        err = probe(a, b, p, g, u_of_t, x, t, dt)
         calls.append((a, b, x, t, dt, err))
         return err
 
@@ -249,7 +264,7 @@ def test_probe_errors_match_dense_step_maps(monkeypatch):
         return s.source_amplitude * np.sin(s.drive_frequency * t)
 
     def dense_step(a, b, h):
-        p = transient._propagator(a, h)
+        p, _ = transient._propagator(a, h)
         if b is None:
             return lambda x, t: p @ x
         src = np.linalg.solve(np.eye(len(a)) - 0.5 * h * a, 0.5 * h * b)
@@ -275,7 +290,22 @@ def test_probe_rejects_step_over_tolerance(monkeypatch):
 
 def short_propagator():
     s = short_setup()
-    return transient._propagator(tc.assemble_state_space(s).a_driven, s.dt)
+    return transient._propagator(tc.assemble_state_space(s).a_driven, s.dt)[0]
+
+
+def test_propagator_source_column():
+    """The source column rides as one more right-hand side of the one-step
+    map's solve: the map is the one solved without it (bitwise with
+    OpenBLAS), and the column is solve(I - dt/2 a, dt/2 b)."""
+    s = short_setup()
+    space = tc.assemble_state_space(s)
+    a, b = space.a_driven, space.b_driven
+    p, g = transient._propagator(a, s.dt, b)
+    alone, none = transient._propagator(a, s.dt)
+    assert none is None and p.flags.c_contiguous
+    assert np.abs(p - alone).max() <= 1e-15 * np.abs(alone).max()
+    want = np.linalg.solve(np.eye(len(a)) - 0.5 * s.dt * a, 0.5 * s.dt * b)
+    assert np.abs(g - want).max() < 1e-15 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("n, m", [(1, 1), (2, 2), (64, 64), (583, 583),
@@ -389,12 +419,16 @@ def test_mirror_sector_matches_full_chain(monkeypatch, make, max_samples):
     full, dims = simulated_dims(monkeypatch, setup, max_samples)
     assert dims == [4 * n - 1]
     assert np.array_equal(sector.times, full.times)
-    for name in ("node_voltages", "ground_currents", "energy"):
-        got, want = getattr(sector, name), getattr(full, name)
+    nodes = np.arange(2 * n)
+    arrays = {name: (getattr(sector, name)(nodes), getattr(full, name)(nodes))
+              for name in ("node_voltages", "ground_currents")}
+    arrays["energy"] = (sector.energy, full.energy)
+    for name, (got, want) in arrays.items():
         assert got.shape == want.shape
         assert np.abs(got - want).max() < 1e-9 * np.abs(want).max(), name
-    assert np.array_equal(sector.ground_currents, sector.ground_currents[:, ::-1])
-    assert np.array_equal(sector.node_voltages, sector.node_voltages[:, ::-1])
+    for name in ("node_voltages", "ground_currents"):
+        got = arrays[name][0]
+        assert np.array_equal(got, got[:, ::-1]), name
 
 
 @pytest.mark.parametrize("n_cells, boundary, sources", [
@@ -413,11 +447,66 @@ def test_asymmetric_runs_step_the_full_chain(monkeypatch, n_cells, boundary, sou
     trace, dims = simulated_dims(monkeypatch, setup, 2000)
     space = tc.assemble_state_space(setup)
     assert dims == [space.dimension]
-    assert trace.ground_currents.shape == (len(trace.times), space.n_nodes)
+    assert trace.ground_currents(range(space.n_nodes)).shape == (
+        len(trace.times), space.n_nodes)
     driven = trace.times < trace.switch_time
-    for node in setup.source_nodes:
-        assert_close(trace.node_voltages[driven, node],
+    volts = trace.node_voltages(setup.source_nodes)
+    for column in volts.T:
+        assert_close(column[driven],
                      np.sin(setup.drive_frequency * trace.times[driven]), 1e-12)
+
+
+def asymmetric_setup():
+    return tc.TransientSetup(row_params(4, n_cells=4), drive_frequency=3.77,
+                             source_nodes=(1, 5), switch_open_time=17.0,
+                             t_end=25.0)
+
+
+@pytest.mark.parametrize("make, max_samples", [(short_setup, 6000),
+                                               (asymmetric_setup, 2000)])
+def test_trace_columns_match_full_width_oracle(make, max_samples):
+    """The on-demand columns, asked for in any order and with repeats,
+    equal the full-width arrays simulate once stored: the voltages to 1e-13
+    of their largest entry (a narrow product does not round as the wide one
+    did), the ground currents bitwise."""
+    trace = tc.simulate(make(), max_samples)
+    volts, currents = full_width_columns(trace)
+    for nodes in (np.arange(8), [6, 1, 1, 0, 7]):
+        got = trace.node_voltages(nodes)
+        want = volts[:, nodes]
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        assert np.array_equal(trace.ground_currents(nodes), currents[:, nodes])
+
+
+def test_trace_holds_the_stepped_state_only(short_trace):
+    """A mirror run's trace keeps the half-chain's state (2N-1 columns) and
+    no node-by-sample array: no array it holds has 2N columns, and the
+    arrays on it add up to the state plus O(rows)."""
+    tr = short_trace
+    rows, n_nodes = len(tr.times), 8
+    held = [getattr(tr, f.name) for f in dataclasses.fields(tr)]
+    held += [getattr(tr._space, f.name) for f in dataclasses.fields(tr._space)]
+    arrays = [a for a in held if isinstance(a, np.ndarray)]
+    assert not [a.shape for a in arrays if a.ndim == 2 and a.shape[1] == n_nodes]
+    assert tr._states.shape == (rows, n_nodes - 1)
+    total = sum(getattr(tr, f.name).nbytes for f in dataclasses.fields(tr)
+                if isinstance(getattr(tr, f.name), np.ndarray))
+    assert total <= rows * (n_nodes - 1) * 8 + 3 * rows * 8
+
+
+def test_simulate_allocates_no_full_width_array():
+    """simulate's traced numpy peak stays below its state array plus one
+    (rows x 2N) array; a node-by-sample array, or a complex rows-by-state
+    temporary for the driven particular response, would exceed it."""
+    setup = twenty_cell_setup()
+    tracemalloc.start()
+    try:
+        trace = tc.simulate(setup, 3000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = len(trace.times)
+    assert peak < trace._states.nbytes + rows * 2 * setup.params.n_cells * 8
 
 
 def test_mirror_state_map():
@@ -445,6 +534,10 @@ def test_ground_current_profile(short_trace):
     assert prof.shape == (8,)
     assert prof.sum() == pytest.approx(1.0, rel=1e-12)
     assert np.all(prof >= 0.0)
+    # bitwise the RMS over every node's full-width column, as once taken
+    mask = (tr.times >= t0) & (tr.times <= tr.times[-1])
+    rms = np.sqrt(np.mean(full_width_columns(tr)[1][mask] ** 2, axis=0))
+    assert np.array_equal(prof, rms / rms.sum())
 
 
 def test_ground_current_profile_window_checks(short_trace):
@@ -460,11 +553,7 @@ def test_ground_current_profile_window_checks(short_trace):
 
 def test_ground_current_profile_zero_signal(short_trace):
     tr = short_trace
-    dead = TransientTrace(
-        times=tr.times, node_voltages=tr.node_voltages,
-        ground_currents=np.zeros_like(tr.ground_currents),
-        energy=tr.energy, switch_time=tr.switch_time,
-        metadata=tr.metadata)
+    dead = dataclasses.replace(tr, _states=np.zeros_like(tr._states))
     t0 = tr.switch_time + 3.5 * tr.metadata.drive_period
     with pytest.raises(InsufficientSignal):
         tc.ground_current_profile(dead, (t0, tr.times[-1]))

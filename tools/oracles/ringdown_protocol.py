@@ -44,8 +44,8 @@ def run(name):
           f"wall {wall:.1f}s")
     print(f"  profile: ends20 L {left:.6f} R {right:.6f} uniform20 {uniform:.4f} "
           f"half L {profile[:n_nodes//2].sum():.6f} src34 {src_mass:.4f}")
-    for node in (0, params.n_cells, 2 * params.n_cells - 1):
-        series = trace.node_voltages[:, node]
+    nodes = (0, params.n_cells, 2 * params.n_cells - 1)
+    for node, series in zip(nodes, trace.node_voltages(nodes).T):
         try:
             fit = tc.fit_damped_oscillation(trace.times, series, fit_t0)
         except tc.NumericError as exc:

@@ -69,7 +69,7 @@ sol = solve_ivp(rhs_driven, (0.0, t_mid), x0, rtol=1e-11, atol=1e-13,
                 dense_output=True)
 v_ref = sp6.v_map_driven @ sol.y[:, -1] + sp6.v_src_driven * np.sin(
     s6.drive_frequency * t_mid)
-dev = np.abs(v_ref - trace.node_voltages[mid]).max()
+dev = np.abs(v_ref - trace.node_voltages(range(sp6.n_nodes))[mid]).max()
 print(f"driven-phase node voltages vs RK45 at t={t_mid:.4f}: max dev {dev:.3e}")
 
 # --- 3: least-damped cluster and ringdown fit dry run --------------------
@@ -103,7 +103,7 @@ trace = tc.simulate(s8, max_samples=int(section["max_samples"]))
 fit_t0 = trace.switch_time + float(section["fit_t0_periods"]) * s8.drive_period
 keep = trace.times >= fit_t0
 t8 = trace.times[keep] - fit_t0
-y8 = trace.ground_currents[keep, p8.n_cells]
+y8 = trace.ground_currents([p8.n_cells])[keep, 0]
 
 flip = np.where(np.diff(np.signbit(y8)))[0]
 zeros = t8[flip] - y8[flip] * (t8[flip + 1] - t8[flip]) / (y8[flip + 1] - y8[flip])
