@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
 
 from .circuit import RealSpaceMatrix, bloch_admittance, chain_bonds
 from .errors import GapUnknown, OriginCrossing, OutOfRange
@@ -210,6 +209,17 @@ def classify_states(spectrum: ChainSpectrum, gap: float) -> ChainSpectrum:
     return replace(spectrum, labels=tuple(labels.tolist()))
 
 
+def _clusters(close: np.ndarray) -> np.ndarray:
+    """Connected components of a symmetric boolean relation with a true
+    diagonal: each index is labelled with the least index it reaches."""
+    label = np.arange(len(close))
+    while True:
+        reached = np.where(close, label, len(close)).min(axis=1)
+        if np.array_equal(reached, label):
+            return label
+        label = reached
+
+
 def center_of_mass_shift(spectrum: ChainSpectrum) -> float:
     """Mean state displacement from the chain midpoint, in sites.
 
@@ -225,7 +235,7 @@ def center_of_mass_shift(spectrum: ChainSpectrum) -> float:
     n = spectrum.n_states
     tol = 1e-8 * max(1.0, float(np.abs(vals).max()))
     close = np.abs(vals[:, None] - vals[None, :]) < tol
-    cluster = connected_components(close, directed=False)[1]
+    cluster = _clusters(close)
     vecs = spectrum.eigenvectors.copy()
     for c in np.flatnonzero(np.bincount(cluster) > 1):
         members = cluster == c

@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .circuit import chain_bonds
 from .errors import (
@@ -239,6 +238,18 @@ def assemble_state_space(setup: TransientSetup) -> StateSpace:
     )
 
 
+@dataclass(frozen=True)
+class _Readout:
+    """The part of a StateSpace that a trace reads node columns through:
+    node voltages are v_map @ x (+ v_src * u while driven), ground currents
+    the state from column n_branches on."""
+
+    v_map_driven: np.ndarray
+    v_src_driven: np.ndarray
+    v_map_free: np.ndarray
+    n_branches: int
+
+
 def _drive(setup: TransientSetup, t: np.ndarray) -> np.ndarray:
     """The source voltage at the times t."""
     return setup.source_amplitude * np.sin(setup.drive_frequency * t)
@@ -259,7 +270,7 @@ class TransientTrace:
     switch_time: float
     metadata: TransientSetup
     _states: np.ndarray = field(repr=False)
-    _space: StateSpace = field(repr=False)
+    _space: _Readout = field(repr=False)
     _node_src: np.ndarray = field(repr=False)
     _rows_driven: int = field(repr=False)
 
@@ -295,46 +306,78 @@ class TransientTrace:
         return volts[:, back]
 
 
+def _identity_plus(a: np.ndarray, c: float, out: np.ndarray | None = None) -> np.ndarray:
+    """I + c a, built in one array and bitwise equal to np.eye(n) + c * a
+    (np.eye(n) - c * a with c negated): adding 0.0 turns the product's
+    negative zeros positive, as adding the identity's zeros does."""
+    out = np.multiply(a, c, out=out)
+    out += 0.0
+    out[np.diag_indices_from(out)] += 1.0
+    return out
+
+
 def _propagator(a: np.ndarray, dt: float,
                 b: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
     """Exact one-step map p of the implicit trapezoid rule, and with a source
     vector b its source column g = (I - dt/2 a)^-1 dt/2 b, solved as one more
     right-hand side: a step is x' = p x + g (u(t) + u(t + dt))."""
     n = a.shape[0]
-    lhs = np.eye(n) - 0.5 * dt * a
-    rhs = np.eye(n) + 0.5 * dt * a
+    lhs = _identity_plus(a, -(0.5 * dt))
     if b is None:
-        return np.linalg.solve(lhs, rhs), None
+        return np.linalg.solve(lhs, _identity_plus(a, 0.5 * dt)), None
     # the extra column goes last, so the first n see the same triangular
     # solves as without it (bitwise so with OpenBLAS)
-    out = np.linalg.solve(lhs, np.column_stack([rhs, 0.5 * dt * b]))
+    rhs = np.empty((n, n + 1))
+    _identity_plus(a, 0.5 * dt, out=rhs[:, :n])
+    np.multiply(b, 0.5 * dt, out=rhs[:, n])
+    out = np.linalg.solve(lhs, rhs)
     return np.ascontiguousarray(out[:, :n]), out[:, n].copy()
 
 
-def _mat_powers(p: np.ndarray, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """p**n and p**m (1 <= m <= n) from one chain of squarings.
+def _product(x: np.ndarray, y: np.ndarray, pool: list, live: tuple) -> np.ndarray:
+    """x @ y written into a buffer of pool that is none of the live arrays;
+    pool gains one when all are live.
+
+    simulate returns every freed dim x dim matrix to the system (see
+    _pin_mmap_threshold), so a product in a fresh array first faults in
+    zeroed pages; one written into a reused buffer does not, and it is the
+    same gemm, so the same bits.
+    """
+    out = next((w for w in pool if all(w is not v for v in live)), None)
+    if out is None:
+        out = np.empty_like(x)
+        pool.append(out)
+    return np.matmul(x, y, out=out)
+
+
+def _mat_powers(p: np.ndarray, n: int, m: int,
+                pool: list | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """p**n and p**m (1 <= m <= n) from one chain of squarings, whose
+    products go into the buffers of pool (see _product).
 
     While the two exponents agree bit by bit from the lowest up they share
     one product, and no product starts from the identity.
     """
+    pool = [] if pool is None else pool
     pn = pm = None
     square = p
     while True:
         shared = pn is pm and n & m & 1
         if n & 1:
-            pn = square if pn is None else pn @ square
+            pn = square if pn is None else _product(pn, square, pool, (pn, pm, square))
         if m & 1:
-            pm = pn if shared else square if pm is None else pm @ square
+            pm = pn if shared else square if pm is None else _product(
+                pm, square, pool, (pn, pm, square))
         n, m = n >> 1, m >> 1
         if not n:
             return pn, pm
-        square = square @ square
+        square = _product(square, square, pool, (pn, pm, square))
 
 
 def _pin_mmap_threshold() -> None:
     """Give every allocation of MMAP_THRESHOLD_BYTES or more its own mapping.
 
-    simulate allocates and frees dozens of dim x dim matrices.  glibc
+    simulate allocates and frees many dim x dim matrices.  glibc
     raises its mmap threshold to the size of the first such block freed, so
     later ones come from the brk heap, whose high-water mark then depends on
     what earlier calls left there: the same fig8b run peaked at 241 or 261
@@ -353,21 +396,20 @@ def _sinusoid_particular(a: np.ndarray, b: np.ndarray, amp: float,
                          omega: float, dt: float) -> np.ndarray:
     """Complex z with x_part(t_n) = Im(z e^{i w t_n}) solving the trapezoid
     recurrence driven by amp*sin(w t)."""
-    n = a.shape[0]
     h = 0.5 * dt
     rho = np.exp(1j * omega * dt)
-    lhs = rho * (np.eye(n) - h * a) - (np.eye(n) + h * a)
+    lhs = rho * _identity_plus(a, -h) - _identity_plus(a, h)
     return np.linalg.solve(lhs, h * amp * (1.0 + rho) * b)
 
 
-def _trapezoid_step(a: np.ndarray, b: np.ndarray | None, u_of_t,
-                    x: np.ndarray, t: np.ndarray, h: float) -> np.ndarray:
+def _trapezoid_step(a: np.ndarray, lhs: np.ndarray, b: np.ndarray | None,
+                    u_of_t, x: np.ndarray, t: np.ndarray, h: float) -> np.ndarray:
     """One trapezoid step of h from each column of x, taken at the times t:
-    (I - h/2 a) x' = (I + h/2 a) x + h/2 b (u(t) + u(t + h))."""
+    lhs x' = (I + h/2 a) x + h/2 b (u(t) + u(t + h)), lhs = I - h/2 a."""
     rhs = x + 0.5 * h * (a @ x)
     if b is not None:
         rhs += 0.5 * h * np.outer(b, u_of_t(t) + u_of_t(t + h))
-    return np.linalg.solve(np.eye(len(a)) - 0.5 * h * a, rhs)
+    return np.linalg.solve(lhs, rhs)
 
 
 def _probe_local_error(a: np.ndarray, b: np.ndarray | None, p: np.ndarray,
@@ -384,8 +426,10 @@ def _probe_local_error(a: np.ndarray, b: np.ndarray | None, p: np.ndarray,
     coarse = p @ x
     if g is not None:
         coarse += np.outer(g, u_of_t(t) + u_of_t(t + dt))
-    mid = _trapezoid_step(a, b, u_of_t, x, t, 0.5 * dt)
-    fine = _trapezoid_step(a, b, u_of_t, mid, t + 0.5 * dt, 0.5 * dt)
+    h = 0.5 * dt
+    lhs = _identity_plus(a, -(0.5 * h))
+    mid = _trapezoid_step(a, lhs, b, u_of_t, x, t, h)
+    fine = _trapezoid_step(a, lhs, b, u_of_t, mid, t + h, h)
     scale = np.maximum(np.linalg.norm(fine, axis=0), 1e-300)
     return np.linalg.norm(fine - coarse, axis=0) / scale
 
@@ -408,12 +452,18 @@ def _phase(p: np.ndarray, out: np.ndarray, n_steps: int,
     Returns the step number of every row.
     """
     steps = np.minimum(np.arange(len(out)) * stride, n_steps)
-    q, last = _mat_powers(p, stride, n_steps % stride or stride)
+    pool = []
+    q, last = _mat_powers(p, stride, n_steps % stride or stride, pool)
     whole = n_steps // stride + 1  # rows reached by whole strides
     for i in range(1, min(whole, BLOCK)):
         np.matmul(q, out[i - 1], out=out[i])
     if whole > BLOCK:
-        qb_t = np.linalg.matrix_power(q, BLOCK).T
+        # q**BLOCK by log2(BLOCK) squarings: BLOCK is a power of two, and
+        # these are the products np.linalg.matrix_power takes
+        qb = q
+        for _ in range(BLOCK.bit_length() - 1):
+            qb = _product(qb, qb, pool, (q, last, qb))
+        qb_t = qb.T
         for j in range(BLOCK, whole, BLOCK):
             rows = min(BLOCK, whole - j)
             np.matmul(out[j - BLOCK:j - BLOCK + rows], qb_t, out=out[j:j + rows])
@@ -549,7 +599,8 @@ def simulate(setup: TransientSetup, max_samples: int) -> TransientTrace:
         )
     return TransientTrace(
         times=times, energy=energy, switch_time=switch_time, metadata=setup,
-        _states=states, _space=sys, _node_src=node_src, _rows_driven=rows_d,
+        _states=states, _node_src=node_src, _rows_driven=rows_d,
+        _space=_Readout(sys.v_map_driven, sys.v_src_driven, sys.v_map_free, nb),
     )
 
 
@@ -590,6 +641,13 @@ class DampedFit:
     omega_i: float
     phase: float
     rms_residual: float
+
+
+def least_squares(*args, **kwargs):
+    """scipy.optimize.least_squares, imported on the first call, so that
+    scipy loads only in a process that fits a ringdown."""
+    from scipy.optimize import least_squares as solve
+    return solve(*args, **kwargs)
 
 
 def fit_damped_oscillation(times: np.ndarray, series: np.ndarray,

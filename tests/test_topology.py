@@ -285,6 +285,53 @@ def test_center_of_mass_shift_basis_free():
         assert rot == pytest.approx(base, abs=1e-12)
 
 
+def _close(values, tol):
+    return np.abs(values[:, None] - values[None, :]) < tol
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_clusters_match_connected_components(seed):
+    """The numpy clustering gives scipy's connected_components partition:
+    on values closer than tol in chains (a ~ b ~ c with a and c apart),
+    pairs and singletons, in shuffled order, and on random symmetric
+    relations; each cluster is labelled with its least index."""
+    from scipy.sparse.csgraph import connected_components
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 80))
+    steps = np.where(rng.random(n) < 0.5, rng.uniform(0.5, 0.99, n), rng.uniform(1.5, 3.0, n))
+    values = rng.permutation(np.cumsum(steps))
+    noise = rng.random((n, n)) < 2.0 / n
+    relations = [_close(values, 1.0), noise | noise.T | np.eye(n, dtype=bool)]
+    if n >= 3:
+        relations.append(_close(np.arange(n, dtype=float), 1.5))  # one long chain
+    for close in relations:
+        got = topology._clusters(close)
+        scipy_labels = connected_components(close, directed=False)[1]
+        least = np.array([np.flatnonzero(scipy_labels == c).min() for c in scipy_labels])
+        assert np.array_equal(got, least)
+
+
+@pytest.mark.parametrize("boundary", [tc.Boundary.OPEN, tc.Boundary.PERIODIC])
+def test_center_of_mass_shift_bitwise_unchanged(boundary):
+    """Bitwise the shift computed with scipy's connected_components, on the
+    open chain's degenerate Edge pair and on the periodic chain's +-k
+    pairs."""
+    from scipy.sparse.csgraph import connected_components
+    p = row_params(4, n_cells=40, boundary=boundary)
+    band = tc.band_trace(p, 128)
+    spec = tc.eigendecompose(tc.branch_effective_matrix(p, band, "omega6"))
+    vals, n = spec.eigenvalues, spec.n_states
+    close = _close(vals, 1e-8 * max(1.0, float(np.abs(vals).max())))
+    cluster = connected_components(close, directed=False)[1]
+    assert np.bincount(cluster).max() == 2
+    vecs = spec.eigenvectors.copy()
+    for c in np.flatnonzero(np.bincount(cluster) > 1):
+        members = cluster == c
+        vecs[:, members] = np.linalg.qr(vecs[:, members])[0]
+    centers = np.arange(n) @ np.abs(vecs) ** 2
+    assert tc.center_of_mass_shift(spec) == float(centers.mean() - 0.5 * (n - 1))
+
+
 def test_perturb_chain_locality():
     p = row_params(1, n_cells=8)
     m = real_space_matrix(p, 1.0 + 0.5j)

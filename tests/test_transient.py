@@ -308,6 +308,43 @@ def test_propagator_source_column():
     assert np.abs(g - want).max() < 1e-15 * np.abs(want).max()
 
 
+@pytest.mark.parametrize("phase", ["a_driven", "a_free"])
+def test_identity_plus_is_the_eye_form_bitwise(phase):
+    """I + c a built in place has the bits of np.eye(n) + c * a and of
+    np.eye(n) - c * a with c negated, the signs of its zeros included (c * a
+    holds negative zeros when c < 0)."""
+    s = short_setup()
+    a = getattr(tc.assemble_state_space(s), phase)
+    eye = np.eye(len(a))
+    for c in (0.5 * s.dt, 0.25 * s.dt, 0.3):
+        for got, want in ((transient._identity_plus(a, c), eye + c * a),
+                          (transient._identity_plus(a, -c), eye - c * a)):
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_phase_reuses_product_buffers(monkeypatch):
+    """_phase writes every product of its power chain into a few reused
+    dim x dim buffers: at most four distinct arrays receive the products."""
+    products = []
+    real = transient._product
+
+    def recording(x, y, pool, live):
+        out = real(x, y, pool, live)
+        products.append(out)
+        return out
+
+    monkeypatch.setattr(transient, "_product", recording)
+    p = short_propagator()
+    n_steps, stride = 7 * 150 + 3, 7
+    out = np.empty((1 + (n_steps + stride - 1) // stride, p.shape[0]))
+    out[0] = 1.0
+    transient._phase(p, out, n_steps, stride)
+    # p^2, p^3 (shared by q = p^7 and last = p^3), p^4, p^7, then q^2 .. q^64
+    assert len(products) == 4 + 6
+    assert len({id(w) for w in products}) <= 4
+
+
 @pytest.mark.parametrize("n, m", [(1, 1), (2, 2), (64, 64), (583, 583),
                                   (583, 71), (64, 3)])
 def test_mat_powers_match_matrix_power(n, m):

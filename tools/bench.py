@@ -15,6 +15,9 @@ its own processes, one at a time, with its own files:
 - every packaged preset through ``cli.run_command`` in one process: one
   warm-up run, then the median of 3 timed runs.
 - the ``src/`` line count and the environment record ``run.py`` prints.
+- the median wall time of 5 fresh ``python -c "import topochain.cli"``
+  processes, and the sorted top-level packages that import loads, so a
+  change that puts scipy back on every command's path shows here.
 - the Tier-1 test suite's wall time and summary line.
 
 The whole measurement takes about ten minutes per checkout on 2 cores.
@@ -29,6 +32,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -40,6 +44,13 @@ WORKLOADS = ("sweep", "ringdown")
 RUNS = 3             # suite runs per workload; the suite needs 2 for quartiles
 REPEATS = 3          # timed runs per preset, after one warm-up
 TRACE_SECONDS = 10
+IMPORT_RUNS = 5      # fresh processes timed per import measurement
+IMPORT_PACKAGES = """
+import json, sys
+before = set(sys.modules)
+import topochain.cli
+print(json.dumps(sorted({m.split(".")[0] for m in set(sys.modules) - before})))
+"""
 PRESET_TIMER = """
 import json, shutil, statistics, sys, time
 from pathlib import Path
@@ -63,6 +74,17 @@ print(json.dumps(medians))
 def _run(args: list[str], cwd: Path, env: dict | None = None) -> str:
     return subprocess.run(args, cwd=cwd, env=env, capture_output=True, text=True,
                           check=True).stdout
+
+
+def import_cost(checkout: Path, env: dict) -> dict:
+    """Wall time of a fresh process that imports the CLI, and what it loads."""
+    walls = []
+    for _ in range(IMPORT_RUNS):
+        t0 = time.perf_counter()
+        _run([sys.executable, "-c", "import topochain.cli"], checkout, env)
+        walls.append(time.perf_counter() - t0)
+    packages = json.loads(_run([sys.executable, "-c", IMPORT_PACKAGES], checkout, env))
+    return {"median_wall_s": statistics.median(walls), "packages": packages}
 
 
 def measure(checkout: Path) -> dict:
@@ -97,6 +119,7 @@ def measure(checkout: Path) -> dict:
         "per_layer": per_layer,
         "presets_s": presets,
         "presets_total_s": sum(presets.values()),
+        "import": import_cost(checkout, env),
     }
     t0 = time.perf_counter()
     # not checked: a failing suite still has a wall time and a summary line
@@ -109,7 +132,9 @@ def measure(checkout: Path) -> dict:
 
 
 def ratios(parent: dict, change: dict) -> dict:
-    out = {"presets_total_s": change["presets_total_s"] / parent["presets_total_s"]}
+    out = {"presets_total_s": change["presets_total_s"] / parent["presets_total_s"],
+           "import_wall_s": (change["import"]["median_wall_s"]
+                             / parent["import"]["median_wall_s"])}
     for w, metrics in change["end_to_end"].items():
         for name, m in metrics.items():
             if isinstance(m, dict) and m.get("median"):
