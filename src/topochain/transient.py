@@ -53,11 +53,16 @@ SETTLE_PERIODS = 3.0
 LOCAL_ERROR_TOL = 1e-6
 MAX_OUTPUT_SAMPLES = 100_000
 # ringdown fits run until a step changes neither the cost, the parameters
-# nor the gradient by more than roundoff (scipy's Levenberg-Marquardt refuses
-# tolerances at machine epsilon); the evaluation cap is far above the hundred
-# or so evaluations a fit takes
+# nor the gradient by more than roundoff: lmder's ftol, xtol and gtol, set
+# just above machine epsilon (at or below it lmder's stringent-tolerance
+# exits, which _lmder leaves out, would stop the fit first); the evaluation
+# cap is far above the few hundred evaluations a fit takes
 FIT_TOL = 1e-15
 FIT_MAX_NFEV = 10_000
+# lmder's first trust radius in units of the scaled start's norm, and the
+# smallest positive double (MINPACK's dwarf)
+LM_FACTOR = 100.0
+DWARF = float(np.finfo(float).tiny)
 # a fit whose residual RMS exceeds this share of the signal's RMS summarizes
 # a multi-mode signal rather than describing one mode
 FIT_RMS_BOUND = 0.5
@@ -643,11 +648,135 @@ class DampedFit:
     rms_residual: float
 
 
-def least_squares(*args, **kwargs):
-    """scipy.optimize.least_squares, imported on the first call, so that
-    scipy loads only in a process that fits a ringdown."""
-    from scipy.optimize import least_squares as solve
-    return solve(*args, **kwargs)
+def _lmpar(r: np.ndarray, diag: np.ndarray, qtb: np.ndarray, delta: float,
+           par: float) -> tuple[float, np.ndarray]:
+    """MINPACK lmpar: the damping par >= 0 and the x minimizing
+    |R x - qtb|^2 + par |diag x|^2 with |diag x| within 10% of delta, or the
+    Gauss-Newton x (par = 0) when that lies inside 1.1 delta.  Moré's
+    safeguarded Newton iteration on par, at most 10 steps."""
+    n = len(qtb)
+    nonzero = np.diag(r) != 0.0
+    nsing = n if nonzero.all() else int(np.argmin(nonzero))
+    x = np.zeros(n)
+    x[:nsing] = np.linalg.solve(r[:nsing, :nsing], qtb[:nsing])
+    dxnorm = float(np.linalg.norm(diag * x))
+    fp = dxnorm - delta
+    if fp <= 0.1 * delta:
+        return 0.0, x
+    parl = 0.0
+    if nsing == n:
+        w = np.linalg.solve(r.T, diag * (diag * x / dxnorm))
+        parl = fp / delta / float(w @ w)
+    gnorm = float(np.linalg.norm(r.T @ qtb / diag))
+    paru = gnorm / delta
+    if paru == 0.0:
+        paru = DWARF / min(delta, 0.1)
+    par = min(max(par, parl), paru)
+    if par == 0.0:
+        par = gnorm / dxnorm
+    # [R qtb; sqrt(par) diag 0] reduced to [S c; 0 *]: S^T S = R^T R + par diag^2
+    damped = np.zeros((2 * n, n + 1))
+    damped[:n, :n], damped[:n, n] = r, qtb
+    for it in range(1, 11):
+        if par == 0.0:
+            par = max(DWARF, 0.001 * paru)
+        damped[n:, :n] = np.diag(np.sqrt(par) * diag)
+        sc = np.linalg.qr(damped, mode="r")
+        x = np.linalg.solve(sc[:n, :n], sc[:n, n])
+        dxnorm = float(np.linalg.norm(diag * x))
+        previous, fp = fp, dxnorm - delta
+        if (abs(fp) <= 0.1 * delta or it == 10
+                or (parl == 0.0 and fp <= previous < 0.0)):
+            break
+        w = np.linalg.solve(sc[:n, :n].T, diag * (diag * x / dxnorm))
+        parc = fp / delta / float(w @ w)
+        if fp > 0.0:
+            parl = max(parl, par)
+        elif fp < 0.0:
+            paru = min(paru, par)
+        par = max(parl, par + parc)
+    return par, x
+
+
+def _lmder(evaluate, x: np.ndarray) -> tuple[np.ndarray, float, bool] | None:
+    """Minimize |r(x)| by MINPACK lmder (Moré, LNM 630, 1978): the
+    trust-region Levenberg-Marquardt method with the variables scaled by the
+    running maximum of the Jacobian's column norms.
+
+    evaluate(x) returns the residuals at x and a callable that writes the
+    Jacobian there into its (len(r), len(x)) argument, called only at
+    accepted points.  Returns the last accepted x, its residual norm and
+    whether a tolerance test stopped the iteration (False: FIT_MAX_NFEV
+    evaluations ran out), or None when the residuals at the start are not
+    finite.  A trial point whose residuals are not finite counts as an
+    infinite residual norm: the step is rejected and the trust radius falls
+    to at most a tenth of its value.  The QR factors are unpivoted, so the
+    last digits differ from MINPACK's."""
+    n = len(x)
+    res, jacobian = evaluate(x)
+    fnorm = float(np.linalg.norm(res))
+    if not np.isfinite(fnorm):
+        return None
+    # [J r], column-major as LAPACK takes it
+    jr = np.empty((len(res), n + 1), order="F")
+    nfev, par, diag = 1, 0.0, None
+    while True:
+        jacobian(jr[:, :n])
+        jr[:, n] = res
+        # one QR of [J r] yields R and Q^T r without forming Q; R's columns
+        # have J's column norms
+        rq = np.linalg.qr(jr, mode="r")
+        r, qtf = rq[:n, :n], rq[:n, n]
+        colnorm = np.linalg.norm(r, axis=0)
+        first = diag is None   # no step accepted yet
+        if first:
+            diag = np.where(colnorm == 0.0, 1.0, colnorm)
+            xnorm = float(np.linalg.norm(diag * x))
+            delta = LM_FACTOR * xnorm or LM_FACTOR
+        scaled = colnorm != 0.0
+        gnorm = 0.0 if fnorm == 0.0 else float(np.max(
+            np.abs(r.T @ qtf)[scaled] / fnorm / colnorm[scaled], initial=0.0))
+        if gnorm <= FIT_TOL:
+            return x, fnorm, True
+        diag = np.maximum(diag, colnorm)
+        while True:
+            par, step = _lmpar(r, diag, qtf, delta, par)
+            step = -step
+            pnorm = float(np.linalg.norm(diag * step))
+            if first:
+                delta = min(delta, pnorm)
+            trial = x + step
+            res1, jacobian1 = evaluate(trial)
+            nfev += 1
+            fnorm1 = float(np.linalg.norm(res1))
+            if not np.isfinite(fnorm1):
+                fnorm1 = np.inf
+            actred = 1.0 - (fnorm1 / fnorm) ** 2 if 0.1 * fnorm1 < fnorm else -1.0
+            temp1 = float(np.linalg.norm(r @ step)) / fnorm
+            temp2 = np.sqrt(par) * pnorm / fnorm
+            prered = temp1 ** 2 + temp2 ** 2 / 0.5
+            dirder = -(temp1 ** 2 + temp2 ** 2)
+            ratio = actred / prered if prered != 0.0 else 0.0
+            if ratio <= 0.25:
+                temp = 0.5 if actred >= 0.0 else 0.5 * dirder / (dirder + 0.5 * actred)
+                if 0.1 * fnorm1 >= fnorm or temp < 0.1:
+                    temp = 0.1
+                delta = temp * min(delta, pnorm / 0.1)
+                par /= temp
+            elif par == 0.0 or ratio >= 0.75:
+                delta = pnorm / 0.5
+                par *= 0.5
+            accepted = ratio >= 1e-4
+            if accepted:
+                x, res, jacobian, fnorm = trial, res1, jacobian1, fnorm1
+                xnorm = float(np.linalg.norm(diag * x))
+            if ((abs(actred) <= FIT_TOL and prered <= FIT_TOL and 0.5 * ratio <= 1.0)
+                    or delta <= FIT_TOL * xnorm):
+                return x, fnorm, True
+            if nfev >= FIT_MAX_NFEV:
+                return x, fnorm, False
+            if accepted:
+                break
 
 
 def fit_damped_oscillation(times: np.ndarray, series: np.ndarray,
@@ -656,13 +785,15 @@ def fit_damped_oscillation(times: np.ndarray, series: np.ndarray,
 
     Initial guesses come from the signal itself: decay from a log-linear fit
     of the peak envelope, frequency from the mean zero-crossing spacing.
-    From there Levenberg-Marquardt, with the analytic Jacobian and every
-    tolerance at roundoff, converges to a stationary point of the summed
-    squared residual: the local minimum in the basin of that data-derived
-    guess, not necessarily the global one.  A beating multi-mode ringdown
-    has several such minima and a flat cost around each; the fit then
-    summarizes the signal rather than isolating a mode, which rms_residual
-    (residual RMS over signal RMS) shows.
+    From there Levenberg-Marquardt (_lmder, a numpy port of MINPACK lmder),
+    with the analytic Jacobian and every tolerance at roundoff, converges to
+    a stationary point of the summed squared residual: the local minimum in
+    the basin of that data-derived guess, not necessarily the global one.
+    Both signs of the start phase are tried and the lower cost kept; a
+    start whose residuals are not finite is passed over.  A beating
+    multi-mode ringdown has several such minima and a flat cost around each;
+    the fit then summarizes the signal rather than isolating a mode, which
+    rms_residual (residual RMS over signal RMS) shows.
     """
     times = np.asarray(times, dtype=float)
     series = np.asarray(series, dtype=float)
@@ -699,41 +830,35 @@ def fit_damped_oscillation(times: np.ndarray, series: np.ndarray,
         a0 = peak
     phase0 = float(np.arccos(np.clip(s[0] / max(a0, 1e-300), -1.0, 1.0)))
 
-    def model(p, tt):
-        a, wr, wi, ph = p
-        return a * np.exp(-wi * tt) * np.cos(wr * tt + ph)
-
-    def jacobian(p):
+    def evaluate(p):
         a, wr, wi, ph = p
         env = np.exp(-wi * t)
-        cos, sin = np.cos(wr * t + ph), np.sin(wr * t + ph)
-        return np.column_stack(
-            [env * cos, -a * t * env * sin, -a * t * env * cos, -a * env * sin])
+        arg = wr * t + ph
+        cos = np.cos(arg)
+
+        def jacobian(out):
+            sin = np.sin(arg)
+            at_env = -a * t * env
+            np.multiply(env, cos, out=out[:, 0])
+            np.multiply(at_env, sin, out=out[:, 1])
+            np.multiply(at_env, cos, out=out[:, 2])
+            np.multiply(-a * env, sin, out=out[:, 3])
+        return a * env * cos - s, jacobian
 
     best = None
     for ph_try in (phase0, -phase0):
-        try:
-            res = least_squares(
-                lambda p: model(p, t) - s,
-                x0=[a0, omega_r0, omega_i0, ph_try], jac=jacobian,
-                method="lm", ftol=FIT_TOL, xtol=FIT_TOL, gtol=FIT_TOL,
-                max_nfev=FIT_MAX_NFEV,
-            )
-        except ValueError:
-            # least_squares refuses a start whose residuals are not finite
-            continue
-        if best is None or res.cost < best.cost:
-            best = res
-    if best is None or not best.success:
+        found = _lmder(evaluate, np.array([a0, omega_r0, omega_i0, ph_try]))
+        if found is not None and (best is None or found[1] < best[1]):
+            best = found
+    if best is None or not best[2]:
         raise FitDiverged("least-squares refinement did not converge")
-    a, wr, wi, ph = best.x
+    (a, wr, wi, ph), residual_norm, _ = best
     if a < 0:
         a, ph = -a, ph + np.pi
     if wr < 0:
         wr, ph = -wr, -ph
     ph = float((ph + np.pi) % (2.0 * np.pi) - np.pi)
-    rms = float(np.sqrt(np.mean((model(best.x, t) - s) ** 2))
-                / np.sqrt(np.mean(s * s)))
+    rms = residual_norm / float(np.linalg.norm(s))
     if not wi > 0.0:
         raise FitDiverged(f"fitted decay {wi:.3e} is not positive")
     return DampedFit(amplitude=float(a), omega_r=float(wr), omega_i=float(wi),

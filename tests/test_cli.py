@@ -287,15 +287,12 @@ def test_sweep_repeat_runs_write_the_same_bytes(tmp_path):
     assert (tmp_path / "o2" / "sweep-sw" / "sweep.csv").read_bytes() == one
 
 
-SCIPY_ON_DEMAND = """
+NO_SCIPY = """
 import sys
 from pathlib import Path
 
 import topochain
 import topochain.cli as cli
-
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
 out, circuit = Path(sys.argv[1]), {"r1": 0.05, "r2": 1.41, "c1": 0.03, "c2": 1.34,
                                    "l": 1.17, "n_cells": 4}
@@ -304,26 +301,25 @@ for command, key, section in (
         ("sweep", "sweep", {"points": [point]}),
         ("bands", "bands", {"n_k": 128}),
         ("netlist", "transient", {"n_k": 128}),
-        ("eigvecs", "eigvecs", {"n_k": 128})):
+        ("eigvecs", "eigvecs", {"n_k": 128}),
+        ("transient", "transient", {"n_k": 128, "max_samples": 2000})):
     cli.run_command(command, {"circuit": circuit, key: section}, out / command, "csv")
-assert not scipy_modules(), scipy_modules()[:3]
-cli.run_command("transient", {"circuit": circuit,
-                              "transient": {"n_k": 128, "max_samples": 2000}},
-                out / "transient", "csv")
-assert "scipy.optimize" in sys.modules, scipy_modules()[:3]
+    loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    assert not loaded, (command, loaded[:3])
 """
 
 
-def test_scipy_loads_only_for_the_ringdown_fit(tmp_path):
+def test_no_command_loads_scipy(tmp_path):
     """In a fresh process, importing the package and running sweep, bands,
-    netlist and eigvecs loads no scipy module; a transient run, which fits
-    its ringdown, loads scipy.optimize."""
+    netlist, eigvecs and transient (which fits its ringdown) loads no scipy
+    module."""
     src = str(Path(tc.__file__).resolve().parent.parent)
-    done = subprocess.run([sys.executable, "-c", SCIPY_ON_DEMAND, str(tmp_path)],
+    done = subprocess.run([sys.executable, "-c", NO_SCIPY, str(tmp_path)],
                           env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    assert (tmp_path / "transient" / "transient.json").is_file()
+    fits = json.loads((tmp_path / "transient" / "transient.json").read_text())["fits"]
+    assert fits and all("error" not in fit for fit in fits.values())
 
 
 def test_run_command_refuses_threads(tmp_path):

@@ -18,6 +18,7 @@ from topochain.errors import (
     WindowOutOfRange,
 )
 from topochain import transient
+from topochain.cli import _section, _setup_from_section, load_preset
 from topochain.transient import default_source_nodes, fastest_time_constant
 
 from conftest import assert_close, row_params
@@ -596,12 +597,32 @@ def test_ground_current_profile_zero_signal(short_trace):
         tc.ground_current_profile(dead, (t0, tr.times[-1]))
 
 
-def test_fit_recovers_synthetic_mode():
+def synthetic_signal():
     t = np.linspace(0.0, 40.0, 4000)
     truth = dict(amplitude=0.73, omega_r=3.78, omega_i=0.011, phase=0.4)
     s = truth["amplitude"] * np.exp(-truth["omega_i"] * (t - 5.0)) \
         * np.cos(truth["omega_r"] * (t - 5.0) + truth["phase"])
-    fit = tc.fit_damped_oscillation(t, s, 5.0)
+    return t, s, 5.0, truth
+
+
+def noisy_signal():
+    rng = np.random.default_rng(11)
+    t = np.linspace(0.0, 60.0, 6000)
+    s = 1.0 * np.exp(-0.02 * t) * np.cos(2.5 * t - 1.0) \
+        + 1e-3 * rng.standard_normal(len(t))
+    return t, s, 0.0
+
+
+def beating_signal():
+    t = np.linspace(0.0, 200.0, 8000)
+    s = np.exp(-0.0107 * t) * np.cos(3.774 * t) \
+        + 0.7 * np.exp(-0.005 * t) * np.cos(3.83 * t)
+    return t, s, 0.0
+
+
+def test_fit_recovers_synthetic_mode():
+    t, s, t0, truth = synthetic_signal()
+    fit = tc.fit_damped_oscillation(t, s, t0)
     assert fit.omega_r == pytest.approx(truth["omega_r"], rel=1e-9)
     assert fit.omega_i == pytest.approx(truth["omega_i"], rel=1e-9)
     assert fit.amplitude == pytest.approx(truth["amplitude"], rel=1e-9)
@@ -610,11 +631,7 @@ def test_fit_recovers_synthetic_mode():
 
 
 def test_fit_recovers_under_noise():
-    rng = np.random.default_rng(11)
-    t = np.linspace(0.0, 60.0, 6000)
-    s = 1.0 * np.exp(-0.02 * t) * np.cos(2.5 * t - 1.0) \
-        + 1e-3 * rng.standard_normal(len(t))
-    fit = tc.fit_damped_oscillation(t, s, 0.0)
+    fit = tc.fit_damped_oscillation(*noisy_signal())
     assert fit.omega_r == pytest.approx(2.5, rel=1e-4)
     assert fit.omega_i == pytest.approx(0.02, rel=2e-2)
 
@@ -625,9 +642,7 @@ def test_fit_converges_on_beating_signal():
     returned parameters, with the exact Jacobian, must not move it."""
     from scipy.optimize import least_squares
 
-    t = np.linspace(0.0, 200.0, 8000)
-    s = np.exp(-0.0107 * t) * np.cos(3.774 * t) \
-        + 0.7 * np.exp(-0.005 * t) * np.cos(3.83 * t)
+    t, s, _ = beating_signal()
     fit = tc.fit_damped_oscillation(t, s, 0.0)
 
     def residual(p):
@@ -649,6 +664,67 @@ def test_fit_converges_on_beating_signal():
     assert fit.rms_residual > 0.5   # a summary of the beat, not a mode
 
 
+def scipy_lmder(evaluate, x):
+    """_lmder's contract served by scipy.optimize.least_squares(method="lm"),
+    the MINPACK lmder it ports, at the same tolerances and cap."""
+    from scipy.optimize import least_squares
+
+    def jacobian(p):
+        res, fill = evaluate(p)
+        out = np.empty((len(res), len(p)), order="F")
+        fill(out)
+        return out
+    try:
+        done = least_squares(lambda p: evaluate(p)[0], x, jac=jacobian, method="lm",
+                             ftol=transient.FIT_TOL, xtol=transient.FIT_TOL,
+                             gtol=transient.FIT_TOL, max_nfev=transient.FIT_MAX_NFEV)
+    except ValueError:
+        return None   # least_squares refuses a start whose residuals are not finite
+    return done.x, float(np.linalg.norm(done.fun)), bool(done.success)
+
+
+def watched_columns(preset):
+    """(times, column, t0) of every node cli's transient command fits."""
+    config = load_preset(preset)
+    params = tc.circuit_from_mapping(config["circuit"])
+    section = _section(config, "transient")
+    setup, _ = _setup_from_section(params, section)
+    trace = tc.simulate(setup, max_samples=section["max_samples"])
+    t0 = trace.switch_time + section["fit_t0_periods"] * setup.drive_period
+    n_nodes = 2 * params.n_cells
+    watch = sorted({0, n_nodes - 1, n_nodes // 2, *setup.source_nodes})
+    return [(trace.times, column, t0) for column in trace.ground_currents(watch).T]
+
+
+@pytest.fixture(scope="module")
+def oracle_signals():
+    t, s, t0, _ = synthetic_signal()
+    signals = {"synthetic": (t, s, t0), "noisy": noisy_signal(),
+               "beating": beating_signal()}
+    for preset in ("fig8a", "fig8b"):
+        for i, column in enumerate(watched_columns(preset)):
+            signals[f"{preset}-{i}"] = column
+    return signals
+
+
+@pytest.mark.parametrize("name", ["synthetic", "noisy", "beating",
+                                  *(f"fig8{p}-{i}" for p in "ab" for i in range(5))])
+def test_fit_matches_scipy_lmder(monkeypatch, oracle_signals, name):
+    """The numpy lmder reaches scipy's minimum from the same starts:
+    relative 1e-8 in omega_r, omega_i and amplitude where one mode describes
+    the signal (rms_residual < 0.5), 1e-6 at a beating node, whose flat cost
+    moves the minimum by ~1e-6 under a 1-ulp change of the data, and
+    relative 1e-12 in rms_residual everywhere."""
+    signal = oracle_signals[name]
+    fit = tc.fit_damped_oscillation(*signal)
+    monkeypatch.setattr(transient, "_lmder", scipy_lmder)
+    ref = tc.fit_damped_oscillation(*signal)
+    rel = 1e-8 if ref.rms_residual < transient.FIT_RMS_BOUND else 1e-6
+    for key in ("omega_r", "omega_i", "amplitude"):
+        assert getattr(fit, key) == pytest.approx(getattr(ref, key), rel=rel), key
+    assert fit.rms_residual == pytest.approx(ref.rms_residual, rel=1e-12)
+
+
 def test_fit_error_paths():
     t = np.linspace(0.0, 10.0, 1000)
     with pytest.raises(InsufficientSignal):
@@ -659,15 +735,55 @@ def test_fit_error_paths():
         tc.fit_damped_oscillation(t, np.exp(-0.3 * t), 0.0)
 
 
-@pytest.mark.parametrize("raised, expected", [(ValueError, FitDiverged),
-                                              (RuntimeError, RuntimeError)])
-def test_fit_passes_over_refused_starts_only(monkeypatch, raised, expected):
-    """least_squares raises ValueError for a start whose residuals are not
-    finite; with both starts refused the fit diverged.  Any other exception
-    is a bug and surfaces as itself."""
-    def refuse(*args, **kwargs):
-        raise raised("refused")
-    monkeypatch.setattr(transient, "least_squares", refuse)
-    t = np.linspace(0.0, 40.0, 4000)
-    with pytest.raises(expected):
-        tc.fit_damped_oscillation(t, np.exp(-0.01 * t) * np.cos(3.0 * t), 0.0)
+@pytest.mark.parametrize("refused, expected", [
+    pytest.param((0,), None, id="first-refused"),
+    pytest.param((1,), None, id="second-refused"),
+    pytest.param((0, 1), FitDiverged, id="both-refused-FitDiverged"),
+    (RuntimeError, RuntimeError),
+])
+def test_fit_passes_over_refused_starts_only(monkeypatch, refused, expected):
+    """_lmder refuses a start whose residuals are not finite by returning
+    None: the fit keeps the other start's result, and with both starts
+    refused it diverged.  Any other exception out of the solver is a bug and
+    surfaces as itself."""
+    lmder, starts = transient._lmder, []
+
+    def solver(evaluate, x):
+        starts.append(x)
+        if refused is RuntimeError:
+            raise RuntimeError("solver bug")
+        if len(starts) - 1 in refused:
+            return lmder(lambda p: (np.full(len(t), np.nan), None), x)
+        return lmder(evaluate, x)
+    monkeypatch.setattr(transient, "_lmder", solver)
+    t, s, t0, truth = synthetic_signal()
+    if expected is None:
+        fit = tc.fit_damped_oscillation(t, s, t0)
+        assert fit.omega_r == pytest.approx(truth["omega_r"], rel=1e-9)
+        assert len(starts) == 2
+    else:
+        with pytest.raises(expected):
+            tc.fit_damped_oscillation(t, s, t0)
+
+
+def test_lmder_rejects_non_finite_trial_and_shrinks_radius():
+    """r(x) = e^x - 2, undefined (nan) beyond x = 1.  From x = -3 the
+    Gauss-Newton step lands near x = 36: that trial is rejected, and the
+    trust radius drops to a tenth of the rejected step, so the next trial
+    moves at most 1.1/10 as far.  The iteration still converges to ln 2."""
+    trials = []
+
+    def evaluate(x):
+        trials.append(float(x[0]))
+        res = np.array([np.exp(x[0]) - 2.0 if x[0] <= 1.0 else np.nan])
+
+        def jacobian(out):
+            out[:, 0] = np.exp(x[0])
+        return res, jacobian
+    x, norm, converged = transient._lmder(evaluate, np.array([-3.0]))
+    assert converged
+    assert x[0] == pytest.approx(np.log(2.0), rel=1e-12) and norm < 1e-12
+    start, rejected, retry = trials[:3]
+    assert rejected > 1.0 and retry <= 1.0
+    assert abs(retry - start) <= 0.11 * abs(rejected - start)
+

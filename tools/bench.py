@@ -18,6 +18,9 @@ its own processes, one at a time, with its own files:
 - the median wall time of 5 fresh ``python -c "import topochain.cli"``
   processes, and the sorted top-level packages that import loads, so a
   change that puts scipy back on every command's path shows here.
+- the sorted top-level packages one ``fig8a`` ``transient`` run loads in a
+  fresh process beyond those of ``import topochain.cli``, so a change that
+  brings scipy back onto the ringdown fit's path shows here.
 - the Tier-1 test suite's wall time and summary line.
 
 The whole measurement takes about ten minutes per checkout on 2 cores.
@@ -51,6 +54,15 @@ before = set(sys.modules)
 import topochain.cli
 print(json.dumps(sorted({m.split(".")[0] for m in set(sys.modules) - before})))
 """
+RINGDOWN_PACKAGES = """
+import json, sys, tempfile
+from pathlib import Path
+from topochain import cli
+before = set(sys.modules)
+with tempfile.TemporaryDirectory() as tmp:
+    cli.run_command("transient", cli.load_preset("fig8a"), Path(tmp) / "run", "csv")
+print(json.dumps(sorted({m.split(".")[0] for m in set(sys.modules) - before})))
+"""
 PRESET_TIMER = """
 import json, shutil, statistics, sys, time
 from pathlib import Path
@@ -77,14 +89,17 @@ def _run(args: list[str], cwd: Path, env: dict | None = None) -> str:
 
 
 def import_cost(checkout: Path, env: dict) -> dict:
-    """Wall time of a fresh process that imports the CLI, and what it loads."""
+    """Wall time of a fresh process that imports the CLI, what that loads,
+    and what a fig8a transient run loads on top of it."""
     walls = []
     for _ in range(IMPORT_RUNS):
         t0 = time.perf_counter()
         _run([sys.executable, "-c", "import topochain.cli"], checkout, env)
         walls.append(time.perf_counter() - t0)
     packages = json.loads(_run([sys.executable, "-c", IMPORT_PACKAGES], checkout, env))
-    return {"median_wall_s": statistics.median(walls), "packages": packages}
+    ringdown = json.loads(_run([sys.executable, "-c", RINGDOWN_PACKAGES], checkout, env))
+    return {"median_wall_s": statistics.median(walls), "packages": packages,
+            "ringdown_packages": ringdown}
 
 
 def measure(checkout: Path) -> dict:
