@@ -280,7 +280,7 @@ def _fit_entry(times: np.ndarray, column: np.ndarray, t0: float) -> dict:
     signal, or the error that stopped the fit."""
     try:
         fit = transient.fit_damped_oscillation(times, column, t0)
-    except (TopochainError, ValueError) as exc:
+    except TopochainError as exc:
         return {"error": f"{type(exc).__name__}: {exc}"}
     entry = dataclasses.asdict(fit)
     if fit.rms_residual > transient.FIT_RMS_BOUND:
@@ -316,14 +316,15 @@ def cmd_transient(params: CircuitParams, section: dict, outdir: Path) -> None:
         "fits": fits,
         "final_energy": float(trace.energy[-1]),
     })
-    cols = [trace.times]
+    # both files' time column, formatted once: str of a str is itself
+    times = np.array(list(map(str, trace.times.tolist())), dtype=object)
+    cols = [times]
     header = ["time"]
     for node, volts, column in zip(watch, trace.node_voltages(watch).T, currents.T):
         header += [f"v{node}", f"i{node}"]
         cols += [volts, column]
     _write_csv(outdir / "trace.csv", header, cols)
-    _write_csv(outdir / "energy.csv", ["time", "energy"],
-               [trace.times, trace.energy])
+    _write_csv(outdir / "energy.csv", ["time", "energy"], [times, trace.energy])
 
 
 def cmd_netlist(params: CircuitParams, section: dict, outdir: Path) -> None:

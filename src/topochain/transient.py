@@ -66,10 +66,12 @@ DWARF = float(np.finfo(float).tiny)
 # a fit whose residual RMS exceeds this share of the signal's RMS summarizes
 # a multi-mode signal rather than describing one mode
 FIT_RMS_BOUND = 0.5
-# rows of recorded state advanced by one matrix product in simulate
+# rows of recorded state advanced by one matrix product in simulate, and
+# squared and summed at a time by ground_current_profile
 BLOCK = 64
-# glibc mallopt parameter, and the size from which simulate's arrays get
-# their own mapping
+# glibc mallopt parameters, and the size from which simulate's arrays get
+# their own mapping and up to which the heap keeps a free top
+M_TRIM_THRESHOLD = -1
 M_MMAP_THRESHOLD = -3
 MMAP_THRESHOLD_BYTES = 1 << 20
 
@@ -321,22 +323,29 @@ def _identity_plus(a: np.ndarray, c: float, out: np.ndarray | None = None) -> np
     return out
 
 
-def _propagator(a: np.ndarray, dt: float,
-                b: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
+def _propagator(a: np.ndarray, dt: float, b: np.ndarray | None = None,
+                lhs: np.ndarray | None = None,
+                out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
     """Exact one-step map p of the implicit trapezoid rule, and with a source
     vector b its source column g = (I - dt/2 a)^-1 dt/2 b, solved as one more
-    right-hand side: a step is x' = p x + g (u(t) + u(t + dt))."""
+    right-hand side: a step is x' = p x + g (u(t) + u(t + dt)).
+
+    Where given, lhs (dim x dim) takes the solve's left-hand side and out
+    (flat, dim (dim + 1) entries) its right-hand sides and then p."""
     n = a.shape[0]
-    lhs = _identity_plus(a, -(0.5 * dt))
-    if b is None:
-        return np.linalg.solve(lhs, _identity_plus(a, 0.5 * dt)), None
-    # the extra column goes last, so the first n see the same triangular
-    # solves as without it (bitwise so with OpenBLAS)
-    rhs = np.empty((n, n + 1))
+    cols = n if b is None else n + 1
+    lhs = _identity_plus(a, -(0.5 * dt), out=lhs)
+    flat = np.empty(n * cols) if out is None else out[:n * cols]
+    rhs = flat.reshape(n, cols)
     _identity_plus(a, 0.5 * dt, out=rhs[:, :n])
-    np.multiply(b, 0.5 * dt, out=rhs[:, n])
-    out = np.linalg.solve(lhs, rhs)
-    return np.ascontiguousarray(out[:, :n]), out[:, n].copy()
+    if b is not None:
+        # the extra column goes last, so the first n see the same triangular
+        # solves as without it (bitwise so with OpenBLAS)
+        np.multiply(b, 0.5 * dt, out=rhs[:, n])
+    solved = np.linalg.solve(lhs, rhs)
+    p = flat[:n * n].reshape(n, n)
+    np.copyto(p, solved[:, :n])
+    return p, None if b is None else solved[:, n].copy()
 
 
 def _product(x: np.ndarray, y: np.ndarray, pool: list, live: tuple) -> np.ndarray:
@@ -380,21 +389,28 @@ def _mat_powers(p: np.ndarray, n: int, m: int,
 
 
 def _pin_mmap_threshold() -> None:
-    """Give every allocation of MMAP_THRESHOLD_BYTES or more its own mapping.
+    """Give every allocation of MMAP_THRESHOLD_BYTES or more its own mapping,
+    and let the heap keep up to as much free memory at its top.
 
-    simulate allocates and frees many dim x dim matrices.  glibc
-    raises its mmap threshold to the size of the first such block freed, so
-    later ones come from the brk heap, whose high-water mark then depends on
-    what earlier calls left there: the same fig8b run peaked at 241 or 261
-    MB resident depending on which presets ran before it in the process.  A fixed threshold (which turns the
-    dynamic one off) returns each large block to the system when freed.
-    Without glibc's mallopt this does nothing.
+    simulate allocates large arrays.  glibc raises its mmap threshold to the
+    size of the first such block freed, so later ones come from the brk
+    heap, whose high-water mark then depends on what earlier calls left
+    there: the same fig8b run peaked at 241 or 261 MB resident depending on
+    which presets ran before it in the process.  A fixed threshold (which
+    turns the dynamic one off) returns each large block to the system when
+    freed.  It also leaves the trim threshold at its 128 KiB default, so
+    the heap would hand its free top back after nearly every free of a few
+    sample-length arrays (the ringdown fit's) and fault the pages in again
+    at the next allocation; the trim threshold is fixed at the same size
+    instead.  Without glibc's mallopt this does nothing.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, TypeError, AttributeError):
         return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
     mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES)
+    mallopt(M_TRIM_THRESHOLD, MMAP_THRESHOLD_BYTES)
 
 
 def _sinusoid_particular(a: np.ndarray, b: np.ndarray, amp: float,
@@ -419,10 +435,12 @@ def _trapezoid_step(a: np.ndarray, lhs: np.ndarray, b: np.ndarray | None,
 
 def _probe_local_error(a: np.ndarray, b: np.ndarray | None, p: np.ndarray,
                        g: np.ndarray | None, u_of_t, x: np.ndarray,
-                       t: np.ndarray, dt: float) -> np.ndarray:
+                       t: np.ndarray, dt: float,
+                       lhs: np.ndarray | None = None) -> np.ndarray:
     """One step of dt against two of dt/2 from each column of x at the times
     t: the relative difference per column.  The step of dt is the phase's
-    own one-step map p with source column g (see _propagator).
+    own one-step map p with source column g (see _propagator); the half
+    steps' left-hand side is written into lhs where it is given.
 
     The source term is included; without it the probe would excite
     fictitious fast relaxation of the quasi-statically forced stiff
@@ -432,7 +450,7 @@ def _probe_local_error(a: np.ndarray, b: np.ndarray | None, p: np.ndarray,
     if g is not None:
         coarse += np.outer(g, u_of_t(t) + u_of_t(t + dt))
     h = 0.5 * dt
-    lhs = _identity_plus(a, -(0.5 * h))
+    lhs = _identity_plus(a, -(0.5 * h), out=lhs)
     mid = _trapezoid_step(a, lhs, b, u_of_t, x, t, h)
     fine = _trapezoid_step(a, lhs, b, u_of_t, mid, t + h, h)
     scale = np.maximum(np.linalg.norm(fine, axis=0), 1e-300)
@@ -447,17 +465,20 @@ def _probe_rows(steps: np.ndarray, n_steps: int, stride: int) -> np.ndarray:
     return np.unique(near.argmax(axis=1)[near.any(axis=1)] + 1)
 
 
-def _phase(p: np.ndarray, out: np.ndarray, n_steps: int,
-           stride: int) -> np.ndarray:
+def _phase(p: np.ndarray, out: np.ndarray, n_steps: int, stride: int,
+           pool: list | None = None, release: bool = False) -> np.ndarray:
     """Fill out[1:] from out[0], one row per stride steps of the one-step map
     p; the last advance is shorter when stride does not divide n_steps.
 
     With q = p**stride, the first BLOCK rows are matvecs and every later
     block of rows is one gemm with q**BLOCK applied to the block before it.
-    Returns the step number of every row.
+    The powers go into the buffers of pool (see _product); with release,
+    pool keeps only the two that the row blocks read, q**BLOCK and the last
+    advance's power, while the blocks fill the rows.  Returns the step
+    number of every row.
     """
     steps = np.minimum(np.arange(len(out)) * stride, n_steps)
-    pool = []
+    pool = [] if pool is None else pool
     q, last = _mat_powers(p, stride, n_steps % stride or stride, pool)
     whole = n_steps // stride + 1  # rows reached by whole strides
     for i in range(1, min(whole, BLOCK)):
@@ -468,6 +489,8 @@ def _phase(p: np.ndarray, out: np.ndarray, n_steps: int,
         qb = q
         for _ in range(BLOCK.bit_length() - 1):
             qb = _product(qb, qb, pool, (q, last, qb))
+        if release:
+            pool[:] = [w for w in pool if w is qb or w is last]
         qb_t = qb.T
         for j in range(BLOCK, whole, BLOCK):
             rows = min(BLOCK, whole - j)
@@ -529,7 +552,10 @@ def simulate(setup: TransientSetup, max_samples: int) -> TransientTrace:
     probe rows at once in two linear solves.  Stored energy is checked to
     be non-increasing after release.  Large arrays are kept off the malloc
     heap (see _pin_mmap_threshold), so the process's peak memory does not
-    depend on earlier calls.
+    depend on earlier calls.  Both phases fill one set of dim x dim buffers
+    through out=, so a call faults their pages in once; the free phase's
+    row blocks, which take the states to their full size, run beside three
+    of them (see _phase's release).
 
     A mirror-symmetric run (see _mirror_half) steps the N/2-cell half-chain
     instead: 2N-1 states, not 4N-1.  Node i's voltage and ground current are
@@ -557,11 +583,17 @@ def simulate(setup: TransientSetup, max_samples: int) -> TransientTrace:
                              setup.drive_frequency, dt)
     rho = np.exp(1j * setup.drive_frequency * dt)
 
+    # both phases' dim x dim buffers: the one-step map (after its solve's
+    # right-hand sides) in one, the left-hand sides and powers in the pool
+    dim = sys.dimension
+    step_map, pool = np.empty(dim * (dim + 1)), [np.empty((dim, dim))]
+
     def run_phase(name: str, a: np.ndarray, b: np.ndarray | None,
-                  rows: np.ndarray, n_steps: int, first: int) -> np.ndarray:
+                  rows: np.ndarray, n_steps: int, first: int,
+                  last: bool = False) -> np.ndarray:
         """Step one phase into rows, then probe them."""
-        p, g = _propagator(a, dt, b)
-        steps = _phase(p, rows, n_steps, stride)
+        p, g = _propagator(a, dt, b, pool[0], step_map)
+        steps = _phase(p, rows, n_steps, stride, pool, release=last)
         if b is not None:
             # a row block at a time, so no rows-by-dimension complex array;
             # z first: the reversed product rounds differently in the last bit
@@ -569,7 +601,7 @@ def simulate(setup: TransientSetup, max_samples: int) -> TransientTrace:
                 rows[j:j + BLOCK] += np.imag(z * rho ** steps[j:j + BLOCK, None])
         probes = _probe_rows(steps, n_steps, stride)
         t = (first + steps[probes]) * dt
-        err = _probe_local_error(a, b, p, g, drive, rows[probes].T, t, dt)
+        err = _probe_local_error(a, b, p, g, drive, rows[probes].T, t, dt, pool[0])
         bad = np.flatnonzero(err > LOCAL_ERROR_TOL)
         if len(bad):
             i = bad[0]
@@ -586,7 +618,7 @@ def simulate(setup: TransientSetup, max_samples: int) -> TransientTrace:
     # consistent reinitialization for the floating network)
     free[0] = driven[-1]
     free[0, nb:] -= free[0, nb:].mean()
-    steps_f = run_phase("free", sys.a_free, None, free, n_free, n_driven)
+    steps_f = run_phase("free", sys.a_free, None, free, n_free, n_driven, last=True)
 
     times = np.concatenate([steps_d, n_driven + steps_f]) * dt
     caps, currents = states[:, :nb], states[:, nb:]
@@ -632,7 +664,15 @@ def ground_current_profile(trace: TransientTrace,
     if hi - lo < 8:
         raise WindowOutOfRange("window covers fewer than 8 output samples")
     currents = trace._states[lo:hi, trace._space.n_branches:]
-    rms = np.sqrt(np.mean(currents ** 2, axis=0))[trace._node_src]
+    # squares summed BLOCK rows at a time, each block's reduction starting
+    # from the running sum in buf[0]: the order of one reduction over all
+    # the window's squares, without a window-size array of them
+    buf = np.zeros((BLOCK + 1, currents.shape[1]))
+    for j in range(0, len(currents), BLOCK):
+        rows = min(BLOCK, len(currents) - j)
+        np.square(currents[j:j + rows], out=buf[1:rows + 1])
+        buf[0] = np.add.reduce(buf[:rows + 1], axis=0)
+    rms = np.sqrt(buf[0] / len(currents))[trace._node_src]
     total = rms.sum()
     if total <= 0.0:
         raise InsufficientSignal("all ground currents identically zero in window")

@@ -191,6 +191,50 @@ def test_transient_fits_each_distinct_column_once(tmp_path, monkeypatch):
             dataclasses.asdict(fit(table[:, 0], column, rep["fit_t0"]))))
 
 
+def small_transient_config(tmp_path) -> dict:
+    cfg = write_config(
+        tmp_path / "t.json", 4, n_cells=4,
+        transient={"n_k": 128, "branch": "omega6", "max_samples": 2000})
+    return json.loads(cfg.read_text())
+
+
+def test_transient_records_refused_fits(tmp_path, monkeypatch):
+    """A fit that stops on the package's own error is written as an error
+    entry: with every start refused each fit is FitDiverged."""
+    monkeypatch.setattr(transient, "_lmder", lambda evaluate, x: None)
+    run_command("transient", small_transient_config(tmp_path), tmp_path / "out", "csv")
+    fits = json.loads((tmp_path / "out" / "transient.json").read_text())["fits"]
+    assert {f["error"] for f in fits.values()} == {
+        "FitDiverged: least-squares refinement did not converge"}
+
+
+def test_transient_fit_bug_surfaces(tmp_path, monkeypatch):
+    """Any other exception out of the fit is a bug, not an output: a
+    ValueError raised inside the solver (numpy's LinAlgError is one)
+    surfaces from run_command."""
+    def broken(evaluate, x):
+        raise ValueError("a bug inside the solver")
+    monkeypatch.setattr(transient, "_lmder", broken)
+    with pytest.raises(ValueError, match="a bug inside the solver"):
+        run_command("transient", small_transient_config(tmp_path), tmp_path / "out",
+                    "csv")
+
+
+def test_transient_formats_time_column_once(tmp_path, monkeypatch):
+    """trace.csv and energy.csv get one shared time column of strs, each
+    the shortest round-trip form of its sample time, so each sample time
+    is printed once."""
+    write, calls = tc.cli._write_csv, []
+    monkeypatch.setattr(tc.cli, "_write_csv", lambda *a: calls.append(a) or write(*a))
+    run_command("transient", small_transient_config(tmp_path), tmp_path / "out", "csv")
+    (_, _, (times, *_)), (_, _, (shared, _)) = calls
+    assert shared is times and all(type(t) is str for t in times)
+    assert [str(float(t)) for t in times] == list(times)
+    for name in ("trace.csv", "energy.csv"):
+        lines = (tmp_path / "out" / name).read_text().splitlines()[1:]
+        assert [line.split(",", 1)[0] for line in lines] == list(times)
+
+
 def test_csv_formats_each_distinct_column_once(tmp_path):
     """A column bitwise equal to an earlier one repeats its strings, and
     only those: 0.0 against -0.0 and 1 against 1.0 compare equal in numpy

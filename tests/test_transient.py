@@ -231,8 +231,8 @@ def record_probes(monkeypatch) -> list:
     probe = transient._probe_local_error
     calls = []
 
-    def recording(a, b, p, g, u_of_t, x, t, dt):
-        err = probe(a, b, p, g, u_of_t, x, t, dt)
+    def recording(a, b, p, g, u_of_t, x, t, dt, lhs=None):
+        err = probe(a, b, p, g, u_of_t, x, t, dt, lhs)
         calls.append((a, b, x, t, dt, err))
         return err
 
@@ -324,18 +324,34 @@ def test_identity_plus_is_the_eye_form_bitwise(phase):
             assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
+def owner(a: np.ndarray) -> np.ndarray:
+    """The array that owns a's memory."""
+    while a.base is not None:
+        a = a.base
+    return a
+
+
 def test_phase_reuses_product_buffers(monkeypatch):
     """_phase writes every product of its power chain into a few reused
-    dim x dim buffers: at most four distinct arrays receive the products."""
-    products = []
-    real = transient._product
+    dim x dim buffers: at most four distinct arrays receive the products.
+    A whole simulate run writes every dim x dim matrix of both phases (each
+    propagator's left- and right-hand sides and one-step map, the power
+    chains' products, each probe's left-hand side) into one set of at most
+    five arrays, the products into at most four of them."""
+    products, matrices = [], []
+    real_product, real_identity = transient._product, transient._identity_plus
 
-    def recording(x, y, pool, live):
-        out = real(x, y, pool, live)
+    def product(x, y, pool, live):
+        out = real_product(x, y, pool, live)
         products.append(out)
         return out
 
-    monkeypatch.setattr(transient, "_product", recording)
+    def identity_plus(a, c, out=None):
+        out = real_identity(a, c, out)
+        matrices.append(out)
+        return out
+
+    monkeypatch.setattr(transient, "_product", product)
     p = short_propagator()
     n_steps, stride = 7 * 150 + 3, 7
     out = np.empty((1 + (n_steps + stride - 1) // stride, p.shape[0]))
@@ -344,6 +360,35 @@ def test_phase_reuses_product_buffers(monkeypatch):
     # p^2, p^3 (shared by q = p^7 and last = p^3), p^4, p^7, then q^2 .. q^64
     assert len(products) == 4 + 6
     assert len({id(w) for w in products}) <= 4
+    # with release the row blocks run beside q^64 and p^3 alone, and fill
+    # the same rows
+    pool, rows = [], np.empty_like(out)
+    rows[0] = 1.0
+    transient._phase(p, rows, n_steps, stride, pool, release=True)
+    assert len(pool) == 2 and np.array_equal(rows, out)
+
+    products.clear()
+    propagator = transient._propagator
+
+    def recording_propagator(*args):
+        # from the first phase on: the particular response's matrices,
+        # built before it, are not phase matrices
+        monkeypatch.setattr(transient, "_identity_plus", identity_plus)
+        p, g = propagator(*args)
+        matrices.append(p)
+        return p, g
+
+    monkeypatch.setattr(transient, "_propagator", recording_propagator)
+    setup = short_setup()
+    tc.simulate(setup, 6000)
+    dim = 2 * setup.params.n_cells - 1   # the mirror half-chain's states
+    # per phase: the lhs, rhs and p of its propagator and its probe's lhs
+    assert len(matrices) == 2 * 4
+    assert len(products) >= 2 * 6
+    assert all(m.shape[0] == dim for m in matrices + products)
+    # held in the lists, no array's memory is handed to a later one
+    assert len({id(owner(m)) for m in matrices + products}) <= 5
+    assert len({id(owner(m)) for m in products}) <= 4
 
 
 @pytest.mark.parametrize("n, m", [(1, 1), (2, 2), (64, 64), (583, 583),
@@ -418,6 +463,36 @@ def test_freed_large_array_leaves_no_resident_memory():
     grown, kept = map(int, proc.stdout.split())
     assert grown > 2 << 20
     assert kept < 1 << 20
+
+
+# in a fresh process, so the heap's state is this script's alone
+REALLOC_SCRIPT = """
+import resource
+import numpy as np
+from topochain import transient
+
+def faults():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+transient._pin_mmap_threshold()
+np.ones(1 << 16).sum()
+before = faults()
+for _ in range(8):
+    np.ones(1 << 16).sum()
+print(faults() - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc mallopt")
+def test_reallocated_heap_block_faults_no_pages():
+    """With the trim threshold fixed as simulate fixes it, a freed 512 KiB
+    block (below the mmap threshold, so on the heap) stays with the
+    process: allocating and filling it again eight times takes almost no
+    minor faults.  At glibc's 128 KiB default each round hands all but
+    128 KiB of the block back and faults it in again (96 pages a round)."""
+    proc = subprocess.run([sys.executable, "-c", REALLOC_SCRIPT],
+                          capture_output=True, text=True, check=True)
+    assert int(proc.stdout) < 32
 
 
 def twenty_cell_setup():

@@ -12,8 +12,10 @@ its own processes, one at a time, with its own files:
   random point, so the sweep's ``ops_per_s`` is its points per second.
 - ``perfbench/run.py --trace 1`` for 10 s per workload: the per-layer
   metrics.
-- every packaged preset through ``cli.run_command`` in one process: one
-  warm-up run, then the median of 3 timed runs.
+- every packaged preset through ``cli.run_command``, each preset in its
+  own process, so no other preset's heap history reaches its numbers: one
+  warm-up run, then the median wall time and the median minor page faults
+  (``ru_minflt``) of 3 timed runs.
 - the ``src/`` line count and the environment record ``run.py`` prints.
 - the median wall time of 5 fresh ``python -c "import topochain.cli"``
   processes, and the sorted top-level packages that import loads, so a
@@ -63,23 +65,27 @@ with tempfile.TemporaryDirectory() as tmp:
     cli.run_command("transient", cli.load_preset("fig8a"), Path(tmp) / "run", "csv")
 print(json.dumps(sorted({m.split(".")[0] for m in set(sys.modules) - before})))
 """
+PRESET_NAMES = """
+import json
+from topochain import cli
+print(json.dumps(cli.preset_names()))
+"""
 PRESET_TIMER = """
-import json, shutil, statistics, sys, time
+import json, resource, shutil, statistics, sys, time
 from pathlib import Path
 from topochain import cli
-out, repeats = Path(sys.argv[1]), int(sys.argv[2])
-medians = {}
-for name in cli.preset_names():
-    cfg = cli.load_preset(name)
-    command = next(key for key in cfg if key != "circuit")
-    times = []
-    for _ in range(repeats + 1):
-        t0 = time.perf_counter()
-        cli.run_command(command, cfg, out, "csv")
-        times.append(time.perf_counter() - t0)
-        shutil.rmtree(out)
-    medians[name] = statistics.median(times[1:])
-print(json.dumps(medians))
+out, repeats, name = Path(sys.argv[1]), int(sys.argv[2]), sys.argv[3]
+cfg = cli.load_preset(name)
+command = next(key for key in cfg if key != "circuit")
+times, faults = [], []
+for _ in range(repeats + 1):
+    f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    t0 = time.perf_counter()
+    cli.run_command(command, cfg, out, "csv")
+    times.append(time.perf_counter() - t0)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)
+    shutil.rmtree(out)
+print(json.dumps([statistics.median(times[1:]), statistics.median(faults[1:])]))
 """
 
 
@@ -117,10 +123,12 @@ def measure(checkout: Path) -> dict:
         result = json.loads(lines[-1])
         per_layer[workload] = {"correct": result["correct"],
                                **{k: m["value"] for k, m in result["metrics"].items()}}
+    presets, faults = {}, {}
     with tempfile.TemporaryDirectory() as tmp:
-        out = _run([sys.executable, "-c", PRESET_TIMER, str(Path(tmp) / "run"),
-                    str(REPEATS)], checkout, env)
-    presets = json.loads(out.strip().splitlines()[-1])
+        for name in json.loads(_run([sys.executable, "-c", PRESET_NAMES], checkout, env)):
+            out = _run([sys.executable, "-c", PRESET_TIMER, str(Path(tmp) / "run"),
+                        str(REPEATS), name], checkout, env)
+            presets[name], faults[name] = json.loads(out.strip().splitlines()[-1])
     record = {
         "environment": suite["environment"],
         "src_lines": suite["environment"]["src_lines"],
@@ -133,6 +141,7 @@ def measure(checkout: Path) -> dict:
         "sweep_points_per_s": suite["workloads"]["sweep"]["metrics"]["ops_per_s"]["median"],
         "per_layer": per_layer,
         "presets_s": presets,
+        "presets_minflt": faults,
         "presets_total_s": sum(presets.values()),
         "import": import_cost(checkout, env),
     }
