@@ -75,16 +75,21 @@ def _write_json(path: Path, obj) -> None:
     _write_text(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
+def _column_key(col: np.ndarray) -> tuple[str, bytes]:
+    """Equal for two columns exactly when they are bitwise equal: np.array_equal
+    would also match 0.0 with -0.0 and 1 with 1.0, whose strings differ."""
+    return col.dtype.str, col.tobytes()
+
+
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
     # tolist() gives Python floats, ints and strs; str of a float is the
     # shortest round-trip form, of an int the plain digits.  Each distinct
-    # column is formatted once: a column bitwise equal to an earlier one (the
-    # mirror nodes of a mirror-symmetric ringdown) repeats its strings.
-    # Bitwise, since np.array_equal would also match 0.0 with -0.0 and 1
-    # with 1.0, whose strings differ
+    # column (by _column_key) is formatted once: a column bitwise equal to an
+    # earlier one (the mirror nodes of a mirror-symmetric ringdown) repeats
+    # its strings
     first, distinct, picks = {}, [], []
     for col in columns:
-        key = (col.dtype.str, col.tobytes())
+        key = _column_key(col)
         if key not in first:
             first[key] = len(distinct)
             distinct.append(col)
@@ -299,14 +304,13 @@ def cmd_transient(params: CircuitParams, section: dict, outdir: Path) -> None:
     n_nodes = 2 * params.n_cells
     watch = sorted({0, n_nodes - 1, n_nodes // 2, *setup.source_nodes})
     currents = trace.ground_currents(watch)
-    fits, fitted = {}, []   # fitted: (column, entry) of each distinct column
+    fits, fitted = {}, {}   # fitted: the entry of each distinct column
     for node, column in zip(watch, currents.T):
         # mirror nodes of a mirror-symmetric run carry equal columns: fit once
-        entry = next((e for col, e in fitted if np.array_equal(col, column)), None)
-        if entry is None:
-            entry = _fit_entry(trace.times, column, fit_t0)
-            fitted.append((column, entry))
-        fits[str(node)] = entry
+        key = _column_key(column)
+        if key not in fitted:
+            fitted[key] = _fit_entry(trace.times, column, fit_t0)
+        fits[str(node)] = fitted[key]
     _write_json(outdir / "transient.json", {
         "drive": drive_info,
         "switch_time": trace.switch_time,

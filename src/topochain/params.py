@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,6 +29,11 @@ class Boundary(enum.Enum):
 # algebraic points so only exact-hit protection is needed.
 ETA_FLOOR = 1e-14
 OMEGA_FLOOR = 1e-14
+
+
+def is_index(value: Any) -> bool:
+    """An int or numpy integer; a bool is not, though Python counts it one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -55,8 +61,8 @@ class CircuitParams:
         for name in ("c1", "c2", "l"):
             if not getattr(self, name) > 0:
                 raise InvalidParams(f"{name} must be > 0, got {getattr(self, name)}")
-        if int(self.n_cells) != self.n_cells or self.n_cells < 2:
-            raise InvalidParams(f"n_cells must be an integer >= 2, got {self.n_cells}")
+        if not is_index(self.n_cells) or self.n_cells < 2:
+            raise InvalidParams(f"n_cells must be an integer >= 2, got {self.n_cells!r}")
         if not isinstance(self.boundary, Boundary):
             raise InvalidParams(f"boundary must be a Boundary, got {self.boundary!r}")
 

@@ -16,10 +16,8 @@ mapping to 2N-1-i.  When the clamped source set is mirror-invariant too (the
 default pair is), the drive never leaves the mirror-even sector, and that
 sector is exactly the N/2-cell left half-chain clamped at its own sources:
 the middle bond (N-1, N) joins two nodes at one voltage, so its capacitor
-holds zero and carries no current.  simulate then steps that half-chain, and
-the trace reads each full-chain node's voltage and ground current off its
-half-chain node; every other setup is stepped as it is, through the same
-code with the identity map.
+holds zero and carries no current.  simulate then steps that half-chain
+(see _sector).
 """
 
 from __future__ import annotations
@@ -42,7 +40,7 @@ from .errors import (
     StepRejected,
     WindowOutOfRange,
 )
-from .params import Boundary, CircuitParams
+from .params import Boundary, CircuitParams, is_index
 
 DT_SAFETY = 20.0
 # the protocol in drive periods: the default drive (also the shortest) and
@@ -66,8 +64,7 @@ DWARF = float(np.finfo(float).tiny)
 # a fit whose residual RMS exceeds this share of the signal's RMS summarizes
 # a multi-mode signal rather than describing one mode
 FIT_RMS_BOUND = 0.5
-# rows of recorded state advanced by one matrix product in simulate, and
-# squared and summed at a time by ground_current_profile
+# rows of recorded state advanced by one matrix product in simulate
 BLOCK = 64
 # glibc mallopt parameters, and the size from which simulate's arrays get
 # their own mapping and up to which the heap keeps a free top
@@ -137,6 +134,8 @@ class TransientSetup:
             raise InvalidParams("source_nodes must name at least one node")
         n_nodes = 2 * self.params.n_cells
         for node in self.source_nodes:
+            if not is_index(node):
+                raise InvalidParams(f"source_nodes must be integers, got {node!r}")
             if not 0 <= node < n_nodes:
                 raise InvalidParams(f"source node {node} outside [0, {n_nodes})")
         if len(set(self.source_nodes)) != len(self.source_nodes):
@@ -224,37 +223,19 @@ def assemble_state_space(setup: TransientSetup) -> StateSpace:
         raise SingularKCL("floating conductance system is numerically singular")
     w_f = np.linalg.solve(g_aug, np.vstack([m, np.zeros(nb + n_nodes)]))[:n_nodes]
 
-    def build(w: np.ndarray, v_s: np.ndarray | None):
+    def build(w: np.ndarray) -> np.ndarray:
         a = np.zeros((nb + n_nodes, nb + n_nodes))
         a[:nb] = (s.T @ w) / (rs * cs)[:, None]
         a[:nb, :nb] -= np.diag(1.0 / (rs * cs))
         a[nb:] = w / params.l
-        if v_s is None:
-            return a, None
-        b = np.empty(nb + n_nodes)
-        b[:nb] = (s.T @ v_s) / (rs * cs)
-        b[nb:] = v_s / params.l
-        return a, b
+        return a
 
-    a_d, b_d = build(w_d, v_src)
-    a_f, _ = build(w_f, None)
+    b_d = np.concatenate([(s.T @ v_src) / (rs * cs), v_src / params.l])
     return StateSpace(
-        a_driven=a_d, b_driven=b_d, a_free=a_f,
+        a_driven=build(w_d), b_driven=b_d, a_free=build(w_f),
         v_map_driven=w_d, v_src_driven=v_src, v_map_free=w_f,
         n_branches=nb, n_nodes=n_nodes, branch_caps=cs,
     )
-
-
-@dataclass(frozen=True)
-class _Readout:
-    """The part of a StateSpace that a trace reads node columns through:
-    node voltages are v_map @ x (+ v_src * u while driven), ground currents
-    the state from column n_branches on."""
-
-    v_map_driven: np.ndarray
-    v_src_driven: np.ndarray
-    v_map_free: np.ndarray
-    n_branches: int
 
 
 def _drive(setup: TransientSetup, t: np.ndarray) -> np.ndarray:
@@ -267,8 +248,9 @@ class TransientTrace:
     """Sample times, stored energy and the recorded state of one run.
 
     The state rows are those of the stepped chain (the half-chain of a
-    mirror-symmetric run, see _sector), one row per sample.  Node columns
-    are computed on demand from them: node i reads stepped node
+    mirror-symmetric run, see _sector), one row per sample, ground currents
+    from column _n_branches on.  Node columns are computed on demand from
+    them and the voltage maps (see StateSpace): node i reads stepped node
     _node_src[i], so mirror nodes' columns are bitwise equal.
     """
 
@@ -277,7 +259,10 @@ class TransientTrace:
     switch_time: float
     metadata: TransientSetup
     _states: np.ndarray = field(repr=False)
-    _space: _Readout = field(repr=False)
+    _n_branches: int = field(repr=False)
+    _v_map_driven: np.ndarray = field(repr=False)
+    _v_src_driven: np.ndarray = field(repr=False)
+    _v_map_free: np.ndarray = field(repr=False)
     _node_src: np.ndarray = field(repr=False)
     _rows_driven: int = field(repr=False)
 
@@ -293,7 +278,7 @@ class TransientTrace:
     def ground_currents(self, nodes) -> np.ndarray:
         """Inductor (ground) currents of the named nodes: shape
         (n_samples, len(nodes)), gathered from the state's current block."""
-        return self._states[:, self._space.n_branches + self._sources(nodes)]
+        return self._states[:, self._n_branches + self._sources(nodes)]
 
     def node_voltages(self, nodes) -> np.ndarray:
         """Voltages of the named nodes: shape (n_samples, len(nodes)).
@@ -304,59 +289,53 @@ class TransientTrace:
         reads it.
         """
         distinct, back = np.unique(self._sources(nodes), return_inverse=True)
-        space, rows_d, x = self._space, self._rows_driven, self._states
+        rows_d, x = self._rows_driven, self._states
         volts = np.empty((len(x), len(distinct)))
-        np.matmul(x[:rows_d], space.v_map_driven[distinct].T, out=volts[:rows_d])
-        np.matmul(x[rows_d:], space.v_map_free[distinct].T, out=volts[rows_d:])
-        volts[:rows_d] += (space.v_src_driven[distinct]
+        np.matmul(x[:rows_d], self._v_map_driven[distinct].T, out=volts[:rows_d])
+        np.matmul(x[rows_d:], self._v_map_free[distinct].T, out=volts[rows_d:])
+        volts[:rows_d] += (self._v_src_driven[distinct]
                            * _drive(self.metadata, self.times[:rows_d])[:, None])
         return volts[:, back]
 
 
-def _identity_plus(a: np.ndarray, c: float, out: np.ndarray | None = None) -> np.ndarray:
-    """I + c a, built in one array and bitwise equal to np.eye(n) + c * a
+def _identity_plus(a: np.ndarray, c: float, out: np.ndarray) -> np.ndarray:
+    """I + c a, built in out and bitwise equal to np.eye(n) + c * a
     (np.eye(n) - c * a with c negated): adding 0.0 turns the product's
     negative zeros positive, as adding the identity's zeros does."""
-    out = np.multiply(a, c, out=out)
+    np.multiply(a, c, out=out)
     out += 0.0
     out[np.diag_indices_from(out)] += 1.0
     return out
 
 
-def _propagator(a: np.ndarray, dt: float, b: np.ndarray | None = None,
-                lhs: np.ndarray | None = None,
-                out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
+def _propagator(a: np.ndarray, dt: float, b: np.ndarray | None,
+                lhs: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """Exact one-step map p of the implicit trapezoid rule, and with a source
     vector b its source column g = (I - dt/2 a)^-1 dt/2 b, solved as one more
     right-hand side: a step is x' = p x + g (u(t) + u(t + dt)).
 
-    Where given, lhs (dim x dim) takes the solve's left-hand side and out
-    (flat, dim (dim + 1) entries) its right-hand sides and then p."""
+    lhs (dim x dim) takes the solve's left-hand side and out (flat, dim
+    (dim + 1) entries) its right-hand sides and then p."""
     n = a.shape[0]
     cols = n if b is None else n + 1
-    lhs = _identity_plus(a, -(0.5 * dt), out=lhs)
-    flat = np.empty(n * cols) if out is None else out[:n * cols]
-    rhs = flat.reshape(n, cols)
-    _identity_plus(a, 0.5 * dt, out=rhs[:, :n])
+    _identity_plus(a, -(0.5 * dt), lhs)
+    rhs = out[:n * cols].reshape(n, cols)
+    _identity_plus(a, 0.5 * dt, rhs[:, :n])
     if b is not None:
         # the extra column goes last, so the first n see the same triangular
         # solves as without it (bitwise so with OpenBLAS)
         np.multiply(b, 0.5 * dt, out=rhs[:, n])
     solved = np.linalg.solve(lhs, rhs)
-    p = flat[:n * n].reshape(n, n)
+    p = out[:n * n].reshape(n, n)
     np.copyto(p, solved[:, :n])
     return p, None if b is None else solved[:, n].copy()
 
 
 def _product(x: np.ndarray, y: np.ndarray, pool: list, live: tuple) -> np.ndarray:
     """x @ y written into a buffer of pool that is none of the live arrays;
-    pool gains one when all are live.
-
-    simulate returns every freed dim x dim matrix to the system (see
-    _pin_mmap_threshold), so a product in a fresh array first faults in
-    zeroed pages; one written into a reused buffer does not, and it is the
-    same gemm, so the same bits.
-    """
+    pool gains one when all are live.  A reused buffer's pages are faulted
+    in already (a fresh dim x dim array's are not, see _pin_mmap_threshold),
+    and the gemm is the same, so the bits are."""
     out = next((w for w in pool if all(w is not v for v in live)), None)
     if out is None:
         out = np.empty_like(x)
@@ -364,15 +343,13 @@ def _product(x: np.ndarray, y: np.ndarray, pool: list, live: tuple) -> np.ndarra
     return np.matmul(x, y, out=out)
 
 
-def _mat_powers(p: np.ndarray, n: int, m: int,
-                pool: list | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _mat_powers(p: np.ndarray, n: int, m: int, pool: list) -> tuple[np.ndarray, np.ndarray]:
     """p**n and p**m (1 <= m <= n) from one chain of squarings, whose
     products go into the buffers of pool (see _product).
 
     While the two exponents agree bit by bit from the lowest up they share
     one product, and no product starts from the identity.
     """
-    pool = [] if pool is None else pool
     pn = pm = None
     square = p
     while True:
@@ -392,17 +369,14 @@ def _pin_mmap_threshold() -> None:
     """Give every allocation of MMAP_THRESHOLD_BYTES or more its own mapping,
     and let the heap keep up to as much free memory at its top.
 
-    simulate allocates large arrays.  glibc raises its mmap threshold to the
-    size of the first such block freed, so later ones come from the brk
-    heap, whose high-water mark then depends on what earlier calls left
-    there: the same fig8b run peaked at 241 or 261 MB resident depending on
-    which presets ran before it in the process.  A fixed threshold (which
-    turns the dynamic one off) returns each large block to the system when
-    freed.  It also leaves the trim threshold at its 128 KiB default, so
-    the heap would hand its free top back after nearly every free of a few
-    sample-length arrays (the ringdown fit's) and fault the pages in again
-    at the next allocation; the trim threshold is fixed at the same size
-    instead.  Without glibc's mallopt this does nothing.
+    glibc's dynamic mmap threshold rises to the size of the first large
+    block freed, and later ones then come from the brk heap, whose peak
+    depends on earlier calls (one fig8b run peaked at 241 or 261 MB
+    resident after different presets).  A fixed threshold returns each
+    large block to the system when freed; the trim threshold, left at its
+    128 KiB default, would then hand the heap's free top back after nearly
+    every free of the fit's sample-length arrays, so it is fixed at the
+    same size.  Without glibc's mallopt this does nothing.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -413,13 +387,15 @@ def _pin_mmap_threshold() -> None:
     mallopt(M_TRIM_THRESHOLD, MMAP_THRESHOLD_BYTES)
 
 
-def _sinusoid_particular(a: np.ndarray, b: np.ndarray, amp: float,
-                         omega: float, dt: float) -> np.ndarray:
+def _sinusoid_particular(a: np.ndarray, b: np.ndarray, amp: float, omega: float,
+                         dt: float, minus: np.ndarray, plus: np.ndarray) -> np.ndarray:
     """Complex z with x_part(t_n) = Im(z e^{i w t_n}) solving the trapezoid
-    recurrence driven by amp*sin(w t)."""
+    recurrence driven by amp*sin(w t).  I -/+ dt/2 a are built in minus and
+    plus, so the complex left-hand side is the one dim x dim array it makes."""
     h = 0.5 * dt
     rho = np.exp(1j * omega * dt)
-    lhs = rho * _identity_plus(a, -h) - _identity_plus(a, h)
+    lhs = np.multiply(rho, _identity_plus(a, -h, minus))
+    lhs -= _identity_plus(a, h, plus)
     return np.linalg.solve(lhs, h * amp * (1.0 + rho) * b)
 
 
@@ -435,12 +411,11 @@ def _trapezoid_step(a: np.ndarray, lhs: np.ndarray, b: np.ndarray | None,
 
 def _probe_local_error(a: np.ndarray, b: np.ndarray | None, p: np.ndarray,
                        g: np.ndarray | None, u_of_t, x: np.ndarray,
-                       t: np.ndarray, dt: float,
-                       lhs: np.ndarray | None = None) -> np.ndarray:
+                       t: np.ndarray, dt: float, lhs: np.ndarray) -> np.ndarray:
     """One step of dt against two of dt/2 from each column of x at the times
     t: the relative difference per column.  The step of dt is the phase's
     own one-step map p with source column g (see _propagator); the half
-    steps' left-hand side is written into lhs where it is given.
+    steps' left-hand side is written into lhs.
 
     The source term is included; without it the probe would excite
     fictitious fast relaxation of the quasi-statically forced stiff
@@ -450,7 +425,7 @@ def _probe_local_error(a: np.ndarray, b: np.ndarray | None, p: np.ndarray,
     if g is not None:
         coarse += np.outer(g, u_of_t(t) + u_of_t(t + dt))
     h = 0.5 * dt
-    lhs = _identity_plus(a, -(0.5 * h), out=lhs)
+    _identity_plus(a, -(0.5 * h), lhs)
     mid = _trapezoid_step(a, lhs, b, u_of_t, x, t, h)
     fine = _trapezoid_step(a, lhs, b, u_of_t, mid, t + h, h)
     scale = np.maximum(np.linalg.norm(fine, axis=0), 1e-300)
@@ -466,7 +441,7 @@ def _probe_rows(steps: np.ndarray, n_steps: int, stride: int) -> np.ndarray:
 
 
 def _phase(p: np.ndarray, out: np.ndarray, n_steps: int, stride: int,
-           pool: list | None = None, release: bool = False) -> np.ndarray:
+           pool: list, release: bool = False) -> np.ndarray:
     """Fill out[1:] from out[0], one row per stride steps of the one-step map
     p; the last advance is shorter when stride does not divide n_steps.
 
@@ -478,7 +453,6 @@ def _phase(p: np.ndarray, out: np.ndarray, n_steps: int, stride: int,
     number of every row.
     """
     steps = np.minimum(np.arange(len(out)) * stride, n_steps)
-    pool = [] if pool is None else pool
     q, last = _mat_powers(p, stride, n_steps % stride or stride, pool)
     whole = n_steps // stride + 1  # rows reached by whole strides
     for i in range(1, min(whole, BLOCK)):
@@ -500,69 +474,59 @@ def _phase(p: np.ndarray, out: np.ndarray, n_steps: int, stride: int,
     return steps
 
 
-def _mirror_half(setup: TransientSetup) -> TransientSetup | None:
-    """The half-chain whose run is setup's run in the mirror-even sector, or
-    None when setup is not mirror symmetric: a periodic chain, an odd number
-    of cells (no half-chain of whole cells), fewer than four cells, or a clamped
-    set that the mirror i -> 2N-1-i does not map onto itself."""
-    params = setup.params
-    n = params.n_cells
-    clamped = set(setup.source_nodes)
-    if (params.boundary is not Boundary.OPEN or n % 2 or n < 4
-            or clamped != {2 * n - 1 - i for i in clamped}):
-        return None
-    return dataclasses.replace(
-        setup, params=dataclasses.replace(params, n_cells=n // 2),
-        source_nodes=tuple(i for i in setup.source_nodes if i < n))
-
-
 def _sector(setup: TransientSetup):
     """The setup to step, and how its trace maps onto setup's.
 
-    Returns (stepped, node_src, weight): node i's voltage and ground current
-    are the stepped node node_src[i]'s, and the full energy is weight times
-    the stepped one.
+    Returns (stepped, node_src, weight): node i reads stepped node
+    node_src[i], and the full energy is weight times the stepped one.  A
+    mirror-symmetric setup (an open chain of an even N >= 4 cells whose
+    clamped set the mirror i -> 2N-1-i maps onto itself) steps its N/2-cell
+    left half-chain, clamped at its own sources: node_src[i] = min(i,
+    2N-1-i), weight 2.  Any other setup steps itself: the identity, weight 1.
     """
-    n = 2 * setup.params.n_cells
-    half = _mirror_half(setup)
-    i = np.arange(n)
-    if half is None:
+    params = setup.params
+    n = params.n_cells
+    i = np.arange(2 * n)
+    clamped = set(setup.source_nodes)
+    if (params.boundary is not Boundary.OPEN or n % 2 or n < 4
+            or clamped != {2 * n - 1 - j for j in clamped}):
         return setup, i, 1.0
-    return half, np.minimum(i, n - 1 - i), 2.0
+    half = dataclasses.replace(
+        setup, params=dataclasses.replace(params, n_cells=n // 2),
+        source_nodes=tuple(j for j in setup.source_nodes if j < n))
+    return half, np.minimum(i, 2 * n - 1 - i), 2.0
 
 
 def simulate(setup: TransientSetup, max_samples: int) -> TransientTrace:
     """Drive, release, and record the chain with fixed-step trapezoid.
 
-    The system is linear time-invariant within each phase, so one routine
-    steps both: it applies powers of the phase's one-step map to the
-    recorded state, row by row for the first BLOCK rows and then a block of
-    rows per matrix product, and the driven phase then adds the closed-form
-    particular response to the sinusoidal drive to its rows, a block of rows
-    at a time.  This is arithmetically the fixed-step trapezoid solution, evaluated at
-    the decimated output times and recorded into one state array whose
-    column blocks are the capacitor voltages and inductor currents.  The
-    trace keeps that array with the sample times and the stored energy, and
-    builds no node-by-sample array: its node_voltages(nodes) and
-    ground_currents(nodes) compute just the columns asked for.  The switch
-    instant is recorded twice, before and after the release projection.
-    Local accuracy is audited by step-doubling probes on recorded rows
-    spread through each phase: one step of dt by the phase's own one-step
-    map against two trapezoid steps of dt/2, taken from all of a phase's
-    probe rows at once in two linear solves.  Stored energy is checked to
-    be non-increasing after release.  Large arrays are kept off the malloc
-    heap (see _pin_mmap_threshold), so the process's peak memory does not
-    depend on earlier calls.  Both phases fill one set of dim x dim buffers
-    through out=, so a call faults their pages in once; the free phase's
-    row blocks, which take the states to their full size, run beside three
-    of them (see _phase's release).
+    Each phase is linear time-invariant, so one routine steps both: powers
+    of the phase's one-step map advance the recorded state, row by row for
+    the first BLOCK rows and then a block of rows per matrix product, and
+    the driven phase adds the closed-form particular response to the
+    sinusoidal drive, a block of rows at a time.  This is arithmetically
+    the fixed-step trapezoid solution at the decimated output times, kept
+    in one state array (capacitor voltages, then inductor currents) with
+    the sample times and stored energy; the trace computes node columns on
+    demand.  The switch instant is recorded twice, before and after the
+    release projection.  Step-doubling probes on recorded rows spread
+    through each phase audit the local error (one step of dt by the
+    phase's one-step map against two of dt/2, all of a phase's probes in
+    two linear solves), and stored energy must not grow after release.
 
-    A mirror-symmetric run (see _mirror_half) steps the N/2-cell half-chain
-    instead: 2N-1 states, not 4N-1.  Node i's voltage and ground current are
-    read from its half-chain node (see _sector).  The probes step the
-    half-chain state: the mirror scales both norms of a probe's relative
-    error by sqrt 2, so it is the same gate.  The energy gate reads the full
-    energy, twice the half-chain's.
+    simulate owns all dim x dim working memory: a flat step_map of
+    dim (dim + 1) entries and a pool of dim x dim buffers, which the
+    particular response's operators and both phases' propagators, power
+    chains and probes fill through out=, so a call faults their pages in
+    once.  The free phase's row blocks, which take the states to full size,
+    run beside three of them (see _phase's release), and large arrays are
+    kept off the malloc heap (see _pin_mmap_threshold).
+
+    A mirror-symmetric run steps the N/2-cell half-chain (see _sector):
+    2N-1 states, not 4N-1.  The mirror scales both norms of a probe's
+    relative error by sqrt 2, so the probes are the same gate on the
+    half-chain state; the energy gate reads the full energy, twice the
+    half-chain's.
     """
     if not 1 <= max_samples <= MAX_OUTPUT_SAMPLES:
         raise InvalidParams(f"max_samples outside [1, {MAX_OUTPUT_SAMPLES}]")
@@ -577,16 +541,17 @@ def simulate(setup: TransientSetup, max_samples: int) -> TransientTrace:
     rows_d = 1 + (n_driven + stride - 1) // stride
     rows_f = 1 + (n_free + stride - 1) // stride
 
+    # every dim x dim buffer of the call: the one-step map (after its solve's
+    # right-hand sides) in step_map, left-hand sides and powers in the pool
+    dim = sys.dimension
+    step_map, pool = np.empty(dim * (dim + 1)), [np.empty((dim, dim))]
+
     drive = functools.partial(_drive, setup)
     # driven phase: x_n = y_n + Im(z rho^n), y homogeneous
     z = _sinusoid_particular(sys.a_driven, sys.b_driven, setup.source_amplitude,
-                             setup.drive_frequency, dt)
+                             setup.drive_frequency, dt, pool[0],
+                             step_map[:dim * dim].reshape(dim, dim))
     rho = np.exp(1j * setup.drive_frequency * dt)
-
-    # both phases' dim x dim buffers: the one-step map (after its solve's
-    # right-hand sides) in one, the left-hand sides and powers in the pool
-    dim = sys.dimension
-    step_map, pool = np.empty(dim * (dim + 1)), [np.empty((dim, dim))]
 
     def run_phase(name: str, a: np.ndarray, b: np.ndarray | None,
                   rows: np.ndarray, n_steps: int, first: int,
@@ -609,7 +574,7 @@ def simulate(setup: TransientSetup, max_samples: int) -> TransientTrace:
                 f"{name}-phase local error {err[i]:.3e} at t={t[i]:.6g}; reduce dt")
         return steps
 
-    states = np.empty((rows_d + rows_f, sys.dimension))
+    states = np.empty((rows_d + rows_f, dim))
     driven, free = states[:rows_d], states[rows_d:]
     nb = sys.n_branches
     driven[0] = -z.imag
@@ -631,13 +596,12 @@ def simulate(setup: TransientSetup, max_samples: int) -> TransientTrace:
     tol = 1e-9 * max(float(e_post[0]), 1e-300)
     if np.any(np.diff(e_post) > tol):
         worst = float(np.diff(e_post).max())
-        raise StepRejected(
-            f"stored energy grew by {worst:.3e} after release; reduce dt"
-        )
+        raise StepRejected(f"stored energy grew by {worst:.3e} after release; reduce dt")
     return TransientTrace(
         times=times, energy=energy, switch_time=switch_time, metadata=setup,
-        _states=states, _node_src=node_src, _rows_driven=rows_d,
-        _space=_Readout(sys.v_map_driven, sys.v_src_driven, sys.v_map_free, nb),
+        _states=states, _n_branches=nb, _v_map_driven=sys.v_map_driven,
+        _v_src_driven=sys.v_src_driven, _v_map_free=sys.v_map_free,
+        _node_src=node_src, _rows_driven=rows_d,
     )
 
 
@@ -647,6 +611,8 @@ def ground_current_profile(trace: TransientTrace,
 
     The RMS is taken once per stepped node, over the window's rows of the
     state's current block, and then gathered onto the full chain's nodes.
+    np.einsum sums the squares in the order of one axis-0 reduction (so
+    bitwise as that) and builds no window-size array of them.
     """
     t0, t1 = window
     setup = trace.metadata
@@ -663,16 +629,9 @@ def ground_current_profile(trace: TransientTrace,
     hi = np.searchsorted(trace.times, t1, side="right")
     if hi - lo < 8:
         raise WindowOutOfRange("window covers fewer than 8 output samples")
-    currents = trace._states[lo:hi, trace._space.n_branches:]
-    # squares summed BLOCK rows at a time, each block's reduction starting
-    # from the running sum in buf[0]: the order of one reduction over all
-    # the window's squares, without a window-size array of them
-    buf = np.zeros((BLOCK + 1, currents.shape[1]))
-    for j in range(0, len(currents), BLOCK):
-        rows = min(BLOCK, len(currents) - j)
-        np.square(currents[j:j + rows], out=buf[1:rows + 1])
-        buf[0] = np.add.reduce(buf[:rows + 1], axis=0)
-    rms = np.sqrt(buf[0] / len(currents))[trace._node_src]
+    currents = trace._states[lo:hi, trace._n_branches:]
+    squares = np.einsum("ij,ij->j", currents, currents)
+    rms = np.sqrt(squares / len(currents))[trace._node_src]
     total = rms.sum()
     if total <= 0.0:
         raise InsufficientSignal("all ground currents identically zero in window")

@@ -174,14 +174,13 @@ def full_width_columns(trace) -> tuple[np.ndarray, np.ndarray]:
     trace's node map; the source term is added after the gather.  The
     ground currents are the state's current block gathered the same way.
     """
-    space, rows_d, node_src = trace._space, trace._rows_driven, trace._node_src
-    states = trace._states
+    rows_d, node_src, states = trace._rows_driven, trace._node_src, trace._states
     volts = np.empty((len(states), len(node_src)))
-    for x, v, v_map in ((states[:rows_d], volts[:rows_d], space.v_map_driven),
-                        (states[rows_d:], volts[rows_d:], space.v_map_free)):
+    for x, v, v_map in ((states[:rows_d], volts[:rows_d], trace._v_map_driven),
+                        (states[rows_d:], volts[rows_d:], trace._v_map_free)):
         for j in range(0, len(x), 64):
             v[j:j + 64] = (x[j:j + 64] @ v_map.T)[:, node_src]
     setup = trace.metadata
     drive = setup.source_amplitude * np.sin(setup.drive_frequency * trace.times[:rows_d])
-    volts[:rows_d] += space.v_src_driven[node_src] * drive[:, None]
-    return volts, states[:, space.n_branches:][:, node_src]
+    volts[:rows_d] += trace._v_src_driven[node_src] * drive[:, None]
+    return volts, states[:, trace._n_branches:][:, node_src]

@@ -191,6 +191,19 @@ def test_transient_fits_each_distinct_column_once(tmp_path, monkeypatch):
             dataclasses.asdict(fit(table[:, 0], column, rep["fit_t0"]))))
 
 
+def test_transient_fits_by_the_csv_column_key(tmp_path, monkeypatch):
+    """cmd_transient tells the columns to fit apart by _column_key, the key
+    _write_csv formats by: with a key that sets every column apart, each of
+    the five watched nodes gets a fit of its own."""
+    fit = transient.fit_damped_oscillation
+    calls = []
+    monkeypatch.setattr(transient, "fit_damped_oscillation",
+                        lambda *a: calls.append(a) or fit(*a))
+    monkeypatch.setattr(tc.cli, "_column_key", lambda col: object())
+    run_command("transient", small_transient_config(tmp_path), tmp_path / "out", "csv")
+    assert len(calls) == 5
+
+
 def small_transient_config(tmp_path) -> dict:
     cfg = write_config(
         tmp_path / "t.json", 4, n_cells=4,

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 import topochain as tc
@@ -24,6 +25,7 @@ def test_frozen():
 @pytest.mark.parametrize("kw", [
     {"c1": 0.0}, {"c2": -1.0}, {"l": 0.0}, {"r1": -0.5},
     {"n_cells": 1}, {"n_cells": 0},
+    {"n_cells": 4.0}, {"n_cells": 4.5}, {"n_cells": True}, {"n_cells": "4"},
     {"r1": float("nan")}, {"r2": float("nan")}, {"c1": float("nan")},
     {"c2": float("nan")}, {"l": float("nan")},
     {"r1": float("inf")}, {"r2": float("inf")}, {"c1": float("inf")},
@@ -32,8 +34,15 @@ def test_frozen():
 def test_rejects_bad_values(kw):
     base = dict(r1=1.0, r2=1.0, c1=1.0, c2=1.0, l=1.0, n_cells=4)
     base.update(kw)
-    with pytest.raises(InvalidParams):
+    with pytest.raises(InvalidParams, match=next(iter(kw))):
         tc.CircuitParams(**base)
+
+
+def test_numpy_integer_cell_count_accepted():
+    p = tc.CircuitParams(1.0, 1.0, 1.0, 1.0, 1.0, n_cells=np.int64(4))
+    assert p.n_cells == 4
+    setup = tc.TransientSetup(p, 1.0, source_nodes=(np.int64(2), np.int64(5)))
+    assert tc.assemble_state_space(setup).n_nodes == 8
 
 
 def test_lossless_is_constructible():

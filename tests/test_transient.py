@@ -54,6 +54,9 @@ def test_fastest_time_constant_picks_minimum():
     {"drive_frequency": 3.0, "source_nodes": (0, 4)},
     {"drive_frequency": 3.0, "source_nodes": (1, 1)},
     {"drive_frequency": 3.0, "source_nodes": ()},
+    {"drive_frequency": 3.0, "source_nodes": (1.0, 2.0)},
+    {"drive_frequency": 3.0, "source_nodes": (True, 2)},
+    {"drive_frequency": 3.0, "source_nodes": (1, np.float64(2.0))},
     {"drive_frequency": 3.0, "dt": 0.0},
     {"drive_frequency": 3.0, "dt": -0.01},
     {"drive_frequency": 3.0, "dt": float("nan")},
@@ -186,8 +189,9 @@ def test_trace_layout(short_trace):
     assert tr.switch_time >= tr.metadata.switch_open_time
     assert tr.energy.shape == (len(tr.times),)
     assert [f.name for f in dataclasses.fields(tr)] == [
-        "times", "energy", "switch_time", "metadata", "_states", "_space",
-        "_node_src", "_rows_driven"]
+        "times", "energy", "switch_time", "metadata", "_states", "_n_branches",
+        "_v_map_driven", "_v_src_driven", "_v_map_free", "_node_src",
+        "_rows_driven"]
 
 
 @pytest.mark.parametrize("nodes", [[8], [-1], [[0, 1]], [0.0]])
@@ -231,7 +235,7 @@ def record_probes(monkeypatch) -> list:
     probe = transient._probe_local_error
     calls = []
 
-    def recording(a, b, p, g, u_of_t, x, t, dt, lhs=None):
+    def recording(a, b, p, g, u_of_t, x, t, dt, lhs):
         err = probe(a, b, p, g, u_of_t, x, t, dt, lhs)
         calls.append((a, b, x, t, dt, err))
         return err
@@ -265,7 +269,7 @@ def test_probe_errors_match_dense_step_maps(monkeypatch):
         return s.source_amplitude * np.sin(s.drive_frequency * t)
 
     def dense_step(a, b, h):
-        p, _ = transient._propagator(a, h)
+        p, _ = propagate(a, h)
         if b is None:
             return lambda x, t: p @ x
         src = np.linalg.solve(np.eye(len(a)) - 0.5 * h * a, 0.5 * h * b)
@@ -289,9 +293,15 @@ def test_probe_rejects_step_over_tolerance(monkeypatch):
         tc.simulate(short_setup(), max_samples=6000)
 
 
+def propagate(a, dt, b=None):
+    """_propagator into fresh buffers of its own."""
+    n = len(a)
+    return transient._propagator(a, dt, b, np.empty((n, n)), np.empty(n * (n + 1)))
+
+
 def short_propagator():
     s = short_setup()
-    return transient._propagator(tc.assemble_state_space(s).a_driven, s.dt)[0]
+    return propagate(tc.assemble_state_space(s).a_driven, s.dt)[0]
 
 
 def test_propagator_source_column():
@@ -301,8 +311,8 @@ def test_propagator_source_column():
     s = short_setup()
     space = tc.assemble_state_space(s)
     a, b = space.a_driven, space.b_driven
-    p, g = transient._propagator(a, s.dt, b)
-    alone, none = transient._propagator(a, s.dt)
+    p, g = propagate(a, s.dt, b)
+    alone, none = propagate(a, s.dt)
     assert none is None and p.flags.c_contiguous
     assert np.abs(p - alone).max() <= 1e-15 * np.abs(alone).max()
     want = np.linalg.solve(np.eye(len(a)) - 0.5 * s.dt * a, 0.5 * s.dt * b)
@@ -318,8 +328,8 @@ def test_identity_plus_is_the_eye_form_bitwise(phase):
     a = getattr(tc.assemble_state_space(s), phase)
     eye = np.eye(len(a))
     for c in (0.5 * s.dt, 0.25 * s.dt, 0.3):
-        for got, want in ((transient._identity_plus(a, c), eye + c * a),
-                          (transient._identity_plus(a, -c), eye - c * a)):
+        for got, want in ((transient._identity_plus(a, c, np.empty_like(a)), eye + c * a),
+                          (transient._identity_plus(a, -c, np.empty_like(a)), eye - c * a)):
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
 
@@ -334,10 +344,11 @@ def owner(a: np.ndarray) -> np.ndarray:
 def test_phase_reuses_product_buffers(monkeypatch):
     """_phase writes every product of its power chain into a few reused
     dim x dim buffers: at most four distinct arrays receive the products.
-    A whole simulate run writes every dim x dim matrix of both phases (each
-    propagator's left- and right-hand sides and one-step map, the power
-    chains' products, each probe's left-hand side) into one set of at most
-    five arrays, the products into at most four of them."""
+    A whole simulate run writes every real dim x dim matrix (the particular
+    response's two operators, each propagator's left- and right-hand sides
+    and one-step map, the power chains' products, each probe's left-hand
+    side) into one set of at most five arrays, the products into at most
+    four of them."""
     products, matrices = [], []
     real_product, real_identity = transient._product, transient._identity_plus
 
@@ -346,7 +357,7 @@ def test_phase_reuses_product_buffers(monkeypatch):
         products.append(out)
         return out
 
-    def identity_plus(a, c, out=None):
+    def identity_plus(a, c, out):
         out = real_identity(a, c, out)
         matrices.append(out)
         return out
@@ -356,7 +367,7 @@ def test_phase_reuses_product_buffers(monkeypatch):
     n_steps, stride = 7 * 150 + 3, 7
     out = np.empty((1 + (n_steps + stride - 1) // stride, p.shape[0]))
     out[0] = 1.0
-    transient._phase(p, out, n_steps, stride)
+    transient._phase(p, out, n_steps, stride, [])
     # p^2, p^3 (shared by q = p^7 and last = p^3), p^4, p^7, then q^2 .. q^64
     assert len(products) == 4 + 6
     assert len({id(w) for w in products}) <= 4
@@ -371,19 +382,18 @@ def test_phase_reuses_product_buffers(monkeypatch):
     propagator = transient._propagator
 
     def recording_propagator(*args):
-        # from the first phase on: the particular response's matrices,
-        # built before it, are not phase matrices
-        monkeypatch.setattr(transient, "_identity_plus", identity_plus)
         p, g = propagator(*args)
         matrices.append(p)
         return p, g
 
+    monkeypatch.setattr(transient, "_identity_plus", identity_plus)
     monkeypatch.setattr(transient, "_propagator", recording_propagator)
     setup = short_setup()
     tc.simulate(setup, 6000)
     dim = 2 * setup.params.n_cells - 1   # the mirror half-chain's states
-    # per phase: the lhs, rhs and p of its propagator and its probe's lhs
-    assert len(matrices) == 2 * 4
+    # I -/+ dt/2 a of the particular response, then per phase the lhs, rhs
+    # and p of its propagator and its probe's lhs
+    assert len(matrices) == 2 + 2 * 4
     assert len(products) >= 2 * 6
     assert all(m.shape[0] == dim for m in matrices + products)
     # held in the lists, no array's memory is handed to a later one
@@ -397,7 +407,7 @@ def test_mat_powers_match_matrix_power(n, m):
     """One squaring chain gives both powers; 583 and 71 share their low
     bits (one product for both), 64 and 3 share none."""
     p = short_propagator()
-    pn, pm = transient._mat_powers(p, n, m)
+    pn, pm = transient._mat_powers(p, n, m, [])
     for got, k in ((pn, n), (pm, m)):
         want = np.linalg.matrix_power(p, k)
         assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
@@ -412,7 +422,7 @@ def test_phase_rows_match_serial_loop(n_steps, stride):
     rows = 1 + (n_steps + stride - 1) // stride
     out = np.empty((rows, p.shape[0]))
     out[0] = np.random.default_rng(3).standard_normal(p.shape[0])
-    steps = transient._phase(p, out, n_steps, stride)
+    steps = transient._phase(p, out, n_steps, stride, [])
     assert steps.tolist() == [min(i * stride, n_steps) for i in range(rows)]
 
     x = out[0]
@@ -526,13 +536,13 @@ def test_mirror_sector_matches_full_chain(monkeypatch, make, max_samples):
     ground currents are bitwise equal."""
     setup = make()
     n = setup.params.n_cells
+    nodes = np.arange(2 * n)
     sector, dims = simulated_dims(monkeypatch, setup, max_samples)
     assert dims == [2 * n - 1]
-    monkeypatch.setattr(transient, "_mirror_half", lambda s: None)
+    monkeypatch.setattr(transient, "_sector", lambda s: (s, nodes, 1.0))
     full, dims = simulated_dims(monkeypatch, setup, max_samples)
     assert dims == [4 * n - 1]
     assert np.array_equal(sector.times, full.times)
-    nodes = np.arange(2 * n)
     arrays = {name: (getattr(sector, name)(nodes), getattr(full, name)(nodes))
               for name in ("node_voltages", "ground_currents")}
     arrays["energy"] = (sector.energy, full.energy)
@@ -556,7 +566,9 @@ def test_asymmetric_runs_step_the_full_chain(monkeypatch, n_cells, boundary, sou
     setup = tc.TransientSetup(row_params(4, n_cells=n_cells, boundary=boundary),
                               drive_frequency=3.77, source_nodes=sources,
                               switch_open_time=17.0, t_end=25.0)
-    assert transient._mirror_half(setup) is None
+    stepped, node_src, weight = transient._sector(setup)
+    assert stepped is setup and weight == 1.0
+    assert node_src.tolist() == list(range(2 * n_cells))
     trace, dims = simulated_dims(monkeypatch, setup, 2000)
     space = tc.assemble_state_space(setup)
     assert dims == [space.dimension]
@@ -598,7 +610,6 @@ def test_trace_holds_the_stepped_state_only(short_trace):
     tr = short_trace
     rows, n_nodes = len(tr.times), 8
     held = [getattr(tr, f.name) for f in dataclasses.fields(tr)]
-    held += [getattr(tr._space, f.name) for f in dataclasses.fields(tr._space)]
     arrays = [a for a in held if isinstance(a, np.ndarray)]
     assert not [a.shape for a in arrays if a.ndim == 2 and a.shape[1] == n_nodes]
     assert tr._states.shape == (rows, n_nodes - 1)
