@@ -28,7 +28,6 @@ from .spectral import (
     BandSet,
     ChainSpectrum,
     FrequencyRoots,
-    band_polynomial_coefficients,
     band_trace,
     branch_effective_matrix,
     bulk_gap,
@@ -67,9 +66,9 @@ __all__ = [
     "ConfigError", "DampedFit", "FrequencyRoots", "HoppingPair",
     "NumericError", "OutputError", "PerturbationReport", "RealSpaceMatrix",
     "TopochainError", "TransientSetup", "TransientTrace", "WindingResult",
-    "assemble_state_space", "band_polynomial_coefficients",
-    "band_trace", "bloch_admittance", "branch_effective_matrix", "bulk_gap",
-    "center_of_mass_shift", "chain_bonds", "circuit_from_mapping",
+    "assemble_state_space", "band_trace", "bloch_admittance",
+    "branch_effective_matrix", "bulk_gap", "center_of_mass_shift",
+    "chain_bonds", "circuit_from_mapping",
     "classify_states", "compare_perturbed", "eigendecompose",
     "fit_damped_oscillation", "ground_current_profile", "hoppings",
     "lambda_diag", "lambda_spectrum", "load_config", "midpoint_grid",

@@ -172,14 +172,11 @@ def cmd_winding(params: CircuitParams, section: dict, outdir: Path) -> None:
 
 
 def cmd_skin(params: CircuitParams, section: dict, outdir: Path) -> None:
-    chosen = section["branches"]
-    if chosen == []:
-        raise InvalidParams("skin.branches must name at least one branch")
     band = spectral.band_trace(params, section["n_k"])
     labels = spectral.BRANCH_LABELS
     report = {lab: {"present": topology.skin_effect_present(band, lab),
                     "partner": labels[band.closure_permutation[labels.index(lab)]]}
-              for lab in (labels if chosen is None else chosen)}
+              for lab in section["branches"] or labels}
     _write_json(outdir / "skin.json", report)
 
 
@@ -207,6 +204,9 @@ def cmd_eigvecs(params: CircuitParams, section: dict, outdir: Path) -> None:
         spectrum = topology.classify_states(spectrum, gap)
     except GapUnknown as exc:
         notes.append(str(exc))
+        if pert_cfg is not None:
+            notes.append("perturbation comparison skipped: it needs classified "
+                         f"states ({exc})")
     try:
         mu = topology.winding_number(params, band.branches[label], band.k_grid)
     except OriginCrossing as exc:

@@ -48,10 +48,6 @@ class DegenerateEta(NumericError):
     """Frequency sits on (or numerically at) a dissipative pole 1 + i*omega*R*C = 0."""
 
 
-class DegenerateLeadingCoefficient(NumericError):
-    """The band quartic's s^4 coefficient vanished: k is a zone endpoint (cos k == 1)."""
-
-
 class RootResidualTooLarge(NumericError):
     """A polynomial root failed the back-substitution residual gate."""
 

@@ -106,8 +106,8 @@ def check_object(where: str, given: Any, schema: Mapping[str, tuple]) -> dict[st
     A schema maps each key to (JSON type, default).  A list type is written
     (list, item type) and a nested object's type is its own schema; null is
     taken where the default is None, and a REQUIRED default marks a key the
-    object must give.  A float must be finite, and an int given for a float
-    is returned as a float.
+    object must give.  A float must be finite, an int given for a float
+    is returned as a float, and a list must not be empty.
     """
     if not isinstance(given, Mapping):
         raise InvalidParams(f"{where}: expected an object, got {given!r}")
@@ -132,6 +132,8 @@ def check_object(where: str, given: Any, schema: Mapping[str, tuple]) -> dict[st
             what = " of ".join("finite float" if t is float else t.__name__
                                for t in (kind, item) if t)
             raise InvalidParams(f"{where}.{key}: expected {what}, got {value!r}")
+        elif kind is list and not value:
+            raise InvalidParams(f"{where}.{key}: the list must not be empty")
         elif kind is float:
             value = float(value)
         merged[key] = value

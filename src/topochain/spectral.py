@@ -27,7 +27,6 @@ from numpy.polynomial import polynomial as npoly
 from .circuit import RealSpaceMatrix, bloch_admittance, lambda_diag
 from .errors import (
     ConvergenceFailure,
-    DegenerateLeadingCoefficient,
     OutOfRange,
     RootResidualTooLarge,
     TrackingAmbiguous,
@@ -56,20 +55,6 @@ def _quartic(params: CircuitParams, k) -> np.ndarray:
     fixed = [1.0, -(t1 + t2), t1 * t2 + 2.0 * (lc1 + lc2), -2.0 * (lc1 * t2 + lc2 * t1)]
     return np.concatenate([np.broadcast_to(fixed, np.shape(top) + (4,)),
                            np.expand_dims(top, -1)], axis=-1)
-
-
-def band_polynomial_coefficients(params: CircuitParams, k: float) -> np.ndarray:
-    """Ascending real coefficients q[0..4] of the band quartic Q(s), s = -i omega.
-
-    Raises DegenerateLeadingCoefficient at a zone endpoint, cos k == 1,
-    the only place where the s^4 coefficient vanishes.
-    """
-    coeffs = _quartic(params, k)
-    if coeffs[-1] == 0.0:
-        raise DegenerateLeadingCoefficient(
-            f"s^4 coefficient vanished at k={k:.6g} (zone endpoint)"
-        )
-    return coeffs
 
 
 @dataclass(frozen=True)
@@ -285,7 +270,7 @@ def bulk_gap(params: CircuitParams, omega_branch: np.ndarray) -> float:
     """Gap 2*Delta with Delta = min_k |Lambda| along the given branch."""
     omega_branch = np.asarray(omega_branch)
     if omega_branch.size == 0:
-        raise ValueError("empty branch")
+        raise OutOfRange("bulk_gap needs a non-empty branch")
     return 2.0 * float(np.min(np.abs(lambda_diag(params, omega_branch))))
 
 
@@ -313,7 +298,7 @@ def eigendecompose(matrix: RealSpaceMatrix) -> ChainSpectrum:
     """
     m = matrix.entries
     if not np.all(np.isfinite(m)):
-        raise ValueError("matrix contains non-finite entries")
+        raise OutOfRange("matrix contains non-finite entries")
     try:
         vals, vecs = np.linalg.eig(m)
     except np.linalg.LinAlgError as exc:

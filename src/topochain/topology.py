@@ -226,7 +226,8 @@ def center_of_mass_shift(spectrum: ChainSpectrum) -> float:
     Positive values mean weight accumulated toward the high-index end.
     Translation symmetry pins the periodic-chain value at zero, so this is
     the skin-effect order parameter for open chains.  Eigenvalues closer
-    than 1e-8 max(1, max |lambda|) (the eigen-residual gate's scale) form
+    than 1e-8 max(1, max |lambda|) (the eigen-residual gate's factor, on
+    the spectral radius rather than that gate's max(1, ||M||_inf)) form
     one cluster whose states are summed through an orthonormal basis of
     their span, so no choice of basis inside a degenerate subspace (the
     Edge pair of a gapped chain) moves the result.

@@ -308,27 +308,37 @@ def _identity_plus(a: np.ndarray, c: float, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _propagator(a: np.ndarray, dt: float, b: np.ndarray | None,
-                lhs: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+def _propagator(a: np.ndarray, dt: float, b: np.ndarray | None, lhs: np.ndarray,
+                out: np.ndarray, amp: float, rho: complex
+                ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
     """Exact one-step map p of the implicit trapezoid rule, and with a source
     vector b its source column g = (I - dt/2 a)^-1 dt/2 b, solved as one more
-    right-hand side: a step is x' = p x + g (u(t) + u(t + dt)).
+    right-hand side (a step is x' = p x + g (u(t) + u(t + dt))), and the
+    complex z with x_part(t_n) = Im(z rho^n) solving that recurrence for
+    u = amp sin(w t), rho = e^{i w dt}: from the same two operators,
+    (rho (I - dt/2 a) - (I + dt/2 a)) z = dt/2 amp (1 + rho) b.
 
-    lhs (dim x dim) takes the solve's left-hand side and out (flat, dim
-    (dim + 1) entries) its right-hand sides and then p."""
+    lhs (dim x dim) takes I - dt/2 a and out (flat, dim (dim + 1) entries)
+    the right-hand sides, I + dt/2 a first, and then p.  Returns (p, g, z),
+    g and z None without b."""
     n = a.shape[0]
     cols = n if b is None else n + 1
-    _identity_plus(a, -(0.5 * dt), lhs)
+    h = 0.5 * dt
+    _identity_plus(a, -h, lhs)
     rhs = out[:n * cols].reshape(n, cols)
-    _identity_plus(a, 0.5 * dt, rhs[:, :n])
+    _identity_plus(a, h, rhs[:, :n])
+    z = None
     if b is not None:
         # the extra column goes last, so the first n see the same triangular
         # solves as without it (bitwise so with OpenBLAS)
-        np.multiply(b, 0.5 * dt, out=rhs[:, n])
+        np.multiply(b, h, out=rhs[:, n])
+        z_lhs = np.multiply(rho, lhs)
+        z_lhs -= rhs[:, :n]
+        z = np.linalg.solve(z_lhs, h * amp * (1.0 + rho) * b)
     solved = np.linalg.solve(lhs, rhs)
     p = out[:n * n].reshape(n, n)
     np.copyto(p, solved[:, :n])
-    return p, None if b is None else solved[:, n].copy()
+    return p, None if b is None else solved[:, n].copy(), z
 
 
 def _product(x: np.ndarray, y: np.ndarray, pool: list, live: tuple) -> np.ndarray:
@@ -387,28 +397,6 @@ def _pin_mmap_threshold() -> None:
     mallopt(M_TRIM_THRESHOLD, MMAP_THRESHOLD_BYTES)
 
 
-def _sinusoid_particular(a: np.ndarray, b: np.ndarray, amp: float, omega: float,
-                         dt: float, minus: np.ndarray, plus: np.ndarray) -> np.ndarray:
-    """Complex z with x_part(t_n) = Im(z e^{i w t_n}) solving the trapezoid
-    recurrence driven by amp*sin(w t).  I -/+ dt/2 a are built in minus and
-    plus, so the complex left-hand side is the one dim x dim array it makes."""
-    h = 0.5 * dt
-    rho = np.exp(1j * omega * dt)
-    lhs = np.multiply(rho, _identity_plus(a, -h, minus))
-    lhs -= _identity_plus(a, h, plus)
-    return np.linalg.solve(lhs, h * amp * (1.0 + rho) * b)
-
-
-def _trapezoid_step(a: np.ndarray, lhs: np.ndarray, b: np.ndarray | None,
-                    u_of_t, x: np.ndarray, t: np.ndarray, h: float) -> np.ndarray:
-    """One trapezoid step of h from each column of x, taken at the times t:
-    lhs x' = (I + h/2 a) x + h/2 b (u(t) + u(t + h)), lhs = I - h/2 a."""
-    rhs = x + 0.5 * h * (a @ x)
-    if b is not None:
-        rhs += 0.5 * h * np.outer(b, u_of_t(t) + u_of_t(t + h))
-    return np.linalg.solve(lhs, rhs)
-
-
 def _probe_local_error(a: np.ndarray, b: np.ndarray | None, p: np.ndarray,
                        g: np.ndarray | None, u_of_t, x: np.ndarray,
                        t: np.ndarray, dt: float, lhs: np.ndarray) -> np.ndarray:
@@ -426,8 +414,13 @@ def _probe_local_error(a: np.ndarray, b: np.ndarray | None, p: np.ndarray,
         coarse += np.outer(g, u_of_t(t) + u_of_t(t + dt))
     h = 0.5 * dt
     _identity_plus(a, -(0.5 * h), lhs)
-    mid = _trapezoid_step(a, lhs, b, u_of_t, x, t, h)
-    fine = _trapezoid_step(a, lhs, b, u_of_t, mid, t + h, h)
+    # two trapezoid steps of h: lhs x' = (I + h/2 a) x + h/2 b (u(t) + u(t + h))
+    fine = x
+    for start in (t, t + h):
+        rhs = fine + 0.5 * h * (a @ fine)
+        if b is not None:
+            rhs += 0.5 * h * np.outer(b, u_of_t(start) + u_of_t(start + h))
+        fine = np.linalg.solve(lhs, rhs)
     scale = np.maximum(np.linalg.norm(fine, axis=0), 1e-300)
     return np.linalg.norm(fine - coarse, axis=0) / scale
 
@@ -515,12 +508,13 @@ def simulate(setup: TransientSetup, max_samples: int) -> TransientTrace:
     two linear solves), and stored energy must not grow after release.
 
     simulate owns all dim x dim working memory: a flat step_map of
-    dim (dim + 1) entries and a pool of dim x dim buffers, which the
-    particular response's operators and both phases' propagators, power
-    chains and probes fill through out=, so a call faults their pages in
-    once.  The free phase's row blocks, which take the states to full size,
-    run beside three of them (see _phase's release), and large arrays are
-    kept off the malloc heap (see _pin_mmap_threshold).
+    dim (dim + 1) entries and a pool of dim x dim buffers, which both
+    phases' propagators (whose two operators also give the driven phase's
+    particular response), power chains and probes fill through out=, so a
+    call faults their pages in once.  The free phase's row blocks, which
+    take the states to full size, run beside three of them (see _phase's
+    release), and large arrays are kept off the malloc heap (see
+    _pin_mmap_threshold).
 
     A mirror-symmetric run steps the N/2-cell half-chain (see _sector):
     2N-1 states, not 4N-1.  The mirror scales both norms of a probe's
@@ -547,17 +541,16 @@ def simulate(setup: TransientSetup, max_samples: int) -> TransientTrace:
     step_map, pool = np.empty(dim * (dim + 1)), [np.empty((dim, dim))]
 
     drive = functools.partial(_drive, setup)
-    # driven phase: x_n = y_n + Im(z rho^n), y homogeneous
-    z = _sinusoid_particular(sys.a_driven, sys.b_driven, setup.source_amplitude,
-                             setup.drive_frequency, dt, pool[0],
-                             step_map[:dim * dim].reshape(dim, dim))
     rho = np.exp(1j * setup.drive_frequency * dt)
 
     def run_phase(name: str, a: np.ndarray, b: np.ndarray | None,
                   rows: np.ndarray, n_steps: int, first: int,
                   last: bool = False) -> np.ndarray:
-        """Step one phase into rows, then probe them."""
-        p, g = _propagator(a, dt, b, pool[0], step_map)
+        """Step one phase into rows, then probe them.  A driven phase's
+        rows[0] is set here: x_n = y_n + Im(z rho^n), y homogeneous."""
+        p, g, z = _propagator(a, dt, b, pool[0], step_map, setup.source_amplitude, rho)
+        if b is not None:
+            rows[0] = -z.imag
         steps = _phase(p, rows, n_steps, stride, pool, release=last)
         if b is not None:
             # a row block at a time, so no rows-by-dimension complex array;
@@ -577,7 +570,6 @@ def simulate(setup: TransientSetup, max_samples: int) -> TransientTrace:
     states = np.empty((rows_d + rows_f, dim))
     driven, free = states[:rows_d], states[rows_d:]
     nb = sys.n_branches
-    driven[0] = -z.imag
     steps_d = run_phase("driven", sys.a_driven, sys.b_driven, driven, n_driven, 0)
     # release: zero the inductor-current common mode (minimum-energy
     # consistent reinitialization for the floating network)

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import topochain as tc
+from topochain import spectral
 from topochain.cli import (
     _section,
     _setup_from_section,
@@ -147,7 +148,7 @@ def test_criterion_03_pole_roots_exact_and_k_independent():
         assert len(got) == 2
         for want in (1j / (p.r1 * p.c1), 1j / (p.r2 * p.c2)):
             assert np.abs(got - want).min() < 1e-8 * abs(want)
-        q = tc.band_polynomial_coefficients(p, k)
+        q = spectral._quartic(p, k)
         for w in rng.normal(size=4) + 1j * rng.normal(size=4):
             eta1, eta2 = 1.0 + 1j * w * p.r1 * p.c1, 1.0 + 1j * w * p.r2 * p.c2
             y = tc.bloch_admittance(p, w, k)

@@ -139,6 +139,25 @@ def test_default_perturbation_cells_inside_chain(tmp_path):
     assert run("eigvecs", cfg, tmp_path / "out") == 0
 
 
+@pytest.mark.parametrize("boundary, gap, reason", [
+    ("periodic", None, "open chains only"),
+    ("open", 0.0, "positive bulk gap"),
+])
+def test_eigvecs_notes_skipped_perturbation(tmp_path, monkeypatch, boundary, gap, reason):
+    """A requested perturbation on a spectrum that could not be classified
+    (a periodic chain, or a gap forced to 0) writes no perturbation block
+    and says why in the notes."""
+    if gap is not None:
+        monkeypatch.setattr(spectral, "bulk_gap", lambda params, branch: gap)
+    cfg = write_config(tmp_path / "p.json", 4, n_cells=20, boundary=boundary,
+                       eigvecs={"n_k": 128, "perturbation": {}})
+    assert run("eigvecs", cfg, tmp_path / "out") == 0
+    rep = json.loads((tmp_path / "out" / "eigvecs-p" / "spectrum.json").read_text())
+    assert "perturbation" not in rep and rep["labels"] is None
+    skipped = [n for n in rep["notes"] if n.startswith("perturbation comparison skipped")]
+    assert len(skipped) == 1 and reason in skipped[0]
+
+
 def test_eigvecs_hybrid_branch_notes_undefined_winding(tmp_path):
     cfg = write_config(tmp_path / "h.json", 4, n_cells=40,
                        eigvecs={"n_k": 128, "branch": "omega4"})
@@ -482,6 +501,9 @@ def test_config_error_exit_codes(tmp_path, capsys):
         ("transient", {"source_nodes": [1, 999]}),
         ("netlist", {"source_nodes": [1, 999]}),
         ("transient", {"source_nodes": []}),
+        # an empty list is refused, not read as the key's default
+        ("sweep", {"points": []}),
+        ("eigvecs", {"n_k": 128, "perturbation": {"cells": []}}),
         ("transient", {"fit_t0_periods": 1.0}),
         # Python's json reads NaN and Infinity; no section takes them
         ("transient", {"amplitude": float("nan")}),

@@ -2,11 +2,7 @@ import numpy as np
 import pytest
 
 import topochain as tc
-from topochain.errors import (
-    DegenerateLeadingCoefficient,
-    OutOfRange,
-    TrackingAmbiguous,
-)
+from topochain.errors import OutOfRange, TrackingAmbiguous
 from topochain import spectral
 from topochain.spectral import BRANCH_LABELS, midpoint_grid
 
@@ -29,7 +25,7 @@ ROOTS_ROW4_K21 = [
 
 
 def test_coefficients_constant_term_is_one():
-    coeffs = tc.band_polynomial_coefficients(row_params(1), 1.3)
+    coeffs = spectral._quartic(row_params(1), 1.3)
     assert coeffs[0] == 1.0
     assert coeffs.dtype == np.float64 and len(coeffs) == 5
 
@@ -46,7 +42,7 @@ def test_coefficients_match_direct_determinant():
         r1, r2, c1, c2, l = rng.uniform(0.05, 2.0, size=5)
         k = rng.uniform(0.0, 2.0 * np.pi)
         p = tc.CircuitParams(r1, r2, c1, c2, l, n_cells=2)
-        coeffs = tc.band_polynomial_coefficients(p, k)
+        coeffs = spectral._quartic(p, k)
         for _ in range(5):
             w = complex(rng.normal(), rng.normal())
             if abs(w) < 0.3:
@@ -67,11 +63,32 @@ def test_degenerate_leading_coefficient_lossless():
     """A lossless circuit has a biquadratic Q off the zone endpoints; only
     at cos k == 1 does the degree collapse."""
     p = tc.CircuitParams(0.0, 0.0, 1.0, 1.0, 1.0)
-    coeffs = tc.band_polynomial_coefficients(p, 1.0)
+    coeffs = spectral._quartic(p, 1.0)
     assert coeffs[1] == 0.0 and coeffs[3] == 0.0
     assert coeffs[4] > 0.0
-    with pytest.raises(DegenerateLeadingCoefficient):
-        tc.band_polynomial_coefficients(p, 0.0)
+    assert spectral._quartic(p, 0.0)[4] == 0.0
+
+
+@pytest.mark.parametrize("k", [0.0, 2.0 * np.pi])
+@pytest.mark.parametrize("params, want", [
+    (row_params(4), 3),
+    (tc.CircuitParams(0.0, 0.0, 1.0, 1.0, 1.0), [-0.5, 0.5]),
+])
+def test_zone_endpoint_roots(params, want, k):
+    """At cos k == 1 Q loses its s^4 term, and natural_frequencies solves
+    the lower-degree polynomial left: a cubic for row 4, the quadratic
+    1 + 4 s^2 (omega = +-0.5) for the lossless unit circuit.  Each root
+    passes the root-residual gate."""
+    roots = tc.natural_frequencies(params, k).physical_roots
+    if isinstance(want, int):
+        assert len(roots) == want
+    else:
+        assert_close(roots, want, 1e-14, "lossless endpoint roots")
+    coeffs = spectral._quartic(params, k)
+    s = -1j * roots
+    terms = coeffs * s[:, None] ** np.arange(5)
+    residual = np.abs(terms.sum(axis=1)) / np.abs(terms).sum(axis=1)
+    assert residual.max() <= spectral.ROOT_RESIDUAL_TOL
 
 
 def test_roots_against_mpmath_row2():
@@ -306,6 +323,21 @@ def test_lambda_spectrum_and_gap(band_row4):
     for lab in ("omega4", "omega5"):
         assert tc.bulk_gap(p, band_row4.branches[lab]) == pytest.approx(
             1.566e-4, rel=1e-2)
+
+
+def test_bulk_gap_refuses_empty_branch():
+    """An empty branch has no gap; the refusal is a package error."""
+    with pytest.raises(OutOfRange, match="non-empty branch"):
+        tc.bulk_gap(row_params(4), np.array([], dtype=complex))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_eigendecompose_refuses_non_finite_entries(bad):
+    p = row_params(1, n_cells=3)
+    m = np.eye(6, dtype=complex)
+    m[2, 3] = bad
+    with pytest.raises(OutOfRange, match="non-finite"):
+        tc.eigendecompose(tc.RealSpaceMatrix(entries=m, params=p))
 
 
 def test_eigendecompose_sorting_and_norms():

@@ -1,3 +1,6 @@
+import ast
+import importlib
+import importlib.util
 import re
 import subprocess
 import sys
@@ -18,3 +21,46 @@ def test_preset_diff_reports_a_tree_identical_to_itself():
     same, total = map(int, re.search(r"^(\d+) of (\d+) files identical$",
                                      proc.stdout, re.M).groups())
     assert same == total == 9
+
+
+def _literal(path: Path, name: str):
+    """The literal value assigned to a module-level name, read from the
+    source without importing the module."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == name for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"{path.name} assigns no {name}")
+
+
+def test_traced_functions_exist_in_their_modules():
+    """Every function perfbench/spans.py traces (SPANNED) or counts
+    (COUNTED) is defined in the topochain module it is listed under, so
+    none of them can leave the package while the benchmark reads it."""
+    spans = ROOT / "perfbench" / "spans.py"
+    listed = [(mod, fn) for table in ("SPANNED", "COUNTED")
+              for mod, names in _literal(spans, table).items() for fn in names]
+    assert listed
+    for mod, fn in listed:
+        module = importlib.import_module(f"topochain.{mod}")
+        assert getattr(getattr(module, fn, None), "__module__", None) == module.__name__, \
+            f"topochain.{mod}.{fn}"
+
+
+def test_tool_imports_from_topochain_resolve():
+    """Every name that a script under tools/ or perfbench/ imports with
+    `from topochain... import` exists: a module attribute or a submodule."""
+    scripts = sorted(ROOT.glob("tools/**/*.py")) + sorted(ROOT.glob("perfbench/*.py"))
+    checked = 0
+    for path in scripts:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.ImportFrom) and node.level == 0
+                    and node.module.split(".")[0] == "topochain"):
+                continue
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                name = f"{node.module}.{alias.name}"
+                assert (hasattr(module, alias.name)
+                        or importlib.util.find_spec(name)), f"{path.relative_to(ROOT)}: {name}"
+                checked += 1
+    assert checked

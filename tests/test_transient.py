@@ -294,9 +294,11 @@ def test_probe_rejects_step_over_tolerance(monkeypatch):
 
 
 def propagate(a, dt, b=None):
-    """_propagator into fresh buffers of its own."""
+    """_propagator's one-step map and source column, computed in fresh
+    buffers of its own (with b, for a unit drive at angular frequency 1)."""
     n = len(a)
-    return transient._propagator(a, dt, b, np.empty((n, n)), np.empty(n * (n + 1)))
+    return transient._propagator(a, dt, b, np.empty((n, n)), np.empty(n * (n + 1)),
+                                 1.0, np.exp(1j * dt))[:2]
 
 
 def short_propagator():
@@ -344,11 +346,11 @@ def owner(a: np.ndarray) -> np.ndarray:
 def test_phase_reuses_product_buffers(monkeypatch):
     """_phase writes every product of its power chain into a few reused
     dim x dim buffers: at most four distinct arrays receive the products.
-    A whole simulate run writes every real dim x dim matrix (the particular
-    response's two operators, each propagator's left- and right-hand sides
-    and one-step map, the power chains' products, each probe's left-hand
-    side) into one set of at most five arrays, the products into at most
-    four of them."""
+    A whole simulate run writes every real dim x dim matrix (each
+    propagator's left- and right-hand sides, which also give the driven
+    phase's particular response, and one-step map, the power chains'
+    products, each probe's left-hand side) into one set of at most five
+    arrays, the products into at most four of them."""
     products, matrices = [], []
     real_product, real_identity = transient._product, transient._identity_plus
 
@@ -382,18 +384,17 @@ def test_phase_reuses_product_buffers(monkeypatch):
     propagator = transient._propagator
 
     def recording_propagator(*args):
-        p, g = propagator(*args)
+        p, g, z = propagator(*args)
         matrices.append(p)
-        return p, g
+        return p, g, z
 
     monkeypatch.setattr(transient, "_identity_plus", identity_plus)
     monkeypatch.setattr(transient, "_propagator", recording_propagator)
     setup = short_setup()
     tc.simulate(setup, 6000)
     dim = 2 * setup.params.n_cells - 1   # the mirror half-chain's states
-    # I -/+ dt/2 a of the particular response, then per phase the lhs, rhs
-    # and p of its propagator and its probe's lhs
-    assert len(matrices) == 2 + 2 * 4
+    # per phase the lhs, rhs and p of its propagator and its probe's lhs
+    assert len(matrices) == 2 * 4
     assert len(products) >= 2 * 6
     assert all(m.shape[0] == dim for m in matrices + products)
     # held in the lists, no array's memory is handed to a later one

@@ -16,7 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from topochain import CircuitParams, band_polynomial_coefficients, midpoint_grid
+from topochain import CircuitParams, midpoint_grid
+from topochain.spectral import _quartic
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "tests"))
 from reference import hermitian_reference_bands  # noqa: E402
@@ -26,7 +27,7 @@ p = CircuitParams(0.0, 0.0, C1, C2, L, n_cells=2)
 
 worst = 0.0
 for k in midpoint_grid(256):
-    roots = 1j * np.roots(band_polynomial_coefficients(p, k)[::-1])
+    roots = 1j * np.roots(_quartic(p, k)[::-1])
     pos = np.sort(roots[roots.real > 1e-12].real)
     x_minus, x_plus = hermitian_reference_bands(C1, C2, L, k)
     scale = L * np.sqrt(C1 * C2)
