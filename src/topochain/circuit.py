@@ -28,12 +28,13 @@ class HoppingPair:
 def _etas(params: CircuitParams, omega):
     """eta_j = 1 + i omega R_j C_j elementwise; one element off either floor raises."""
     mag = np.abs(omega)
-    if np.any(mag < OMEGA_FLOOR):
+    if (mag < OMEGA_FLOOR).any():
         raise ZeroFrequency(f"|omega|={np.min(mag):.3g} below floor {OMEGA_FLOOR}")
-    eta1 = 1.0 + 1j * omega * params.r1 * params.c1
-    eta2 = 1.0 + 1j * omega * params.r2 * params.c2
+    i_omega = 1j * omega
+    eta1 = 1.0 + i_omega * params.r1 * params.c1
+    eta2 = 1.0 + i_omega * params.r2 * params.c2
     near = np.minimum(np.abs(eta1), np.abs(eta2))
-    if np.any(near < ETA_FLOOR):
+    if (near < ETA_FLOOR).any():
         j = np.argmin(near)
         raise DegenerateEta(
             f"omega={np.ravel(omega)[j]} sits on a dissipative pole "
@@ -46,13 +47,15 @@ def _etas(params: CircuitParams, omega):
 def hoppings(params: CircuitParams, omega) -> HoppingPair:
     """v = -C1/(1 + i omega R1 C1), w = -C2/(1 + i omega R2 C2), elementwise in omega."""
     eta1, eta2 = _etas(params, omega)
-    return HoppingPair(v=-params.c1 / eta1, w=-params.c2 / eta2)
+    # negated after dividing: a + -(c/eta) is bitwise a - c/eta, signed zeros
+    # included, while (-c)/eta and -(c/eta) can differ in a zero's sign
+    return HoppingPair(v=-(params.c1 / eta1), w=-(params.c2 / eta2))
 
 
 def lambda_diag(params: CircuitParams, omega):
-    """Node admittance 1/(omega^2 L) - C1/eta1 - C2/eta2, elementwise in omega."""
-    eta1, eta2 = _etas(params, omega)
-    return 1.0 / (omega * omega * params.l) - params.c1 / eta1 - params.c2 / eta2
+    """Node admittance 1/(omega^2 L) + v + w, elementwise in omega."""
+    hp = hoppings(params, omega)
+    return 1.0 / (omega * omega * params.l) + hp.v + hp.w
 
 
 @dataclass(frozen=True)

@@ -22,15 +22,9 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .circuit import RealSpaceMatrix, bloch_admittance, lambda_diag
-from .errors import (
-    ConvergenceFailure,
-    OutOfRange,
-    RootResidualTooLarge,
-    TrackingAmbiguous,
-)
+from .errors import ConvergenceFailure, OutOfRange, RootResidualTooLarge, TrackingAmbiguous
 from .params import Boundary, CircuitParams
 
 # back-substitution gate, relative to sum_j |q_j| |s|^j
@@ -45,6 +39,8 @@ _ORDER = {p: i for i, p in enumerate(itertools.permutations(range(4)))}
 _PERMS = np.array(list(_ORDER))
 _INVERSE = np.argsort(_PERMS, axis=1)
 _COMPOSE = [[_ORDER[tuple(q[p].tolist())] for q in _PERMS] for p in _PERMS]
+# the six root pairs of a row, as the root-separation gate reads them
+_PAIRS = np.triu_indices(4, 1)
 
 
 def _quartic(params: CircuitParams, k) -> np.ndarray:
@@ -64,25 +60,13 @@ class FrequencyRoots:
     physical_roots: np.ndarray   # roots of Q, sorted lexicographic (Re, Im)
 
 
-def _polish(coeffs: np.ndarray, roots: np.ndarray, steps: int = 2) -> np.ndarray:
-    # coefficient axis first, so polyval evaluates row j's polynomial at roots[j]
-    c = coeffs.T[:, :, None]
-    d = npoly.polyder(c)
-    for _ in range(steps):
-        pv = npoly.polyval(roots, c, tensor=False)
-        dv = npoly.polyval(roots, d, tensor=False)
-        ok = np.abs(dv) > 0
-        roots = np.where(ok, roots - np.where(ok, pv / np.where(ok, dv, 1.0), 0.0), roots)
-    return roots
-
-
-def _scaled_residual(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    # |Q(s)| relative to the magnitude sum of its terms; stays O(eps)
-    # for backward-stable roots of any magnitude
-    powers = np.abs(roots[:, :, None]) ** np.arange(coeffs.shape[1])
-    scale = np.einsum("jrd,jd->jr", powers, np.abs(coeffs))
-    value = npoly.polyval(roots, coeffs.T[:, :, None], tensor=False)
-    return np.abs(value) / np.maximum(scale, 1e-300)
+def _horner(planes: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Polynomials given by coefficient planes, highest power first, at x:
+    numpy polyval's steps c + value * x from the leading plane."""
+    value = planes[0]
+    for c in planes[1:]:
+        value = c + value * x
+    return value
 
 
 def _solve(params: CircuitParams, ks: np.ndarray) -> np.ndarray:
@@ -91,8 +75,9 @@ def _solve(params: CircuitParams, ks: np.ndarray) -> np.ndarray:
 
     Every k must give Q the same degree: 4, or less where cos k == 1 on
     every row.  The real companion matrices are laid out as np.roots lays
-    them out and solved as one eigvals stack; the roots are polished on Q
-    and mapped to omega = i s.
+    them out and solved as one eigvals stack; the roots are polished by two
+    Newton steps on Q, gated on their scaled residual and mapped to
+    omega = i s.
     """
     coeffs = _quartic(params, ks)
     # zero coefficients are exact: the s^4 term at cos k == 1, the odd
@@ -107,15 +92,26 @@ def _solve(params: CircuitParams, ks: np.ndarray) -> np.ndarray:
     companion = np.zeros((len(ks), deg, deg))
     companion[:, np.arange(1, deg), np.arange(deg - 1)] = 1.0
     companion[:, 0, :] = -coeffs[:, -2::-1] / coeffs[:, -1:]
-    s = _polish(coeffs, np.linalg.eigvals(companion).astype(complex))
-    res = _scaled_residual(coeffs, s).max(axis=1)
-    if np.any(res > ROOT_RESIDUAL_TOL):
+    # one row per root and one column per k: each step below runs along k
+    s = np.linalg.eigvals(companion).T.astype(complex, order="C")
+    # planes of Q, of Q' (its zero leading plane leaves Horner's first step
+    # exact, so one pass evaluates both) and of |q_j|, highest power first
+    q = coeffs.T[::-1]
+    dq = np.concatenate([np.zeros_like(q[:1]), np.arange(deg, 0, -1)[:, None] * q[:-1]])
+    planes = np.array([q, dq, np.abs(q)]).transpose(1, 0, 2)[:, :, None].astype(complex)
+    for _ in range(2):
+        value, slope = _horner(planes[:, :2], s)
+        ok = np.abs(slope) > 0   # a root where Q' vanishes stays put
+        s = np.where(ok, s - value / np.where(ok, slope, 1.0), s)
+    # |Q(s)| relative to sum_j |q_j| |s|^j stays O(eps) for backward-stable
+    # roots of any magnitude
+    value, scale = _horner(planes[:, ::2], np.array([s, np.abs(s)]))
+    res = (np.abs(value) / np.maximum(scale.real, 1e-300)).max(axis=0)
+    if res.max() > ROOT_RESIDUAL_TOL:
         j = int(np.argmax(res > ROOT_RESIDUAL_TOL))
-        raise RootResidualTooLarge(
-            f"worst root residual {res[j]:.3e} at k={ks[j]:.6g}"
-        )
-    omega = 1j * s
-    return np.take_along_axis(omega, np.lexsort((omega.imag, omega.real), axis=-1), axis=1)
+        raise RootResidualTooLarge(f"worst root residual {res[j]:.3e} at k={ks[j]:.6g}")
+    # complex sort is lexicographic (Re, Im), and stable on four entries
+    return np.sort(1j * s.T, axis=1)
 
 
 def natural_frequencies(params: CircuitParams, k: float) -> FrequencyRoots:
@@ -163,19 +159,21 @@ def _step_costs(roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Each row is sorted (Re, Im).  The four |delta omega| terms are sorted by
     a 5-comparator network and added smallest first.
     """
-    terms = np.abs(roots[:-1, :, None] - roots[1:, None, :])[:, np.arange(4), _PERMS]
-    v = list(np.moveaxis(terms, -1, 0))
+    # dist[i, m, j] = |roots[j, i] - roots[j + 1, m]|; term i of every
+    # permutation is one contiguous (24, steps) plane of it
+    rows = roots.T
+    dist = np.abs(rows[:, None, :-1] - rows[None, :, 1:])
+    v = list(dist[np.arange(4)[:, None], _PERMS.T])
     for x, y in ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2)):
         v[x], v[y] = np.minimum(v[x], v[y]), np.maximum(v[x], v[y])
-    cost = v[0] + v[1] + v[2] + v[3]
+    cost = (v[0] + v[1] + v[2] + v[3]).T
     # a step is a branch point only when the axis-root count goes 2 -> 0 or
     # 0 -> 2, which the root sets decide whatever their order.  A row with
     # two axis roots holds them at sorted indices 1 (smaller Im) and 2, and
     # a row with none holds the Re < 0 members at 0 and 1
     on_axis = (roots.real == 0.0).sum(axis=1)
     split = (on_axis[:-1] == 2) & (on_axis[1:] == 0)
-    special = split | ((on_axis[:-1] == 0) & (on_axis[1:] == 2))
-    at = np.flatnonzero(special)
+    at = np.flatnonzero(split | ((on_axis[:-1] == 0) & (on_axis[1:] == 2)))
     merge = ~split[at]
     axis_row = np.where(merge[:, None], roots[at + 1], roots[at])
     near = np.abs(np.where(merge[:, None], roots[at], roots[at + 1])
@@ -224,9 +222,8 @@ def band_trace(params: CircuitParams, n_k: int) -> BandSet:
     ks = midpoint_grid(n_k)
     h = (n_k + 1) // 2
     roots = _solve(params, ks[:h])
-    iu, ju = np.triu_indices(4, 1)
-    gaps = np.abs(roots[:, iu] - roots[:, ju]).min(axis=1)
-    if np.any(gaps < 1e-10):
+    gaps = np.abs(roots[:, _PAIRS[0]] - roots[:, _PAIRS[1]]).min(axis=1)
+    if gaps.min() < 1e-10:
         j = int(np.argmax(gaps < 1e-10))
         raise TrackingAmbiguous(
             f"physical roots within {gaps[j]:.3e} of each other "
@@ -235,8 +232,11 @@ def band_trace(params: CircuitParams, n_k: int) -> BandSet:
     # each row of roots is sorted (Re, Im); the first row names the
     # branches, and argmin takes the first of tied permutations
     cost, at = _step_costs(roots)
-    steps = cost.argmin(axis=1).tolist()
-    perm = _PERMS[list(itertools.accumulate(steps, lambda p, q: _COMPOSE[p][q], initial=0))]
+    # row j's slot order composes the steps before it: those off the identity
+    steps = cost.argmin(axis=1)
+    moves = np.flatnonzero(steps)
+    orders = itertools.accumulate(steps[moves].tolist(), lambda p, q: _COMPOSE[p][q], initial=0)
+    perm = _PERMS[np.take(list(orders), np.searchsorted(moves, np.arange(h)))]
     half = np.take_along_axis(roots, perm, axis=1)
     # mirror[j] permutes row j's slots into row n_k - 1 - j; it changes only
     # across the branch points, so fill it between them from k = pi down
@@ -253,17 +253,16 @@ def band_trace(params: CircuitParams, n_k: int) -> BandSet:
     traced = np.concatenate(
         [half, np.take_along_axis(half, mirror, axis=1)[::-1][2 * h - n_k:]])
     branches = {lab: traced[:, i] for i, lab in enumerate(BRANCH_LABELS)}
-    resid = {
-        lab: float(np.max(np.abs(np.diff(branches[lab]))))
-        for lab in BRANCH_LABELS
-    }
+    resid = dict(zip(BRANCH_LABELS, np.abs(np.diff(traced, axis=0)).max(axis=0).tolist()))
     return BandSet(k_grid=ks, branches=branches, continuity_residual=resid,
                    closure_permutation=tuple(closure.tolist()))
 
 
 def lambda_spectrum(params: CircuitParams, band: BandSet) -> dict[str, np.ndarray]:
-    """Lambda(omega(k)) along each branch, for band-structure output."""
-    return {lab: lambda_diag(params, band.branches[lab]) for lab in BRANCH_LABELS}
+    """Lambda(omega(k)) along each branch, for band-structure output; one
+    evaluation over the stacked branches."""
+    lam = lambda_diag(params, np.stack([band.branches[lab] for lab in BRANCH_LABELS]))
+    return dict(zip(BRANCH_LABELS, lam))
 
 
 def bulk_gap(params: CircuitParams, omega_branch: np.ndarray) -> float:

@@ -16,6 +16,18 @@ ORIGIN_TOL = 1e-10
 # the curve passes closer to the origin than the sampling resolves; the
 # winding of such a curve is not certified
 MAX_SEGMENT_TURN = np.pi / 2
+# the gates a curve must clear for its winding to be certified, in the
+# order they are checked, and the message of each one's refusal
+RADIUS, TURN, OFF_INTEGER, QUADRATURE = 1, 2, 3, 4
+_REFUSALS = {
+    RADIUS: "admittance curve passes within {r:.3e} of the origin; winding undefined",
+    TURN: "one curve segment turns {turn:.3f} rad around the origin; the near-origin "
+          "passage is unresolved and the winding undefined",
+    OFF_INTEGER: "winding accumulated to {total:.6f}, not close to an integer; refine the grid",
+    QUADRATURE: "trapezoid quadrature reads {quad:.4f}, {off:.4f} from the angle count "
+                "{winding} (agreement needs under 0.5); the near-origin passage is "
+                "unresolved and the winding undefined",
+}
 
 
 def _admittance_plane_curve(params: CircuitParams,
@@ -28,66 +40,64 @@ def _admittance_plane_curve(params: CircuitParams,
 
 
 def _turns(angles: np.ndarray) -> np.ndarray:
-    """Wrapped angle increments of a closed curve, last sample back to the first."""
-    step = np.diff(angles, append=angles[..., :1], axis=-1)
-    return (step + np.pi) % (2.0 * np.pi) - np.pi
+    """Angle increments along each row of closed-curve angles (the last
+    sample repeats the first), wrapped into [-pi, pi)."""
+    step = np.fmod(angles[..., 1:] - angles[..., :-1] + np.pi, 2.0 * np.pi)
+    # fmod keeps the dividend's sign; % would add 2pi to a negative one
+    return np.where(step < 0.0, step + 2.0 * np.pi, step) - np.pi
 
 
-def _check_away_from_origin(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Raise OriginCrossing unless the curve clears both gates; return its turns."""
-    r = np.hypot(x, y)
-    if r.min() < ORIGIN_TOL * max(1.0, r.max()):
-        raise OriginCrossing(
-            f"admittance curve passes within {r.min():.3e} of the origin; "
-            f"winding undefined"
-        )
-    dang = _turns(np.arctan2(y, x))
-    if np.max(np.abs(dang)) > MAX_SEGMENT_TURN:
-        raise OriginCrossing(
-            f"one curve segment turns {np.max(np.abs(dang)):.3f} rad around "
-            f"the origin; the near-origin passage is unresolved and the "
-            f"winding undefined"
-        )
-    return dang
+def _gate(x: np.ndarray, y: np.ndarray) -> tuple[list, list, list, list]:
+    """Angle-count winding, trapezoid quadrature and minimum radius of each
+    row of a stack of closed curves (x, y), and its refusal: None, or the
+    first gate it fails and that gate's OriginCrossing message.
 
-
-def _quadrature(x: np.ndarray, y: np.ndarray) -> float:
-    xc = np.append(x, x[0])
-    yc = np.append(y, y[0])
-    dx = np.diff(xc)
-    dy = np.diff(yc)
-    xm = 0.5 * (xc[1:] + xc[:-1])
-    ym = 0.5 * (yc[1:] + yc[:-1])
-    return float(np.sum((xm * dy - ym * dx) / (xm * xm + ym * ym)) / (2.0 * np.pi))
-
-
-def _certified_winding(x: np.ndarray, y: np.ndarray) -> tuple[int, float]:
-    """Angle-count winding of a curve and its trapezoid quadrature.
-
-    Raises OriginCrossing when either origin gate fails, when the angle
-    count is not close to an integer, or when the quadrature rounds to a
-    different integer: a curve sampled too coarsely near the origin can
-    keep every segment under the turn gate and still be misread.
+    A row is refused when it passes within ORIGIN_TOL max(1, max radius) of
+    the origin, when one segment turns more than MAX_SEGMENT_TURN around it,
+    when the angle count is more than 1e-6 from an integer, or when the
+    quadrature of (x dy - y dx)/(x^2 + y^2) at the segment midpoints rounds
+    to a different integer: a curve sampled too coarsely near the origin can
+    keep every segment under the turn gate and still be misread.  Every gate
+    is evaluated on every row in one pass.  Curves of fewer than
+    MIN_WINDING_SAMPLES samples raise OutOfRange.
     """
-    if len(x) < MIN_WINDING_SAMPLES:
-        raise OutOfRange(
-            f"branch has {len(x)} samples; need >= {MIN_WINDING_SAMPLES}"
-        )
-    total = _check_away_from_origin(x, y).sum() / (2.0 * np.pi)
-    rounded = int(np.rint(total))
-    if abs(total - rounded) > 1e-6:
-        raise OriginCrossing(
-            f"winding accumulated to {total:.6f}, not close to an integer; "
-            f"refine the grid"
-        )
-    quad = _quadrature(x, y)
-    if int(np.rint(quad)) != rounded:
-        raise OriginCrossing(
-            f"trapezoid quadrature reads {quad:.4f}, {abs(quad - rounded):.4f} "
-            f"from the angle count {rounded} (agreement needs under 0.5); "
-            f"the near-origin passage is unresolved and the winding undefined"
-        )
-    return rounded, quad
+    if x.shape[-1] < MIN_WINDING_SAMPLES:
+        raise OutOfRange(f"branch has {x.shape[-1]} samples; need >= {MIN_WINDING_SAMPLES}")
+    # (x, y) planes of each curve, closed by its first sample
+    xy = np.stack([x, y])
+    xy = np.concatenate([xy, xy[..., :1]], axis=-1)
+    r = np.hypot(xy[0], xy[1])
+    r_min, r_max = r.min(axis=-1), r.max(axis=-1)
+    dang = _turns(np.arctan2(xy[1], xy[0]))
+    turn = np.abs(dang).max(axis=-1)
+    total = dang.sum(axis=-1) / (2.0 * np.pi)
+    rounded = np.rint(total)
+    (dx, dy), (xm, ym) = xy[..., 1:] - xy[..., :-1], 0.5 * (xy[..., 1:] + xy[..., :-1])
+    # a midpoint on the origin divides by zero, on a row the turn gate refuses
+    with np.errstate(divide="ignore", invalid="ignore"):
+        quad = np.sum((xm * dy - ym * dx) / (xm * xm + ym * ym), axis=-1) / (2.0 * np.pi)
+    fails = np.stack([r_min < ORIGIN_TOL * np.maximum(1.0, r_max), turn > MAX_SEGMENT_TURN,
+                      np.abs(total - rounded) > 1e-6, np.rint(quad) != rounded])
+    winding = rounded.astype(int).tolist()
+    refusal = [None] * len(winding)
+    for i in np.flatnonzero(fails.any(axis=0)).tolist():
+        gate = RADIUS + int(np.argmax(fails[:, i]))
+        refusal[i] = (gate, _REFUSALS[gate].format(
+            r=r_min[i], turn=turn[i], total=total[i], quad=quad[i],
+            off=abs(quad[i] - winding[i]), winding=winding[i]))
+    return winding, quad.tolist(), r_min.tolist(), refusal
+
+
+def _gated_curve(params: CircuitParams, branch: np.ndarray, k_grid: np.ndarray,
+                 gates: tuple[int, ...]) -> tuple[int, float, np.ndarray, np.ndarray]:
+    """Angle count and quadrature of one branch's curve, and the curve as a
+    one-row stack (x, y); raises OriginCrossing when it fails one of the
+    given gates."""
+    x, y = np.atleast_2d(*_admittance_plane_curve(params, branch, k_grid))
+    (winding,), (quad,), _, (refusal,) = _gate(x, y)
+    if refusal is not None and refusal[0] in gates:
+        raise OriginCrossing(refusal[1])
+    return winding, quad, x, y
 
 
 def winding_number(params: CircuitParams,
@@ -98,10 +108,11 @@ def winding_number(params: CircuitParams,
     The branch must sample one full period of k on k_grid.  Accumulates
     wrapped angle increments between consecutive samples and closes the curve
     back to its first point, so the result is an exact integer for any curve
-    sampled finely enough that no single step turns by more than pi.  The
-    trapezoid quadrature of the same curve must round to the same integer.
+    sampled finely enough that no single step turns by more than pi.  Every
+    gate of _gate must pass, the trapezoid quadrature of the same curve
+    rounding to the same integer among them.
     """
-    return _certified_winding(*_admittance_plane_curve(params, branch, k_grid))[0]
+    return _gated_curve(params, branch, k_grid, (RADIUS, TURN, OFF_INTEGER, QUADRATURE))[0]
 
 
 def winding_quadrature(params: CircuitParams,
@@ -110,11 +121,10 @@ def winding_quadrature(params: CircuitParams,
     """Independent route: trapezoid quadrature of (x dy - y dx)/(x^2+y^2).
 
     Returns the raw (unrounded) value so tests can compare routes without
-    the rounding step hiding disagreement.
+    the rounding step hiding disagreement; only the sample floor and the two
+    origin gates apply.
     """
-    x, y = _admittance_plane_curve(params, branch, k_grid)
-    _check_away_from_origin(x, y)
-    return _quadrature(x, y)
+    return _gated_curve(params, branch, k_grid, (RADIUS, TURN))[1]
 
 
 def winding_crossings(params: CircuitParams,
@@ -126,10 +136,10 @@ def winding_crossings(params: CircuitParams,
     y1 <= 0 < y0, so a vertex on the axis counts the two segments meeting
     there once between them; the crossing lies on the positive side when
     the origin is left of an upward segment (right of a downward one).
+    Only the sample floor and the two origin gates apply.
     """
-    x0, y0 = _admittance_plane_curve(params, branch, k_grid)
-    _check_away_from_origin(x0, y0)
-    x1, y1 = np.roll(x0, -1), np.roll(y0, -1)
+    _, _, x0, y0 = _gated_curve(params, branch, k_grid, (RADIUS, TURN))
+    x1, y1 = np.roll(x0, -1, axis=-1), np.roll(y0, -1, axis=-1)
     # positive when the origin lies left of the segment's direction
     cross = x0 * (y1 - y0) - (x1 - x0) * y0
     up = (y0 <= 0.0) & (0.0 < y1) & (cross > 0.0)
@@ -152,18 +162,11 @@ def winding_per_branch(params: CircuitParams, band: BandSet) -> dict[str, Windin
     gapless, axis-visiting ones) are omitted rather than reported with a
     non-robust integer; callers detect them as missing keys.
     """
-    # one evaluation over all branches, each row gated on its own
-    xs, ys = _admittance_plane_curve(params, np.stack(list(band.branches.values())),
-                                     band.k_grid)
-    out = {}
-    for lab, x, y in zip(band.branches, xs, ys):
-        try:
-            winding, quadrature = _certified_winding(x, y)
-        except OriginCrossing:
-            continue
-        out[lab] = WindingResult(label=lab, winding=winding, quadrature=quadrature,
-                                 curve_min_radius=float(np.hypot(x, y).min()))
-    return out
+    # one evaluation and one gate pass over all branches, each gated on its own
+    stack = np.stack(list(band.branches.values()))
+    gated = zip(band.branches, *_gate(*_admittance_plane_curve(params, stack, band.k_grid)))
+    return {lab: WindingResult(label=lab, winding=w, quadrature=q, curve_min_radius=r)
+            for lab, w, q, r, refusal in gated if refusal is None}
 
 
 def skin_effect_present(band: BandSet, label: str) -> bool:

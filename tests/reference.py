@@ -3,8 +3,8 @@
 The Pauli matrices, the 2x2 cell Laplacian, the off-diagonal product q(k)
 along a branch, the finite chain matrix at one frequency, the lossless
 closed-form bands, the netlist node parser, a stepwise band continuation
-by the assignment solver and the full-width node columns of a transient
-trace.  The
+by the assignment solver, the full-width node columns of a transient
+trace, and the winding gates applied to one curve at a time.  The
 package computes none of its outputs from these; they are independent
 routes the tests compare it against.  Test modules import this file
 directly (pytest puts ``tests/`` on the path); the scripts under
@@ -18,7 +18,8 @@ from scipy.optimize import linear_sum_assignment
 
 from topochain import Boundary, CircuitParams, RealSpaceMatrix, chain_bonds
 from topochain.circuit import bloch_admittance, hoppings, lambda_diag
-from topochain.errors import InvalidParams
+from topochain.errors import InvalidParams, OriginCrossing
+from topochain.topology import MAX_SEGMENT_TURN, ORIGIN_TOL
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -184,3 +185,61 @@ def full_width_columns(trace) -> tuple[np.ndarray, np.ndarray]:
     drive = setup.source_amplitude * np.sin(setup.drive_frequency * trace.times[:rows_d])
     volts[:rows_d] += trace._v_src_driven[node_src] * drive[:, None]
     return volts, states[:, trace._n_branches:][:, node_src]
+
+
+def _turns(angles: np.ndarray) -> np.ndarray:
+    """Wrapped angle increments of a closed curve, last sample back to the first."""
+    step = np.diff(angles, append=angles[..., :1], axis=-1)
+    return (step + np.pi) % (2.0 * np.pi) - np.pi
+
+
+def origin_gates(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The two origin gates on one closed curve, one check after the other:
+    raise OriginCrossing unless the curve clears both; return its turns."""
+    r = np.hypot(x, y)
+    if r.min() < ORIGIN_TOL * max(1.0, r.max()):
+        raise OriginCrossing(
+            f"admittance curve passes within {r.min():.3e} of the origin; "
+            f"winding undefined"
+        )
+    dang = _turns(np.arctan2(y, x))
+    if np.max(np.abs(dang)) > MAX_SEGMENT_TURN:
+        raise OriginCrossing(
+            f"one curve segment turns {np.max(np.abs(dang)):.3f} rad around "
+            f"the origin; the near-origin passage is unresolved and the "
+            f"winding undefined"
+        )
+    return dang
+
+
+def curve_quadrature(x: np.ndarray, y: np.ndarray) -> float:
+    """Trapezoid quadrature of (x dy - y dx)/(x^2+y^2) / 2pi around one
+    closed curve."""
+    xc = np.append(x, x[0])
+    yc = np.append(y, y[0])
+    dx = np.diff(xc)
+    dy = np.diff(yc)
+    xm = 0.5 * (xc[1:] + xc[:-1])
+    ym = 0.5 * (yc[1:] + yc[:-1])
+    return float(np.sum((xm * dy - ym * dx) / (xm * xm + ym * ym)) / (2.0 * np.pi))
+
+
+def certified_winding(x: np.ndarray, y: np.ndarray) -> tuple[int, float]:
+    """Angle-count winding and quadrature of one closed curve, its four gates
+    checked one after the other: the origin gates, the angle count within
+    1e-6 of an integer, and the quadrature rounding to the same integer."""
+    total = origin_gates(x, y).sum() / (2.0 * np.pi)
+    rounded = int(np.rint(total))
+    if abs(total - rounded) > 1e-6:
+        raise OriginCrossing(
+            f"winding accumulated to {total:.6f}, not close to an integer; "
+            f"refine the grid"
+        )
+    quad = curve_quadrature(x, y)
+    if int(np.rint(quad)) != rounded:
+        raise OriginCrossing(
+            f"trapezoid quadrature reads {quad:.4f}, {abs(quad - rounded):.4f} "
+            f"from the angle count {rounded} (agreement needs under 0.5); "
+            f"the near-origin passage is unresolved and the winding undefined"
+        )
+    return rounded, quad

@@ -13,7 +13,9 @@ from topochain import topology
 from topochain.topology import winding_crossings
 
 from conftest import ROWS, assert_close, row_params
-from reference import offdiag_product, real_space_matrix
+import reference
+from reference import (certified_winding, curve_quadrature, offdiag_product,
+                       origin_gates, real_space_matrix)
 
 # grid-stable winding facts measured at n_k = 256 and 1024
 # (tools/oracles/winding_multisets.py): the gapped m branches certify an
@@ -69,8 +71,9 @@ def test_three_routes_agree_on_defined_branches(row, bands_all_rows):
 
 def test_winding_rejects_short_branch():
     p = row_params(1)
-    with pytest.raises(OutOfRange):
-        tc.winding_number(p, np.full(16, 1.0 + 0.1j), tc.midpoint_grid(16))
+    for route in (tc.winding_number, tc.winding_quadrature, winding_crossings):
+        with pytest.raises(OutOfRange):
+            route(p, np.full(16, 1.0 + 0.1j), tc.midpoint_grid(16))
 
 
 def test_winding_routes_random_draws(random_draw_bands):
@@ -129,6 +132,95 @@ def _sweep_draws(seed, count):
     # the draw of perfbench's sweep_points: rows of (r1, r2, c1, c2, l)
     draws = np.random.default_rng(seed).uniform(0.05, 2.0, size=(count, 5))
     return [tc.CircuitParams(*row, n_cells=2) for row in draws]
+
+
+# sweep draws that reach every gate a traced curve can fail at n_k = 256:
+# 1/0 fails the segment-turn gate on omega5 and certifies the other three,
+# 3/673 fails the radius gate on omega4 and omega5, and 2007/11 the
+# quadrature gate on omega4 and omega5; the table rows fail the turn gate
+# on their hybrid pair
+GATE_DRAWS = [(1, 0), (3, 673), (2007, 11)]
+
+
+def _gate_cases():
+    """(params, band, x, y) of the gate draws and the four table rows at
+    n_k = 256, x and y the stacked curves of all four branches."""
+    points = [_sweep_draws(s, i + 1)[i] for s, i in GATE_DRAWS]
+    for p in points + [row_params(row) for row in ROWS]:
+        band = tc.band_trace(p, 256)
+        stack = np.stack(list(band.branches.values()))
+        yield (p, band, *topology._admittance_plane_curve(p, stack, band.k_grid))
+
+
+def _per_curve(gates, x, y):
+    """A reference check on one curve: its value, or the refusal's message."""
+    try:
+        return gates(x, y)
+    except OriginCrossing as exc:
+        return str(exc)
+
+
+def _row(gated, i):
+    return tuple(column[i] for column in gated)
+
+
+def test_stacked_gates_equal_per_curve_gates():
+    """One gate pass over the four-branch stack gives, bit for bit, what the
+    gates checked one curve at a time give: each winding and quadrature,
+    the refused set, and each refusal's message; so do the one-branch
+    routes, and a one-row stack equals its row of the four-row stack."""
+    refused_by = set()
+    for p, band, x, y in _gate_cases():
+        gated = topology._gate(x, y)
+        refusals = gated[3]
+        results = tc.winding_per_branch(p, band)
+        for i, (lab, branch) in enumerate(band.branches.items()):
+            assert _row(topology._gate(x[i:i + 1], y[i:i + 1]), 0) == _row(gated, i)
+            want = _per_curve(certified_winding, x[i], y[i])
+            if isinstance(want, str):
+                gate, message = refusals[i]
+                refused_by.add(gate)
+                assert message == want and lab not in results
+                with pytest.raises(OriginCrossing) as exc:
+                    tc.winding_number(p, branch, band.k_grid)
+                assert str(exc.value) == want
+            else:
+                assert refusals[i] is None
+                radius = float(np.hypot(x[i], y[i]).min())
+                assert results[lab] == topology.WindingResult(lab, *want, radius)
+                assert tc.winding_number(p, branch, band.k_grid) == want[0]
+            # the quadrature and crossing routes apply the origin gates only
+            origin = _per_curve(origin_gates, x[i], y[i])
+            for route in (tc.winding_quadrature, winding_crossings):
+                if isinstance(origin, str):
+                    with pytest.raises(OriginCrossing) as exc:
+                        route(p, branch, band.k_grid)
+                    assert str(exc.value) == origin
+            if not isinstance(origin, str):
+                quad = tc.winding_quadrature(p, branch, band.k_grid)
+                assert quad == curve_quadrature(x[i], y[i]) == gated[1][i]
+    assert refused_by == {topology.RADIUS, topology.TURN, topology.QUADRATURE}
+
+
+def test_off_integer_gate(monkeypatch):
+    """No traced curve reaches the off-integer gate: the wrapped turns of a
+    closed curve sum to 2pi times an integer up to a rounding error of
+    about n ulp(pi).  With every turn shifted by 1e-6, row 1's 256-sample
+    angle counts sit 4.1e-5 off an integer; its certified branches must be
+    refused by that gate, as one curve at a time, with the same message."""
+    for module in (topology, reference):
+        monkeypatch.setattr(module, "_turns",
+                            lambda angles, turns=module._turns: turns(angles) + 1e-6)
+    p = row_params(1)
+    band = tc.band_trace(p, 256)
+    x, y = topology._admittance_plane_curve(
+        p, np.stack(list(band.branches.values())), band.k_grid)
+    refusals = topology._gate(x, y)[3]
+    for i in range(4):
+        assert refusals[i][1] == _per_curve(certified_winding, x[i], y[i])
+    assert [r[0] for r in refusals] == [topology.OFF_INTEGER, topology.TURN,
+                                             topology.TURN, topology.OFF_INTEGER]
+    assert tc.winding_per_branch(p, band) == {}
 
 
 # sweep points whose branches retrace their own k -> 2pi - k reflection up to
@@ -248,12 +340,29 @@ def test_classification_counts_row4(chain300):
 
 
 def test_edge_states_are_zero_modes_row4(chain300):
+    """The Edge pair splits by roundoff, so each of its two eigenvectors is
+    a mix of the two sublattice-polarized end modes that roundoff sets, and
+    so are their ipr and end weights.  sigma_z restricted to the pair's
+    span does not depend on that mix: its eigenvalues are +-1 and its
+    eigenvectors are the polarized modes, whose ipr and end weights
+    (weight on the first and last tenth of the sites) are those of
+    tools/oracles/chain_classification.py: ipr 0.9989527502 each, weight 1
+    on the mode's own end and 6.1e-28 (roundoff) on the other."""
     spec, gap, _ = chain300["omega6"]
     idx = [i for i, t in enumerate(spec.labels) if t == "Edge"]
     assert len(idx) == 2
-    for i in idx:
-        assert abs(spec.eigenvalues[i]) < 1e-10
-        assert spec.ipr[i] == pytest.approx(0.5, abs=1e-3)
+    assert np.all(np.abs(spec.eigenvalues[idx]) < 1e-10)
+    pair = spec.eigenvectors[:, idx]
+    sz = np.tile([1.0, -1.0], 300)
+    sz_vals, sz_vecs = np.linalg.eig(np.linalg.lstsq(pair, sz[:, None] * pair, rcond=None)[0])
+    order = np.argsort(-sz_vals.real)   # the A-polarized mode first
+    assert_close(sz_vals[order], [1.0, -1.0], 1e-12, "sigma_z on the Edge pair")
+    modes = pair @ sz_vecs[:, order]
+    mags = np.abs(modes / np.linalg.norm(modes, axis=0)) ** 2
+    assert_close((mags ** 2).sum(axis=0), [0.9989527502] * 2, 1e-9, "polarized ipr")
+    left, right = mags[:60].sum(axis=0), mags[-60:].sum(axis=0)
+    assert_close([left[0], right[1]], [1.0, 1.0], 1e-12, "weight on the mode's own end")
+    assert left[1] < 1e-20 and right[0] < 1e-20
 
 
 def test_center_of_mass_shift_row4(chain300):

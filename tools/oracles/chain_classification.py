@@ -97,6 +97,18 @@ for name, k, sub, depth in (("left", np.argmax(pol_vals.real), 0, np.arange(N)),
           f"{keep.sum()} cells; extrapolated log10 amplitude at cells "
           f"{cells}: {np.round(far, 1)}")
 
+# the polarized modes' localization metrics as eigendecompose reports them
+# (unit 2-norm, weights on the first and last tenth of the sites); they do
+# not depend on the basis the eigensolver picks inside the pair's span,
+# unlike those of the pair's two eigenvectors, which mix the two modes by
+# an amount roundoff sets
+tenth = (2 * N) // 10
+for name, k in (("A-polarized", np.argmax(pol_vals.real)),
+                ("B-polarized", np.argmin(pol_vals.real))):
+    mags = np.abs(modes[:, k] / np.linalg.norm(modes[:, k])) ** 2
+    print(f"  {name} mode: sigma_z {pol_vals[k]:.15f}, ipr {np.sum(mags ** 2):.10f}, "
+          f"left_weight {mags[:tenth].sum():.10g}, right_weight {mags[-tenth:].sum():.10g}")
+
 # --- center-of-mass shift, basis-free, without center_of_mass_shift -------
 # On the gapped branches the Edge pair is degenerate to roundoff, so the
 # profile of each member depends on the basis the eigensolver picks inside
