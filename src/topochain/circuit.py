@@ -28,13 +28,12 @@ class HoppingPair:
 def _etas(params: CircuitParams, omega):
     """eta_j = 1 + i omega R_j C_j elementwise; one element off either floor raises."""
     mag = np.abs(omega)
-    if (mag < OMEGA_FLOOR).any():
+    if np.any(mag < OMEGA_FLOOR):
         raise ZeroFrequency(f"|omega|={np.min(mag):.3g} below floor {OMEGA_FLOOR}")
-    i_omega = 1j * omega
-    eta1 = 1.0 + i_omega * params.r1 * params.c1
-    eta2 = 1.0 + i_omega * params.r2 * params.c2
+    eta1 = 1.0 + 1j * omega * params.r1 * params.c1
+    eta2 = 1.0 + 1j * omega * params.r2 * params.c2
     near = np.minimum(np.abs(eta1), np.abs(eta2))
-    if (near < ETA_FLOOR).any():
+    if np.any(near < ETA_FLOOR):
         j = np.argmin(near)
         raise DegenerateEta(
             f"omega={np.ravel(omega)[j]} sits on a dissipative pole "

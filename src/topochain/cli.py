@@ -21,8 +21,17 @@ import numpy as np
 
 from . import netlist as netlist_mod
 from . import spectral, topology, transient
-from .errors import (ConfigError, GapUnknown, InvalidParams, NumericError, OriginCrossing,
-                     OutOfRange, OutputError, TopochainError, UnknownKey)
+from .errors import (
+    ConfigError,
+    GapUnknown,
+    InvalidParams,
+    NumericError,
+    OriginCrossing,
+    OutOfRange,
+    OutputError,
+    TopochainError,
+    UnknownKey,
+)
 from .params import CircuitParams, check_object, circuit_from_mapping, load_config
 
 OUT_ROOT_ENV = "TOPOCHAIN_OUT"
@@ -131,8 +140,9 @@ def cmd_bands(params: CircuitParams, section: dict, outdir: Path, fmt: str) -> N
     _write_json(outdir / "bands_meta.json", {
         "closure_permutation": list(band.closure_permutation),
         "continuity_residual": {k: float(v) for k, v in band.continuity_residual.items()},
-        # spectral.bulk_gap of each branch, from the Lambda computed above
-        "gap_per_branch": {lab: 2.0 * float(np.min(np.abs(lam[lab]))) for lab in labels},
+        "gap_per_branch": {
+            lab: spectral.bulk_gap(params, band.branches[lab]) for lab in labels
+        },
     })
 
 

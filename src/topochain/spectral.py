@@ -24,7 +24,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import RealSpaceMatrix, bloch_admittance, lambda_diag
-from .errors import ConvergenceFailure, OutOfRange, RootResidualTooLarge, TrackingAmbiguous
+from .errors import (
+    ConvergenceFailure,
+    OutOfRange,
+    RootResidualTooLarge,
+    TrackingAmbiguous,
+)
 from .params import Boundary, CircuitParams
 
 # back-substitution gate, relative to sum_j |q_j| |s|^j
@@ -109,7 +114,9 @@ def _solve(params: CircuitParams, ks: np.ndarray) -> np.ndarray:
     res = (np.abs(value) / np.maximum(scale.real, 1e-300)).max(axis=0)
     if res.max() > ROOT_RESIDUAL_TOL:
         j = int(np.argmax(res > ROOT_RESIDUAL_TOL))
-        raise RootResidualTooLarge(f"worst root residual {res[j]:.3e} at k={ks[j]:.6g}")
+        raise RootResidualTooLarge(
+            f"worst root residual {res[j]:.3e} at k={ks[j]:.6g}"
+        )
     # complex sort is lexicographic (Re, Im), and stable on four entries
     return np.sort(1j * s.T, axis=1)
 
@@ -173,7 +180,8 @@ def _step_costs(roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # a row with none holds the Re < 0 members at 0 and 1
     on_axis = (roots.real == 0.0).sum(axis=1)
     split = (on_axis[:-1] == 2) & (on_axis[1:] == 0)
-    at = np.flatnonzero(split | ((on_axis[:-1] == 0) & (on_axis[1:] == 2)))
+    special = split | ((on_axis[:-1] == 0) & (on_axis[1:] == 2))
+    at = np.flatnonzero(special)
     merge = ~split[at]
     axis_row = np.where(merge[:, None], roots[at + 1], roots[at])
     near = np.abs(np.where(merge[:, None], roots[at], roots[at + 1])
@@ -259,10 +267,8 @@ def band_trace(params: CircuitParams, n_k: int) -> BandSet:
 
 
 def lambda_spectrum(params: CircuitParams, band: BandSet) -> dict[str, np.ndarray]:
-    """Lambda(omega(k)) along each branch, for band-structure output; one
-    evaluation over the stacked branches."""
-    lam = lambda_diag(params, np.stack([band.branches[lab] for lab in BRANCH_LABELS]))
-    return dict(zip(BRANCH_LABELS, lam))
+    """Lambda(omega(k)) along each branch, for band-structure output."""
+    return {lab: lambda_diag(params, band.branches[lab]) for lab in BRANCH_LABELS}
 
 
 def bulk_gap(params: CircuitParams, omega_branch: np.ndarray) -> float:

@@ -58,11 +58,8 @@ def _gate(x: np.ndarray, y: np.ndarray) -> tuple[list, list, list, list]:
     quadrature of (x dy - y dx)/(x^2 + y^2) at the segment midpoints rounds
     to a different integer: a curve sampled too coarsely near the origin can
     keep every segment under the turn gate and still be misread.  Every gate
-    is evaluated on every row in one pass.  Curves of fewer than
-    MIN_WINDING_SAMPLES samples raise OutOfRange.
+    is evaluated on every row in one pass.
     """
-    if x.shape[-1] < MIN_WINDING_SAMPLES:
-        raise OutOfRange(f"branch has {x.shape[-1]} samples; need >= {MIN_WINDING_SAMPLES}")
     # (x, y) planes of each curve, closed by its first sample
     xy = np.stack([x, y])
     xy = np.concatenate([xy, xy[..., :1]], axis=-1)
@@ -88,14 +85,23 @@ def _gate(x: np.ndarray, y: np.ndarray) -> tuple[list, list, list, list]:
     return winding, quad.tolist(), r_min.tolist(), refusal
 
 
+def _check_samples(n: int) -> None:
+    """A certified winding needs a curve of MIN_WINDING_SAMPLES samples."""
+    if n < MIN_WINDING_SAMPLES:
+        raise OutOfRange(f"branch has {n} samples; need >= {MIN_WINDING_SAMPLES}")
+
+
 def _gated_curve(params: CircuitParams, branch: np.ndarray, k_grid: np.ndarray,
-                 gates: tuple[int, ...]) -> tuple[int, float, np.ndarray, np.ndarray]:
+                 certify: bool) -> tuple[int, float, np.ndarray, np.ndarray]:
     """Angle count and quadrature of one branch's curve, and the curve as a
-    one-row stack (x, y); raises OriginCrossing when it fails one of the
-    given gates."""
+    one-row stack (x, y).  Raises OriginCrossing when the curve fails one of
+    the two origin gates, or, when certify, any gate of _gate or the sample
+    floor (OutOfRange)."""
+    if certify:
+        _check_samples(len(branch))
     x, y = np.atleast_2d(*_admittance_plane_curve(params, branch, k_grid))
     (winding,), (quad,), _, (refusal,) = _gate(x, y)
-    if refusal is not None and refusal[0] in gates:
+    if refusal is not None and (certify or refusal[0] in (RADIUS, TURN)):
         raise OriginCrossing(refusal[1])
     return winding, quad, x, y
 
@@ -112,7 +118,7 @@ def winding_number(params: CircuitParams,
     gate of _gate must pass, the trapezoid quadrature of the same curve
     rounding to the same integer among them.
     """
-    return _gated_curve(params, branch, k_grid, (RADIUS, TURN, OFF_INTEGER, QUADRATURE))[0]
+    return _gated_curve(params, branch, k_grid, certify=True)[0]
 
 
 def winding_quadrature(params: CircuitParams,
@@ -121,10 +127,9 @@ def winding_quadrature(params: CircuitParams,
     """Independent route: trapezoid quadrature of (x dy - y dx)/(x^2+y^2).
 
     Returns the raw (unrounded) value so tests can compare routes without
-    the rounding step hiding disagreement; only the sample floor and the two
-    origin gates apply.
+    the rounding step hiding disagreement; only the two origin gates apply.
     """
-    return _gated_curve(params, branch, k_grid, (RADIUS, TURN))[1]
+    return _gated_curve(params, branch, k_grid, certify=False)[1]
 
 
 def winding_crossings(params: CircuitParams,
@@ -136,9 +141,9 @@ def winding_crossings(params: CircuitParams,
     y1 <= 0 < y0, so a vertex on the axis counts the two segments meeting
     there once between them; the crossing lies on the positive side when
     the origin is left of an upward segment (right of a downward one).
-    Only the sample floor and the two origin gates apply.
+    Only the two origin gates apply.
     """
-    _, _, x0, y0 = _gated_curve(params, branch, k_grid, (RADIUS, TURN))
+    _, _, x0, y0 = _gated_curve(params, branch, k_grid, certify=False)
     x1, y1 = np.roll(x0, -1, axis=-1), np.roll(y0, -1, axis=-1)
     # positive when the origin lies left of the segment's direction
     cross = x0 * (y1 - y0) - (x1 - x0) * y0
@@ -163,6 +168,7 @@ def winding_per_branch(params: CircuitParams, band: BandSet) -> dict[str, Windin
     non-robust integer; callers detect them as missing keys.
     """
     # one evaluation and one gate pass over all branches, each gated on its own
+    _check_samples(len(band.k_grid))
     stack = np.stack(list(band.branches.values()))
     gated = zip(band.branches, *_gate(*_admittance_plane_curve(params, stack, band.k_grid)))
     return {lab: WindingResult(label=lab, winding=w, quadrature=q, curve_min_radius=r)

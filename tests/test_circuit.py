@@ -4,7 +4,7 @@ import pytest
 import topochain as tc
 from topochain.errors import DegenerateEta, ZeroFrequency
 
-from conftest import assert_close, row_params
+from conftest import ROWS, assert_close, row_params
 from reference import (
     SIGMA_X,
     SIGMA_Y,
@@ -175,3 +175,31 @@ def test_hoppings_and_lambda_elementwise_over_arrays():
         tc.hoppings(p, with_zero)
     with pytest.raises(ZeroFrequency):
         tc.lambda_diag(p, with_zero)
+
+
+def _bits(z):
+    return np.asarray(z, dtype=complex).view(np.int64)
+
+
+@pytest.mark.parametrize("case", ["lossless", "on_axis"])
+def test_hopping_zero_signs_and_lambda_bits(case):
+    """hoppings negates after dividing, v = -(C1/eta1): wherever eta is real
+    (R = 0, or omega on the imaginary axis) that moves the sign of a zero
+    imaginary part against (-C1)/eta1, e.g. v.imag and w.imag read -0.0 at
+    R = 0 where (-C)/eta gives +0.0.  lambda_diag = 1/(omega^2 L) + v + w is
+    then bitwise the three-term 1/(omega^2 L) - C1/eta1 - C2/eta2, signed
+    zeros included."""
+    if case == "lossless":
+        p, omega = tc.CircuitParams(0.0, 0.0, *ROWS[1][2:]), np.array([0.5, 1.0, 2.0])
+    else:
+        p, omega = row_params(1), np.array([0.3j, 0.7j, 3.0j, -0.3j])
+    eta1 = 1.0 + 1j * omega * p.r1 * p.c1
+    eta2 = 1.0 + 1j * omega * p.r2 * p.c2
+    hp = tc.hoppings(p, omega)
+    assert np.array_equal(_bits(hp.v), _bits(-(p.c1 / eta1)))
+    assert np.array_equal(_bits(hp.w), _bits(-(p.c2 / eta2)))
+    if case == "lossless":
+        assert np.all(np.signbit(hp.v.imag)) and np.all(np.signbit(hp.w.imag))
+        assert not np.any(np.signbit((-p.c1 / eta1).imag))
+    three_term = 1.0 / (omega * omega * p.l) - p.c1 / eta1 - p.c2 / eta2
+    assert np.array_equal(_bits(tc.lambda_diag(p, omega)), _bits(three_term))

@@ -70,10 +70,18 @@ def test_three_routes_agree_on_defined_branches(row, bands_all_rows):
 
 
 def test_winding_rejects_short_branch():
+    """The sample floor guards the certified winding only; the quadrature
+    and crossing routes read a curve of any length."""
     p = row_params(1)
-    for route in (tc.winding_number, tc.winding_quadrature, winding_crossings):
-        with pytest.raises(OutOfRange):
-            route(p, np.full(16, 1.0 + 0.1j), tc.midpoint_grid(16))
+    branch, k_grid = np.full(16, 1.0 + 0.1j), tc.midpoint_grid(16)
+    with pytest.raises(OutOfRange):
+        tc.winding_number(p, branch, k_grid)
+    band = tc.BandSet(k_grid=k_grid, branches=dict.fromkeys(topology.BRANCH_LABELS, branch),
+                      continuity_residual={}, closure_permutation=(0, 1, 2, 3))
+    with pytest.raises(OutOfRange):
+        tc.winding_per_branch(p, band)
+    assert np.isfinite(tc.winding_quadrature(p, branch, k_grid))
+    assert isinstance(winding_crossings(p, branch, k_grid), int)
 
 
 def test_winding_routes_random_draws(random_draw_bands):
