@@ -66,6 +66,12 @@ DWARF = float(np.finfo(float).tiny)
 FIT_RMS_BOUND = 0.5
 # rows of recorded state advanced by one matrix product in simulate
 BLOCK = 64
+# rows of state per voltage product in TransientTrace.node_voltages: OpenBLAS
+# packs a product's row operand into per-thread buffers that stay resident
+# (14 MB after one product over a 7616-row phase).  A part of over about 1200
+# entries rounds as the whole product (smaller ones take another OpenBLAS
+# kernel): fig8's equal parts of 457-508 rows x 3 columns do; 256 rows would not
+VOLTAGE_ROWS = 512
 # glibc mallopt parameters, and the size from which simulate's arrays get
 # their own mapping and up to which the heap keeps a free top
 M_TRIM_THRESHOLD = -1
@@ -284,15 +290,20 @@ class TransientTrace:
         """Voltages of the named nodes: shape (n_samples, len(nodes)).
 
         Each distinct stepped node's column is its row of the phase's
-        voltage map applied to the state rows, plus v_src times the drive
-        while driven; it is computed once and gathered onto every node that
-        reads it.
+        voltage map applied to the state rows, in equal parts of at most
+        VOLTAGE_ROWS rows, plus v_src times the drive while driven; it is
+        computed once and gathered onto every node that reads it.
         """
         distinct, back = np.unique(self._sources(nodes), return_inverse=True)
         rows_d, x = self._rows_driven, self._states
         volts = np.empty((len(x), len(distinct)))
-        np.matmul(x[:rows_d], self._v_map_driven[distinct].T, out=volts[:rows_d])
-        np.matmul(x[rows_d:], self._v_map_free[distinct].T, out=volts[rows_d:])
+        for rows, v_map in ((slice(rows_d), self._v_map_driven),
+                            (slice(rows_d, None), self._v_map_free)):
+            m = v_map[distinct].T
+            parts = (len(volts[rows]) + VOLTAGE_ROWS - 1) // VOLTAGE_ROWS
+            for xs, out in zip(np.array_split(x[rows], parts),
+                               np.array_split(volts[rows], parts)):
+                np.matmul(xs, m, out=out)
         volts[:rows_d] += (self._v_src_driven[distinct]
                            * _drive(self.metadata, self.times[:rows_d])[:, None])
         return volts[:, back]
@@ -441,9 +452,9 @@ def _phase(p: np.ndarray, out: np.ndarray, n_steps: int, stride: int,
     With q = p**stride, the first BLOCK rows are matvecs and every later
     block of rows is one gemm with q**BLOCK applied to the block before it.
     The powers go into the buffers of pool (see _product); with release,
-    pool keeps only the two that the row blocks read, q**BLOCK and the last
-    advance's power, while the blocks fill the rows.  Returns the step
-    number of every row.
+    only the two that the row blocks read, q**BLOCK and the last advance's
+    power, are held (pool keeps just those) while the blocks fill the rows.
+    Returns the step number of every row.
     """
     steps = np.minimum(np.arange(len(out)) * stride, n_steps)
     q, last = _mat_powers(p, stride, n_steps % stride or stride, pool)
@@ -458,6 +469,7 @@ def _phase(p: np.ndarray, out: np.ndarray, n_steps: int, stride: int,
             qb = _product(qb, qb, pool, (q, last, qb))
         if release:
             pool[:] = [w for w in pool if w is qb or w is last]
+            del q
         qb_t = qb.T
         for j in range(BLOCK, whole, BLOCK):
             rows = min(BLOCK, whole - j)
@@ -512,9 +524,10 @@ def simulate(setup: TransientSetup, max_samples: int) -> TransientTrace:
     phases' propagators (whose two operators also give the driven phase's
     particular response), power chains and probes fill through out=, so a
     call faults their pages in once.  The free phase's row blocks, which
-    take the states to full size, run beside three of them (see _phase's
-    release), and large arrays are kept off the malloc heap (see
-    _pin_mmap_threshold).
+    take the states to full size, run beside three of them and the free
+    operator alone (see _phase's release; the driven operator is let go of
+    once its phase is probed), and large arrays are kept off the malloc
+    heap (see _pin_mmap_threshold).
 
     A mirror-symmetric run steps the N/2-cell half-chain (see _sector):
     2N-1 states, not 4N-1.  The mirror scales both norms of a probe's
@@ -527,6 +540,13 @@ def simulate(setup: TransientSetup, max_samples: int) -> TransientTrace:
     _pin_mmap_threshold()
     stepped, node_src, weight = _sector(setup)
     sys = assemble_state_space(stepped)
+    nb, dim, branch_caps = sys.n_branches, sys.dimension, sys.branch_caps
+    # each phase's operator is popped into its run and let go of after it, so
+    # the driven one is not live while the free phase fills the states
+    maps = dict(_v_map_driven=sys.v_map_driven, _v_src_driven=sys.v_src_driven,
+                _v_map_free=sys.v_map_free)
+    operators = [(sys.a_driven, sys.b_driven), (sys.a_free, None)]
+    del sys
     dt = setup.dt
     n_driven = int(np.ceil(setup.switch_open_time / dt))
     switch_time = n_driven * dt
@@ -537,7 +557,6 @@ def simulate(setup: TransientSetup, max_samples: int) -> TransientTrace:
 
     # every dim x dim buffer of the call: the one-step map (after its solve's
     # right-hand sides) in step_map, left-hand sides and powers in the pool
-    dim = sys.dimension
     step_map, pool = np.empty(dim * (dim + 1)), [np.empty((dim, dim))]
 
     drive = functools.partial(_drive, setup)
@@ -552,6 +571,8 @@ def simulate(setup: TransientSetup, max_samples: int) -> TransientTrace:
         if b is not None:
             rows[0] = -z.imag
         steps = _phase(p, rows, n_steps, stride, pool, release=last)
+        if last:
+            del pool[1:]   # the probe's left-hand side is all it still needs
         if b is not None:
             # a row block at a time, so no rows-by-dimension complex array;
             # z first: the reversed product rounds differently in the last bit
@@ -569,18 +590,17 @@ def simulate(setup: TransientSetup, max_samples: int) -> TransientTrace:
 
     states = np.empty((rows_d + rows_f, dim))
     driven, free = states[:rows_d], states[rows_d:]
-    nb = sys.n_branches
-    steps_d = run_phase("driven", sys.a_driven, sys.b_driven, driven, n_driven, 0)
+    steps_d = run_phase("driven", *operators.pop(0), driven, n_driven, 0)
     # release: zero the inductor-current common mode (minimum-energy
     # consistent reinitialization for the floating network)
     free[0] = driven[-1]
     free[0, nb:] -= free[0, nb:].mean()
-    steps_f = run_phase("free", sys.a_free, None, free, n_free, n_driven, last=True)
+    steps_f = run_phase("free", *operators.pop(), free, n_free, n_driven, last=True)
 
     times = np.concatenate([steps_d, n_driven + steps_f]) * dt
     caps, currents = states[:, :nb], states[:, nb:]
     energy = weight * (
-        0.5 * np.einsum("ij,ij,j->i", caps, caps, sys.branch_caps)
+        0.5 * np.einsum("ij,ij,j->i", caps, caps, branch_caps)
         + 0.5 * setup.params.l * np.einsum("ij,ij->i", currents, currents))
     # from the pre-projection sample at the switch instant on
     post = times >= switch_time - 0.5 * dt
@@ -591,9 +611,7 @@ def simulate(setup: TransientSetup, max_samples: int) -> TransientTrace:
         raise StepRejected(f"stored energy grew by {worst:.3e} after release; reduce dt")
     return TransientTrace(
         times=times, energy=energy, switch_time=switch_time, metadata=setup,
-        _states=states, _n_branches=nb, _v_map_driven=sys.v_map_driven,
-        _v_src_driven=sys.v_src_driven, _v_map_free=sys.v_map_free,
-        _node_src=node_src, _rows_driven=rows_d,
+        _states=states, _n_branches=nb, _node_src=node_src, _rows_driven=rows_d, **maps,
     )
 
 

@@ -634,6 +634,75 @@ def test_simulate_allocates_no_full_width_array():
     assert peak < trace._states.nbytes + rows * 2 * setup.params.n_cells * 8
 
 
+def test_free_phase_holds_four_dim_squared_arrays(monkeypatch):
+    """While the free phase's row blocks take the states to full size
+    (simulate's resident peak), simulate holds four dim x dim arrays beside
+    the states and the voltage maps: the free operator, its one-step map,
+    q**64 and the last advance's power; at the free probe three, the left-
+    hand side in place of the powers.  The driven operator is let go of once
+    its phase is probed and q**stride before the row blocks (six, then five,
+    were live before).  At 100 cells (199 states) a dim x dim array is 13
+    times a rows-long one; numpy's traced memory is read at each row-block
+    product and at the probe of the free phase."""
+    tc.simulate(short_setup(), 100)   # a first run's imports would count
+    setup = tc.TransientSetup(row_params(4, n_cells=100), drive_frequency=3.77,
+                              switch_open_time=17.0, t_end=30.0)
+    blocks, probes = [], []
+    matmul, probe, phase = np.matmul, transient._probe_local_error, transient._phase
+
+    def recording_matmul(x, y, *args, out=None, **kwargs):
+        if out is not None and out.ndim == 2 and out.base is not None:
+            blocks.append(tracemalloc.get_traced_memory()[0])   # a row block
+        return matmul(x, y, *args, out=out, **kwargs)
+
+    def recording_probe(*args):
+        probes.append(tracemalloc.get_traced_memory()[0])
+        return probe(*args)
+
+    def recording_phase(*args, **kwargs):
+        blocks.clear()   # only the last phase's blocks count
+        return phase(*args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", recording_matmul)
+    monkeypatch.setattr(transient, "_probe_local_error", recording_probe)
+    monkeypatch.setattr(transient, "_phase", recording_phase)
+    tracemalloc.start()
+    try:
+        trace = tc.simulate(setup, 3000)
+    finally:
+        tracemalloc.stop()
+    monkeypatch.undo()
+    kept = sum(a.nbytes for a in (trace._states, trace._v_map_driven,
+                                  trace._v_src_driven, trace._v_map_free))
+    dim = trace._states.shape[1]
+    assert dim == 199 and len(blocks) > 1
+    assert (max(blocks) - kept) / (8 * dim * dim) < 4.5
+    assert (probes[-1] - kept) / (8 * dim * dim) < 3.5
+
+
+def test_voltage_products_take_bounded_rows(monkeypatch, short_trace):
+    """node_voltages applies each phase's voltage map in equal row parts of
+    at most VOLTAGE_ROWS rows, which together cover every row once: here
+    both phases exceed the cap.  The columns still equal the full-width
+    oracle's to 1e-13 of their largest entry, and mirror nodes' bitwise."""
+    tr = short_trace
+    rows_d, rows = tr._rows_driven, len(tr.times)
+    assert min(rows_d, rows - rows_d) > transient.VOLTAGE_ROWS
+    parts, matmul = [], np.matmul
+
+    def recording_matmul(x, *args, **kwargs):
+        parts.append(len(x))
+        return matmul(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", recording_matmul)
+    got = tr.node_voltages(np.arange(8))
+    monkeypatch.undo()
+    assert sum(parts) == rows and max(parts) <= transient.VOLTAGE_ROWS
+    want = full_width_columns(tr)[0]
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    assert np.array_equal(got, got[:, ::-1])
+
+
 def test_mirror_state_map():
     """At N = 4 the half-chain has 2 cells, clamped at the left source
     only; node i of the full chain reads half-chain node min(i, 7 - i), and

@@ -15,7 +15,10 @@ its own processes, one at a time, with its own files:
 - every packaged preset through ``cli.run_command``, each preset in its
   own process, so no other preset's heap history reaches its numbers: one
   warm-up run, then the median wall time and the median minor page faults
-  (``ru_minflt``) of 3 timed runs.
+  (``ru_minflt``) of 3 timed runs, and the process's peak resident size
+  (``ru_maxrss``).  The two checkouts take turns preset by preset, and which
+  of them goes first alternates, so host drift over the run reaches both
+  alike.
 - the ``src/`` line count and the environment record ``run.py`` prints.
 - the median wall time of 5 fresh ``python -c "import topochain.cli"``
   processes, and the sorted top-level packages that import loads, so a
@@ -85,7 +88,8 @@ for _ in range(repeats + 1):
     times.append(time.perf_counter() - t0)
     faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)
     shutil.rmtree(out)
-print(json.dumps([statistics.median(times[1:]), statistics.median(faults[1:])]))
+maxrss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+print(json.dumps([statistics.median(times[1:]), statistics.median(faults[1:]), maxrss_mb]))
 """
 
 
@@ -108,8 +112,13 @@ def import_cost(checkout: Path, env: dict) -> dict:
             "ringdown_packages": ringdown}
 
 
+def _env(checkout: Path) -> dict:
+    return dict(os.environ, PYTHONPATH=str(checkout / "src"))
+
+
 def measure(checkout: Path) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    """Every number of one checkout but its presets' (see presets)."""
+    env = _env(checkout)
     with tempfile.TemporaryDirectory() as tmp:
         summary_path = Path(tmp) / "suite.json"
         _run([sys.executable, "perfbench/suite.py", "--runs", str(RUNS),
@@ -123,12 +132,6 @@ def measure(checkout: Path) -> dict:
         result = json.loads(lines[-1])
         per_layer[workload] = {"correct": result["correct"],
                                **{k: m["value"] for k, m in result["metrics"].items()}}
-    presets, faults = {}, {}
-    with tempfile.TemporaryDirectory() as tmp:
-        for name in json.loads(_run([sys.executable, "-c", PRESET_NAMES], checkout, env)):
-            out = _run([sys.executable, "-c", PRESET_TIMER, str(Path(tmp) / "run"),
-                        str(REPEATS), name], checkout, env)
-            presets[name], faults[name] = json.loads(out.strip().splitlines()[-1])
     record = {
         "environment": suite["environment"],
         "src_lines": suite["environment"]["src_lines"],
@@ -140,9 +143,6 @@ def measure(checkout: Path) -> dict:
             for w, s in suite["workloads"].items()},
         "sweep_points_per_s": suite["workloads"]["sweep"]["metrics"]["ops_per_s"]["median"],
         "per_layer": per_layer,
-        "presets_s": presets,
-        "presets_minflt": faults,
-        "presets_total_s": sum(presets.values()),
         "import": import_cost(checkout, env),
     }
     t0 = time.perf_counter()
@@ -153,6 +153,30 @@ def measure(checkout: Path) -> dict:
     record["tier1"] = {"wall_s": time.perf_counter() - t0,
                        "summary": done.stdout.strip().splitlines()[-1]}
     return record
+
+
+def presets(checkouts: dict) -> dict:
+    """Each checkout's preset record: every preset it has, timed in its own
+    process, the checkouts taking turns preset by preset."""
+    names = {role: json.loads(_run([sys.executable, "-c", PRESET_NAMES], c, _env(c)))
+             for role, c in checkouts.items()}
+    keys = ("presets_s", "presets_minflt", "presets_maxrss_mb")
+    records = {role: {key: {} for key in keys} for role in checkouts}
+    roles = list(checkouts)
+    order = list(dict.fromkeys(n for role in roles for n in names[role]))
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, name in enumerate(order):
+            for role in roles if i % 2 == 0 else roles[::-1]:
+                if name not in names[role]:
+                    continue
+                out = _run([sys.executable, "-c", PRESET_TIMER, str(Path(tmp) / "run"),
+                            str(REPEATS), name], checkouts[role], _env(checkouts[role]))
+                values = json.loads(out.strip().splitlines()[-1])
+                for key, value in zip(keys, values):
+                    records[role][key][name] = value
+    for record in records.values():
+        record["presets_total_s"] = sum(record["presets_s"].values())
+    return records
 
 
 def ratios(parent: dict, change: dict) -> dict:
@@ -172,10 +196,14 @@ def main(argv=None) -> int:
     ap.add_argument("--change", type=Path, default=ROOT)
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
+    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     report = {}
-    for role, checkout in (("parent", args.parent), ("change", args.change)):
+    for role, checkout in checkouts.items():
         print(f"measuring {role}: {checkout}", file=sys.stderr)
-        report[role] = measure(checkout.resolve())
+        report[role] = measure(checkout)
+    print("timing the presets of both, preset by preset", file=sys.stderr)
+    for role, record in presets(checkouts).items():
+        report[role].update(record)
     report["ratio"] = ratios(report["parent"], report["change"])
     report["protocol"] = {"runs": RUNS, "repeats": REPEATS, "trace_seconds": TRACE_SECONDS}
     args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
