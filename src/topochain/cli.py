@@ -322,13 +322,15 @@ def cmd_transient(params: CircuitParams, section: dict, outdir: Path) -> None:
     })
     # both files' time column, formatted once: str of a str is itself
     times = np.array(list(map(str, trace.times.tolist())), dtype=object)
+    volts, energy = trace.node_voltages(watch), trace.energy
+    del trace   # its state array is let go of before the files are formatted
     cols = [times]
     header = ["time"]
-    for node, volts, column in zip(watch, trace.node_voltages(watch).T, currents.T):
+    for node, v, column in zip(watch, volts.T, currents.T):
         header += [f"v{node}", f"i{node}"]
-        cols += [volts, column]
+        cols += [v, column]
     _write_csv(outdir / "trace.csv", header, cols)
-    _write_csv(outdir / "energy.csv", ["time", "energy"], [times, trace.energy])
+    _write_csv(outdir / "energy.csv", ["time", "energy"], [times, energy])
 
 
 def cmd_netlist(params: CircuitParams, section: dict, outdir: Path) -> None:

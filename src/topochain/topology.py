@@ -18,12 +18,11 @@ ORIGIN_TOL = 1e-10
 MAX_SEGMENT_TURN = np.pi / 2
 # the gates a curve must clear for its winding to be certified, in the
 # order they are checked, and the message of each one's refusal
-RADIUS, TURN, OFF_INTEGER, QUADRATURE = 1, 2, 3, 4
+RADIUS, TURN, QUADRATURE = 1, 2, 3
 _REFUSALS = {
     RADIUS: "admittance curve passes within {r:.3e} of the origin; winding undefined",
     TURN: "one curve segment turns {turn:.3f} rad around the origin; the near-origin "
           "passage is unresolved and the winding undefined",
-    OFF_INTEGER: "winding accumulated to {total:.6f}, not close to an integer; refine the grid",
     QUADRATURE: "trapezoid quadrature reads {quad:.4f}, {off:.4f} from the angle count "
                 "{winding} (agreement needs under 0.5); the near-origin passage is "
                 "unresolved and the winding undefined",
@@ -54,11 +53,12 @@ def _gate(x: np.ndarray, y: np.ndarray) -> tuple[list, list, list, list]:
 
     A row is refused when it passes within ORIGIN_TOL max(1, max radius) of
     the origin, when one segment turns more than MAX_SEGMENT_TURN around it,
-    when the angle count is more than 1e-6 from an integer, or when the
-    quadrature of (x dy - y dx)/(x^2 + y^2) at the segment midpoints rounds
-    to a different integer: a curve sampled too coarsely near the origin can
-    keep every segment under the turn gate and still be misread.  Every gate
-    is evaluated on every row in one pass.
+    or when the quadrature of (x dy - y dx)/(x^2 + y^2) at the segment
+    midpoints rounds to a different integer: a curve sampled too coarsely
+    near the origin can keep every segment under the turn gate and still be
+    misread.  The wrapped turns of a closed curve sum to 2pi times an
+    integer up to about n ulp(pi), so the angle count needs no gate of its
+    own.  Every gate is evaluated on every row in one pass.
     """
     # (x, y) planes of each curve, closed by its first sample
     xy = np.stack([x, y])
@@ -67,20 +67,19 @@ def _gate(x: np.ndarray, y: np.ndarray) -> tuple[list, list, list, list]:
     r_min, r_max = r.min(axis=-1), r.max(axis=-1)
     dang = _turns(np.arctan2(xy[1], xy[0]))
     turn = np.abs(dang).max(axis=-1)
-    total = dang.sum(axis=-1) / (2.0 * np.pi)
-    rounded = np.rint(total)
+    rounded = np.rint(dang.sum(axis=-1) / (2.0 * np.pi))
     (dx, dy), (xm, ym) = xy[..., 1:] - xy[..., :-1], 0.5 * (xy[..., 1:] + xy[..., :-1])
     # a midpoint on the origin divides by zero, on a row the turn gate refuses
     with np.errstate(divide="ignore", invalid="ignore"):
         quad = np.sum((xm * dy - ym * dx) / (xm * xm + ym * ym), axis=-1) / (2.0 * np.pi)
     fails = np.stack([r_min < ORIGIN_TOL * np.maximum(1.0, r_max), turn > MAX_SEGMENT_TURN,
-                      np.abs(total - rounded) > 1e-6, np.rint(quad) != rounded])
+                      np.rint(quad) != rounded])
     winding = rounded.astype(int).tolist()
     refusal = [None] * len(winding)
     for i in np.flatnonzero(fails.any(axis=0)).tolist():
         gate = RADIUS + int(np.argmax(fails[:, i]))
         refusal[i] = (gate, _REFUSALS[gate].format(
-            r=r_min[i], turn=turn[i], total=total[i], quad=quad[i],
+            r=r_min[i], turn=turn[i], quad=quad[i],
             off=abs(quad[i] - winding[i]), winding=winding[i]))
     return winding, quad.tolist(), r_min.tolist(), refusal
 

@@ -207,8 +207,8 @@ def assemble_state_space(setup: TransientSetup) -> StateSpace:
     # state -> KCL right-hand side (without sources): S R^-1 vC - iL
     m = np.hstack([s / rs, -np.eye(n_nodes)])
 
-    free_idx = np.setdiff1d(np.arange(n_nodes), setup.source_nodes)
-    clamp_idx = np.array(sorted(setup.source_nodes))
+    clamped = np.isin(np.arange(n_nodes), setup.source_nodes)
+    free_idx, clamp_idx = np.flatnonzero(~clamped), np.flatnonzero(clamped)
     g_ff = g[np.ix_(free_idx, free_idx)]
     g_fc = g[np.ix_(free_idx, clamp_idx)]
     if _cond(g_ff) > 1e12:
@@ -441,20 +441,20 @@ def _probe_rows(steps: np.ndarray, n_steps: int, stride: int) -> np.ndarray:
     stride of some eighth of the phase, in order."""
     eighths = np.maximum(1, n_steps * np.arange(1, 9) // 8)
     near = np.abs(eighths[:, None] - steps[None, 1:]) < stride
-    return np.unique(near.argmax(axis=1)[near.any(axis=1)] + 1)
+    return np.flatnonzero(np.bincount(near.argmax(axis=1)[near.any(axis=1)] + 1))
 
 
 def _phase(p: np.ndarray, out: np.ndarray, n_steps: int, stride: int,
-           pool: list, release: bool = False) -> np.ndarray:
+           pool: list) -> np.ndarray:
     """Fill out[1:] from out[0], one row per stride steps of the one-step map
     p; the last advance is shorter when stride does not divide n_steps.
 
     With q = p**stride, the first BLOCK rows are matvecs and every later
     block of rows is one gemm with q**BLOCK applied to the block before it.
-    The powers go into the buffers of pool (see _product); with release,
-    only the two that the row blocks read, q**BLOCK and the last advance's
-    power, are held (pool keeps just those) while the blocks fill the rows.
-    Returns the step number of every row.
+    The powers go into the buffers of pool (see _product); only the two
+    that the row blocks read, q**BLOCK and the last advance's power, are
+    held (pool keeps just those) while the blocks fill the rows.  Returns
+    the step number of every row.
     """
     steps = np.minimum(np.arange(len(out)) * stride, n_steps)
     q, last = _mat_powers(p, stride, n_steps % stride or stride, pool)
@@ -467,9 +467,8 @@ def _phase(p: np.ndarray, out: np.ndarray, n_steps: int, stride: int,
         qb = q
         for _ in range(BLOCK.bit_length() - 1):
             qb = _product(qb, qb, pool, (q, last, qb))
-        if release:
-            pool[:] = [w for w in pool if w is qb or w is last]
-            del q
+        pool[:] = [w for w in pool if w is qb or w is last]
+        del q
         qb_t = qb.T
         for j in range(BLOCK, whole, BLOCK):
             rows = min(BLOCK, whole - j)
@@ -523,11 +522,11 @@ def simulate(setup: TransientSetup, max_samples: int) -> TransientTrace:
     dim (dim + 1) entries and a pool of dim x dim buffers, which both
     phases' propagators (whose two operators also give the driven phase's
     particular response), power chains and probes fill through out=, so a
-    call faults their pages in once.  The free phase's row blocks, which
-    take the states to full size, run beside three of them and the free
-    operator alone (see _phase's release; the driven operator is let go of
-    once its phase is probed), and large arrays are kept off the malloc
-    heap (see _pin_mmap_threshold).
+    call faults their pages in once.  Each phase's row blocks run beside the
+    two powers they read (see _phase), and each phase ends holding only the
+    probe's left-hand side, so the free phase's row blocks, which take the
+    states to full size, run beside three of them and the free operator; large
+    arrays are kept off the malloc heap (see _pin_mmap_threshold).
 
     A mirror-symmetric run steps the N/2-cell half-chain (see _sector):
     2N-1 states, not 4N-1.  The mirror scales both norms of a probe's
@@ -541,8 +540,8 @@ def simulate(setup: TransientSetup, max_samples: int) -> TransientTrace:
     stepped, node_src, weight = _sector(setup)
     sys = assemble_state_space(stepped)
     nb, dim, branch_caps = sys.n_branches, sys.dimension, sys.branch_caps
-    # each phase's operator is popped into its run and let go of after it, so
-    # the driven one is not live while the free phase fills the states
+    # each phase's operator is popped as the phase starts, so the driven one
+    # is not live while the free phase fills the states
     maps = dict(_v_map_driven=sys.v_map_driven, _v_src_driven=sys.v_src_driven,
                 _v_map_free=sys.v_map_free)
     operators = [(sys.a_driven, sys.b_driven), (sys.a_free, None)]
@@ -561,18 +560,21 @@ def simulate(setup: TransientSetup, max_samples: int) -> TransientTrace:
 
     drive = functools.partial(_drive, setup)
     rho = np.exp(1j * setup.drive_frequency * dt)
-
-    def run_phase(name: str, a: np.ndarray, b: np.ndarray | None,
-                  rows: np.ndarray, n_steps: int, first: int,
-                  last: bool = False) -> np.ndarray:
-        """Step one phase into rows, then probe them.  A driven phase's
-        rows[0] is set here: x_n = y_n + Im(z rho^n), y homogeneous."""
+    states = np.empty((rows_d + rows_f, dim))
+    recorded = []   # the step number of every row
+    for name, rows, n_steps, first in (("driven", states[:rows_d], n_driven, 0),
+                                       ("free", states[rows_d:], n_free, n_driven)):
+        a, b = operators.pop(0)
         p, g, z = _propagator(a, dt, b, pool[0], step_map, setup.source_amplitude, rho)
-        if b is not None:
-            rows[0] = -z.imag
-        steps = _phase(p, rows, n_steps, stride, pool, release=last)
-        if last:
-            del pool[1:]   # the probe's left-hand side is all it still needs
+        if b is None:
+            # release: zero the inductor-current common mode (minimum-energy
+            # consistent reinitialization for the floating network)
+            rows[0] = states[rows_d - 1]
+            rows[0, nb:] -= rows[0, nb:].mean()
+        else:
+            rows[0] = -z.imag   # x_n = y_n + Im(z rho^n), y homogeneous
+        steps = _phase(p, rows, n_steps, stride, pool)
+        del pool[1:]   # the probe's left-hand side is all the phase still needs
         if b is not None:
             # a row block at a time, so no rows-by-dimension complex array;
             # z first: the reversed product rounds differently in the last bit
@@ -586,18 +588,9 @@ def simulate(setup: TransientSetup, max_samples: int) -> TransientTrace:
             i = bad[0]
             raise StepRejected(
                 f"{name}-phase local error {err[i]:.3e} at t={t[i]:.6g}; reduce dt")
-        return steps
+        recorded.append(first + steps)
 
-    states = np.empty((rows_d + rows_f, dim))
-    driven, free = states[:rows_d], states[rows_d:]
-    steps_d = run_phase("driven", *operators.pop(0), driven, n_driven, 0)
-    # release: zero the inductor-current common mode (minimum-energy
-    # consistent reinitialization for the floating network)
-    free[0] = driven[-1]
-    free[0, nb:] -= free[0, nb:].mean()
-    steps_f = run_phase("free", *operators.pop(), free, n_free, n_driven, last=True)
-
-    times = np.concatenate([steps_d, n_driven + steps_f]) * dt
+    times = np.concatenate(recorded) * dt
     caps, currents = states[:, :nb], states[:, nb:]
     energy = weight * (
         0.5 * np.einsum("ij,ij,j->i", caps, caps, branch_caps)

@@ -398,6 +398,35 @@ def test_no_command_loads_scipy(tmp_path):
     assert fits and all("error" not in fit for fit in fits.values())
 
 
+NO_NUMPY_MA = """
+import json
+import sys
+from pathlib import Path
+
+import topochain.cli as cli
+
+config, out = json.loads(Path(sys.argv[1]).read_text()), Path(sys.argv[2])
+assert "numpy.ma" not in sys.modules, "imported with the package"
+cli.run_command("transient", config, out, "csv")
+assert "numpy.ma" not in sys.modules, "imported by the transient run"
+"""
+
+
+def test_transient_run_does_not_import_numpy_ma(tmp_path):
+    """In a fresh process a transient run imports no numpy.ma (numpy 2.4's
+    index-free np.unique, np.setdiff1d among its callers, imports it, which
+    costs a one-shot run about 13 ms).  The 4-cell run is mirror symmetric,
+    so it goes through _sector, both phases' probes and node_voltages."""
+    cfg = tmp_path / "t.json"
+    cfg.write_text(json.dumps(small_transient_config(tmp_path)))
+    src = str(Path(tc.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", NO_NUMPY_MA, str(cfg), str(tmp_path / "out")],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "out" / "trace.csv").exists()
+
+
 def test_run_command_refuses_threads(tmp_path):
     """threads=1 is the only value run_command takes: the sweep runs
     serially, and any other value is refused before the run directory

@@ -1,10 +1,16 @@
 import ast
 import importlib
 import importlib.util
+import json
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
+
+from topochain.cli import run_command
+from topochain.spectral import BRANCH_LABELS
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -21,6 +27,26 @@ def test_preset_diff_reports_a_tree_identical_to_itself():
     same, total = map(int, re.search(r"^(\d+) of (\d+) files identical$",
                                      proc.stdout, re.M).groups())
     assert same == total == 9
+
+
+def test_sweep_corpus_writes_its_nine_configs(tmp_path):
+    """tools/sweep_corpus.py writes the five sweep corpora and the four
+    table-row skin configs.  A corpus's first point is the first row of the
+    seed's draw its docstring names, and a skin config runs as written."""
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "sweep_corpus.py"),
+                           str(tmp_path)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [f"sweep_{seed}.json" for seed in (5001, 6001, 7001, 8001, 9001)]
+        + [f"skin_row{row}.json" for row in range(1, 5)])
+    corpus = json.loads((tmp_path / "sweep_5001.json").read_text())
+    first = np.random.default_rng(5001).uniform(0.05, 2.0, (200, 5))[0]
+    want = dict(zip(("r1", "r2", "c1", "c2", "l"), first.tolist()), n_cells=2)
+    assert corpus["sweep"]["points"][0] == corpus["circuit"] == want
+    assert len(corpus["sweep"]["points"]) == 200
+    run_command("skin", json.loads((tmp_path / "skin_row1.json").read_text()),
+                tmp_path / "out", "csv")
+    assert tuple(json.loads((tmp_path / "out" / "skin.json").read_text())) == BRANCH_LABELS
 
 
 def _literal(path: Path, name: str):

@@ -13,7 +13,6 @@ from topochain import topology
 from topochain.topology import winding_crossings
 
 from conftest import ROWS, assert_close, row_params
-import reference
 from reference import (certified_winding, curve_quadrature, offdiag_product,
                        origin_gates, real_space_matrix)
 
@@ -208,27 +207,6 @@ def test_stacked_gates_equal_per_curve_gates():
                 quad = tc.winding_quadrature(p, branch, band.k_grid)
                 assert quad == curve_quadrature(x[i], y[i]) == gated[1][i]
     assert refused_by == {topology.RADIUS, topology.TURN, topology.QUADRATURE}
-
-
-def test_off_integer_gate(monkeypatch):
-    """No traced curve reaches the off-integer gate: the wrapped turns of a
-    closed curve sum to 2pi times an integer up to a rounding error of
-    about n ulp(pi).  With every turn shifted by 1e-6, row 1's 256-sample
-    angle counts sit 4.1e-5 off an integer; its certified branches must be
-    refused by that gate, as one curve at a time, with the same message."""
-    for module in (topology, reference):
-        monkeypatch.setattr(module, "_turns",
-                            lambda angles, turns=module._turns: turns(angles) + 1e-6)
-    p = row_params(1)
-    band = tc.band_trace(p, 256)
-    x, y = topology._admittance_plane_curve(
-        p, np.stack(list(band.branches.values())), band.k_grid)
-    refusals = topology._gate(x, y)[3]
-    for i in range(4):
-        assert refusals[i][1] == _per_curve(certified_winding, x[i], y[i])
-    assert [r[0] for r in refusals] == [topology.OFF_INTEGER, topology.TURN,
-                                             topology.TURN, topology.OFF_INTEGER]
-    assert tc.winding_per_branch(p, band) == {}
 
 
 # sweep points whose branches retrace their own k -> 2pi - k reflection up to

@@ -345,12 +345,14 @@ def owner(a: np.ndarray) -> np.ndarray:
 
 def test_phase_reuses_product_buffers(monkeypatch):
     """_phase writes every product of its power chain into a few reused
-    dim x dim buffers: at most four distinct arrays receive the products.
-    A whole simulate run writes every real dim x dim matrix (each
+    dim x dim buffers: at most four distinct arrays receive the products,
+    and the pool ends holding only the two powers the row blocks read.
+    Each phase of a simulate run writes every real dim x dim matrix (its
     propagator's left- and right-hand sides, which also give the driven
-    phase's particular response, and one-step map, the power chains'
-    products, each probe's left-hand side) into one set of at most five
-    arrays, the products into at most four of them."""
+    phase's particular response, and one-step map, its power chain's
+    products, its probe's left-hand side) into at most five arrays, the
+    products into at most four of them, and the free phase inherits only
+    the one-step map's buffer and the driven probe's left-hand side."""
     products, matrices = [], []
     real_product, real_identity = transient._product, transient._identity_plus
 
@@ -369,21 +371,24 @@ def test_phase_reuses_product_buffers(monkeypatch):
     n_steps, stride = 7 * 150 + 3, 7
     out = np.empty((1 + (n_steps + stride - 1) // stride, p.shape[0]))
     out[0] = 1.0
-    transient._phase(p, out, n_steps, stride, [])
+    pool = []
+    transient._phase(p, out, n_steps, stride, pool)
     # p^2, p^3 (shared by q = p^7 and last = p^3), p^4, p^7, then q^2 .. q^64
     assert len(products) == 4 + 6
     assert len({id(w) for w in products}) <= 4
-    # with release the row blocks run beside q^64 and p^3 alone, and fill
-    # the same rows
-    pool, rows = [], np.empty_like(out)
+    # the row blocks run beside q^64 and p^3 alone, and a pool that holds
+    # spare buffers when the phase starts fills the same rows
+    assert len(pool) == 2 and {id(w) for w in pool} == {id(products[1]), id(products[-1])}
+    pool, rows = [np.empty_like(p) for _ in range(3)], np.empty_like(out)
     rows[0] = 1.0
-    transient._phase(p, rows, n_steps, stride, pool, release=True)
+    transient._phase(p, rows, n_steps, stride, pool)
     assert len(pool) == 2 and np.array_equal(rows, out)
 
     products.clear()
-    propagator = transient._propagator
+    propagator, starts = transient._propagator, []
 
     def recording_propagator(*args):
+        starts.append((len(matrices), len(products)))
         p, g, z = propagator(*args)
         matrices.append(p)
         return p, g, z
@@ -393,13 +398,19 @@ def test_phase_reuses_product_buffers(monkeypatch):
     setup = short_setup()
     tc.simulate(setup, 6000)
     dim = 2 * setup.params.n_cells - 1   # the mirror half-chain's states
-    # per phase the lhs, rhs and p of its propagator and its probe's lhs
-    assert len(matrices) == 2 * 4
-    assert len(products) >= 2 * 6
     assert all(m.shape[0] == dim for m in matrices + products)
-    # held in the lists, no array's memory is handed to a later one
-    assert len({id(owner(m)) for m in matrices + products}) <= 5
-    assert len({id(owner(m)) for m in products}) <= 4
+    m1, p1 = starts[1]
+    for mats, prods in ((matrices[:m1], products[:p1]), (matrices[m1:], products[p1:])):
+        # the lhs, rhs and p of the phase's propagator and its probe's lhs
+        assert len(mats) == 4 and len(prods) >= 6
+        # held in the lists, no array's memory is handed to a later one
+        assert len({id(owner(m)) for m in mats + prods}) <= 5
+        assert len({id(owner(m)) for m in prods}) <= 4
+    # the driven phase hands on the one-step map's buffer and its probe's
+    # left-hand side, and nothing else: three more are new
+    assert owner(matrices[m1]) is owner(matrices[m1 - 1])
+    assert owner(matrices[m1 + 2]) is owner(matrices[2])
+    assert len({id(owner(m)) for m in matrices + products}) <= 8
 
 
 @pytest.mark.parametrize("n, m", [(1, 1), (2, 2), (64, 64), (583, 583),
