@@ -26,11 +26,12 @@ import numpy as np
 from .circuit import RealSpaceMatrix, bloch_admittance, lambda_diag
 from .errors import (
     ConvergenceFailure,
+    InvalidParams,
     OutOfRange,
     RootResidualTooLarge,
     TrackingAmbiguous,
 )
-from .params import Boundary, CircuitParams
+from .params import Boundary, CircuitParams, is_index
 
 # back-substitution gate, relative to sum_j |q_j| |s|^j
 ROOT_RESIDUAL_TOL = 1e-7
@@ -38,12 +39,9 @@ BRANCH_LABELS = ("omega3", "omega4", "omega5", "omega6")
 # the coarsest k grid a band is traced on, and the fewest samples a branch
 # winding is certified from
 MIN_WINDING_SAMPLES = 64
-# the 24 permutations of four slots in lexicographic order, their inverses,
-# and _COMPOSE[p][q], the index of _PERMS[p] followed by _PERMS[q]
-_ORDER = {p: i for i, p in enumerate(itertools.permutations(range(4)))}
-_PERMS = np.array(list(_ORDER))
+# the 24 permutations of four slots in lexicographic order, and their inverses
+_PERMS = np.array(list(itertools.permutations(range(4))))
 _INVERSE = np.argsort(_PERMS, axis=1)
-_COMPOSE = [[_ORDER[tuple(q[p].tolist())] for q in _PERMS] for p in _PERMS]
 # the six root pairs of a row, as the root-separation gate reads them
 _PAIRS = np.triu_indices(4, 1)
 
@@ -224,6 +222,8 @@ def band_trace(params: CircuitParams, n_k: int) -> BandSet:
     the convention is not its own inverse there.  The closure permutation
     is its value at k = 0: the product of the branch points' swaps.
     """
+    if not is_index(n_k):
+        raise InvalidParams(f"n_k must be an integer, got {n_k!r}")
     if n_k < MIN_WINDING_SAMPLES:
         raise TrackingAmbiguous(
             f"n_k={n_k} too coarse; need >= {MIN_WINDING_SAMPLES}")
@@ -243,8 +243,8 @@ def band_trace(params: CircuitParams, n_k: int) -> BandSet:
     # row j's slot order composes the steps before it: those off the identity
     steps = cost.argmin(axis=1)
     moves = np.flatnonzero(steps)
-    orders = itertools.accumulate(steps[moves].tolist(), lambda p, q: _COMPOSE[p][q], initial=0)
-    perm = _PERMS[np.take(list(orders), np.searchsorted(moves, np.arange(h)))]
+    orders = itertools.accumulate(_PERMS[steps[moves]], lambda p, q: q[p], initial=np.arange(4))
+    perm = np.array(list(orders))[np.searchsorted(moves, np.arange(h))]
     half = np.take_along_axis(roots, perm, axis=1)
     # mirror[j] permutes row j's slots into row n_k - 1 - j; it changes only
     # across the branch points, so fill it between them from k = pi down

@@ -7,8 +7,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .circuit import RealSpaceMatrix, bloch_admittance, chain_bonds
-from .errors import GapUnknown, OriginCrossing, OutOfRange
-from .params import Boundary, CircuitParams
+from .errors import GapUnknown, InvalidParams, OriginCrossing, OutOfRange
+from .params import Boundary, CircuitParams, is_index
 from .spectral import BRANCH_LABELS, MIN_WINDING_SAMPLES, BandSet, ChainSpectrum
 
 ORIGIN_TOL = 1e-10
@@ -16,8 +16,8 @@ ORIGIN_TOL = 1e-10
 # the curve passes closer to the origin than the sampling resolves; the
 # winding of such a curve is not certified
 MAX_SEGMENT_TURN = np.pi / 2
-# the gates a curve must clear for its winding to be certified, in the
-# order they are checked, and the message of each one's refusal
+# the gates a curve must clear for its winding to be certified, coded in the
+# order they are checked, and the message a route raises on each one's refusal
 RADIUS, TURN, QUADRATURE = 1, 2, 3
 _REFUSALS = {
     RADIUS: "admittance curve passes within {r:.3e} of the origin; winding undefined",
@@ -46,10 +46,10 @@ def _turns(angles: np.ndarray) -> np.ndarray:
     return np.where(step < 0.0, step + 2.0 * np.pi, step) - np.pi
 
 
-def _gate(x: np.ndarray, y: np.ndarray) -> tuple[list, list, list, list]:
-    """Angle-count winding, trapezoid quadrature and minimum radius of each
-    row of a stack of closed curves (x, y), and its refusal: None, or the
-    first gate it fails and that gate's OriginCrossing message.
+def _gate(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Angle-count winding, trapezoid quadrature, minimum radius and largest
+    segment turn of each row of a stack of closed curves (x, y), and the
+    code of the first gate it fails (RADIUS, TURN, QUADRATURE; 0 for none).
 
     A row is refused when it passes within ORIGIN_TOL max(1, max radius) of
     the origin, when one segment turns more than MAX_SEGMENT_TURN around it,
@@ -74,14 +74,8 @@ def _gate(x: np.ndarray, y: np.ndarray) -> tuple[list, list, list, list]:
         quad = np.sum((xm * dy - ym * dx) / (xm * xm + ym * ym), axis=-1) / (2.0 * np.pi)
     fails = np.stack([r_min < ORIGIN_TOL * np.maximum(1.0, r_max), turn > MAX_SEGMENT_TURN,
                       np.rint(quad) != rounded])
-    winding = rounded.astype(int).tolist()
-    refusal = [None] * len(winding)
-    for i in np.flatnonzero(fails.any(axis=0)).tolist():
-        gate = RADIUS + int(np.argmax(fails[:, i]))
-        refusal[i] = (gate, _REFUSALS[gate].format(
-            r=r_min[i], turn=turn[i], quad=quad[i],
-            off=abs(quad[i] - winding[i]), winding=winding[i]))
-    return winding, quad.tolist(), r_min.tolist(), refusal
+    code = np.where(fails.any(axis=0), RADIUS + fails.argmax(axis=0), 0)
+    return rounded.astype(int), quad, r_min, turn, code
 
 
 def _check_samples(n: int) -> None:
@@ -99,9 +93,10 @@ def _gated_curve(params: CircuitParams, branch: np.ndarray, k_grid: np.ndarray,
     if certify:
         _check_samples(len(branch))
     x, y = np.atleast_2d(*_admittance_plane_curve(params, branch, k_grid))
-    (winding,), (quad,), _, (refusal,) = _gate(x, y)
-    if refusal is not None and (certify or refusal[0] in (RADIUS, TURN)):
-        raise OriginCrossing(refusal[1])
+    winding, quad, r, turn, code = (v.item() for v in _gate(x, y))
+    if code and (certify or code in (RADIUS, TURN)):
+        raise OriginCrossing(_REFUSALS[code].format(
+            r=r, turn=turn, quad=quad, off=abs(quad - winding), winding=winding))
     return winding, quad, x, y
 
 
@@ -169,9 +164,10 @@ def winding_per_branch(params: CircuitParams, band: BandSet) -> dict[str, Windin
     # one evaluation and one gate pass over all branches, each gated on its own
     _check_samples(len(band.k_grid))
     stack = np.stack(list(band.branches.values()))
-    gated = zip(band.branches, *_gate(*_admittance_plane_curve(params, stack, band.k_grid)))
+    winding, quad, r_min, _, code = _gate(*_admittance_plane_curve(params, stack, band.k_grid))
+    gated = zip(band.branches, winding.tolist(), quad.tolist(), r_min.tolist(), code.tolist())
     return {lab: WindingResult(label=lab, winding=w, quadrature=q, curve_min_radius=r)
-            for lab, w, q, r, refusal in gated if refusal is None}
+            for lab, w, q, r, c in gated if c == 0}
 
 
 def skin_effect_present(band: BandSet, label: str) -> bool:
@@ -263,6 +259,8 @@ def perturb_chain(matrix: RealSpaceMatrix, cells: tuple[int, ...],
     """
     if not 0.0 <= fraction <= 0.2:
         raise OutOfRange(f"fraction {fraction} outside [0, 0.2]")
+    if not all(is_index(cell) for cell in cells):
+        raise InvalidParams(f"cells must be integers, got {cells!r}")
     n = matrix.params.n_cells
     c = np.asarray(cells, dtype=int)
     outside = c[(c < 0) | (c >= n)]

@@ -152,17 +152,6 @@ class TransientSetup:
         return 2.0 * np.pi / self.drive_frequency
 
 
-def _incidence(params: CircuitParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Branch incidence in chain_bonds order, per-branch R and C."""
-    tail, head = chain_bonds(params.n_cells, params.boundary)
-    bond = np.arange(len(tail))
-    s = np.zeros((2 * params.n_cells, len(tail)))
-    s[tail, bond] = 1.0
-    s[head, bond] = -1.0
-    intra = bond < params.n_cells
-    return s, np.where(intra, params.r1, params.r2), np.where(intra, params.c1, params.c2)
-
-
 @dataclass(frozen=True)
 class StateSpace:
     """dx/dt = a x + b u while driven, dx/dt = a_free x after release.
@@ -201,11 +190,19 @@ def assemble_state_space(setup: TransientSetup) -> StateSpace:
             "node-voltage elimination divides by R; lossless chains need an "
             "LC formulation this module does not provide"
         )
-    s, rs, cs = _incidence(params)
-    n_nodes, nb = s.shape
-    g = (s / rs) @ s.T
+    # the incidence S (+1 at each bond's tail, -1 at its head) as the bond list:
+    # S R^-1 S^T has 1/r on both ends' diagonal and -1/r on the pair, S^T w = w[tail] - w[head]
+    tail, head = chain_bonds(params.n_cells, params.boundary)
+    n_nodes, nb = 2 * params.n_cells, len(tail)
+    bond = np.arange(nb)
+    rs, cs = np.where(bond < params.n_cells, [[params.r1], [params.c1]], [[params.r2], [params.c2]])
+    inv_r, ends = 1.0 / rs, np.concatenate([tail, head])
+    g = np.zeros((n_nodes, n_nodes))
+    np.add.at(g, (ends, ends), np.tile(inv_r, 2))
+    g[tail, head] = g[head, tail] = -inv_r
     # state -> KCL right-hand side (without sources): S R^-1 vC - iL
-    m = np.hstack([s / rs, -np.eye(n_nodes)])
+    m = np.hstack([np.zeros((n_nodes, nb)), -np.eye(n_nodes)])
+    m[tail, bond], m[head, bond] = inv_r, -inv_r
 
     clamped = np.isin(np.arange(n_nodes), setup.source_nodes)
     free_idx, clamp_idx = np.flatnonzero(~clamped), np.flatnonzero(clamped)
@@ -231,12 +228,12 @@ def assemble_state_space(setup: TransientSetup) -> StateSpace:
 
     def build(w: np.ndarray) -> np.ndarray:
         a = np.zeros((nb + n_nodes, nb + n_nodes))
-        a[:nb] = (s.T @ w) / (rs * cs)[:, None]
-        a[:nb, :nb] -= np.diag(1.0 / (rs * cs))
+        np.divide(w[tail] - w[head], (rs * cs)[:, None], out=a[:nb])
+        a[bond, bond] -= 1.0 / (rs * cs)
         a[nb:] = w / params.l
         return a
 
-    b_d = np.concatenate([(s.T @ v_src) / (rs * cs), v_src / params.l])
+    b_d = np.concatenate([(v_src[tail] - v_src[head]) / (rs * cs), v_src / params.l])
     return StateSpace(
         a_driven=build(w_d), b_driven=b_d, a_free=build(w_f),
         v_map_driven=w_d, v_src_driven=v_src, v_map_free=w_f,
@@ -534,8 +531,9 @@ def simulate(setup: TransientSetup, max_samples: int) -> TransientTrace:
     half-chain state; the energy gate reads the full energy, twice the
     half-chain's.
     """
-    if not 1 <= max_samples <= MAX_OUTPUT_SAMPLES:
-        raise InvalidParams(f"max_samples outside [1, {MAX_OUTPUT_SAMPLES}]")
+    if not (is_index(max_samples) and 1 <= max_samples <= MAX_OUTPUT_SAMPLES):
+        raise InvalidParams(
+            f"max_samples must be an integer in [1, {MAX_OUTPUT_SAMPLES}], got {max_samples!r}")
     _pin_mmap_threshold()
     stepped, node_src, weight = _sector(setup)
     sys = assemble_state_space(stepped)

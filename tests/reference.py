@@ -3,8 +3,9 @@
 The Pauli matrices, the 2x2 cell Laplacian, the off-diagonal product q(k)
 along a branch, the finite chain matrix at one frequency, the lossless
 closed-form bands, the netlist node parser, a stepwise band continuation
-by the assignment solver, the full-width node columns of a transient
-trace, and the winding gates applied to one curve at a time.  The
+by the assignment solver, the dense branch incidence and the state-space
+operators multiplied out from it, the full-width node columns of a
+transient trace, and the winding gates applied to one curve at a time.  The
 package computes none of its outputs from these; they are independent
 routes the tests compare it against.  Test modules import this file
 directly (pytest puts ``tests/`` on the path); the scripts under
@@ -164,6 +165,54 @@ def continue_step(prev: np.ndarray, new: np.ndarray) -> np.ndarray:
         np.abs(prev[free_slots][:, None] - new[free_roots][None, :]))
     assign[np.where(free_slots)[0][rr]] = np.where(free_roots)[0][cc]
     return assign
+
+
+def incidence(params: CircuitParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Dense branch incidence S (+1 at each bond's tail, -1 at its head) in
+    chain_bonds order, and the per-branch R and C."""
+    tail, head = chain_bonds(params.n_cells, params.boundary)
+    bond = np.arange(len(tail))
+    s = np.zeros((2 * params.n_cells, len(tail)))
+    s[tail, bond] = 1.0
+    s[head, bond] = -1.0
+    intra = bond < params.n_cells
+    return s, np.where(intra, params.r1, params.r2), np.where(intra, params.c1, params.c2)
+
+
+def dense_state_space(setup) -> tuple[np.ndarray, ...]:
+    """assemble_state_space's six arrays (a_driven, b_driven, a_free,
+    v_map_driven, v_src_driven, v_map_free) from dense products with the
+    incidence: G = S R^-1 S^T, the KCL map [S R^-1, -I], and S^T times each
+    voltage map, with the same solves of the clamped and the bordered
+    floating conductance systems."""
+    params = setup.params
+    s, rs, cs = incidence(params)
+    n_nodes, nb = s.shape
+    g = (s / rs) @ s.T
+    m = np.hstack([s / rs, -np.eye(n_nodes)])
+    clamped = np.isin(np.arange(n_nodes), setup.source_nodes)
+    free_idx, clamp_idx = np.flatnonzero(~clamped), np.flatnonzero(clamped)
+    g_ff = g[np.ix_(free_idx, free_idx)]
+    w_d = np.zeros((n_nodes, nb + n_nodes))
+    w_d[free_idx] = np.linalg.solve(g_ff, m[free_idx])
+    v_src = np.zeros(n_nodes)
+    v_src[clamp_idx] = 1.0
+    v_src[free_idx] = np.linalg.solve(
+        g_ff, -g[np.ix_(free_idx, clamp_idx)] @ np.ones(len(clamp_idx)))
+    g_aug = np.zeros((n_nodes + 1, n_nodes + 1))
+    g_aug[:n_nodes, :n_nodes] = g
+    g_aug[:n_nodes, n_nodes] = g_aug[n_nodes, :n_nodes] = 1.0
+    w_f = np.linalg.solve(g_aug, np.vstack([m, np.zeros(nb + n_nodes)]))[:n_nodes]
+
+    def build(w):
+        a = np.zeros((nb + n_nodes, nb + n_nodes))
+        a[:nb] = (s.T @ w) / (rs * cs)[:, None]
+        a[:nb, :nb] -= np.diag(1.0 / (rs * cs))
+        a[nb:] = w / params.l
+        return a
+
+    b_d = np.concatenate([(s.T @ v_src) / (rs * cs), v_src / params.l])
+    return build(w_d), b_d, build(w_f), w_d, v_src, w_f
 
 
 def full_width_columns(trace) -> tuple[np.ndarray, np.ndarray]:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import topochain as tc
-from topochain.errors import OutOfRange, TrackingAmbiguous
+from topochain.errors import InvalidParams, OutOfRange, TrackingAmbiguous
 from topochain import spectral
 from topochain.spectral import BRANCH_LABELS, midpoint_grid
 
@@ -153,6 +153,19 @@ def test_midpoint_grid():
 def test_band_trace_needs_enough_points():
     with pytest.raises(TrackingAmbiguous):
         tc.band_trace(row_params(1), 32)
+
+
+def test_band_trace_refuses_non_integer_n_k():
+    """A float, a bool or a string is no grid size, whatever its value; a
+    numpy integer is one."""
+    p = row_params(1)
+    for bad in (128.0, True, "128", np.float64(128.0)):
+        with pytest.raises(InvalidParams, match="n_k"):
+            tc.band_trace(p, bad)
+    numpy_n_k, n_k = tc.band_trace(p, np.int64(128)), tc.band_trace(p, 128)
+    assert numpy_n_k.closure_permutation == n_k.closure_permutation
+    for lab in BRANCH_LABELS:
+        assert np.array_equal(numpy_n_k.branches[lab], n_k.branches[lab])
 
 
 @pytest.mark.parametrize("row", list(ROWS))

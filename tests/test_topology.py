@@ -6,6 +6,7 @@ import pytest
 import topochain as tc
 from topochain.errors import (
     GapUnknown,
+    InvalidParams,
     OriginCrossing,
     OutOfRange,
 )
@@ -174,25 +175,28 @@ def _row(gated, i):
 def test_stacked_gates_equal_per_curve_gates():
     """One gate pass over the four-branch stack gives, bit for bit, what the
     gates checked one curve at a time give: each winding and quadrature,
-    the refused set, and each refusal's message; so do the one-branch
-    routes, and a one-row stack equals its row of the four-row stack."""
+    the refused set, and each refusal's gate; the one-branch routes raise
+    each refusal's message, and a one-row stack equals its row of the
+    four-row stack."""
     refused_by = set()
     for p, band, x, y in _gate_cases():
         gated = topology._gate(x, y)
-        refusals = gated[3]
+        codes = gated[4]
         results = tc.winding_per_branch(p, band)
         for i, (lab, branch) in enumerate(band.branches.items()):
             assert _row(topology._gate(x[i:i + 1], y[i:i + 1]), 0) == _row(gated, i)
             want = _per_curve(certified_winding, x[i], y[i])
             if isinstance(want, str):
-                gate, message = refusals[i]
-                refused_by.add(gate)
+                winding, quad, r, turn, code = _row(gated, i)
+                message = topology._REFUSALS[code].format(
+                    r=r, turn=turn, quad=quad, off=abs(quad - winding), winding=winding)
+                refused_by.add(int(code))
                 assert message == want and lab not in results
                 with pytest.raises(OriginCrossing) as exc:
                     tc.winding_number(p, branch, band.k_grid)
                 assert str(exc.value) == want
             else:
-                assert refusals[i] is None
+                assert codes[i] == 0
                 radius = float(np.hypot(x[i], y[i]).min())
                 assert results[lab] == topology.WindingResult(lab, *want, radius)
                 assert tc.winding_number(p, branch, band.k_grid) == want[0]
@@ -444,6 +448,17 @@ def test_perturb_chain_bounds():
         tc.perturb_chain(m, (3,), 0.5)
     with pytest.raises(OutOfRange):
         tc.perturb_chain(m, (9,), 0.1)
+
+
+def test_perturb_chain_refuses_non_integer_cells():
+    """A float, a bool or a string names no cell (1.7 and True once
+    perturbed cell 1); a numpy integer does."""
+    m = real_space_matrix(row_params(1, n_cells=8), 1.0 + 0.5j)
+    for bad in ((1.7,), (True,), ("1",), (3, np.float64(1.0))):
+        with pytest.raises(InvalidParams, match="cells"):
+            tc.perturb_chain(m, bad, 0.05)
+    assert np.array_equal(tc.perturb_chain(m, (np.int64(3),), 0.05).entries,
+                          tc.perturb_chain(m, (3,), 0.05).entries)
 
 
 def test_compare_perturbed_identity():

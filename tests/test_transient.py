@@ -22,7 +22,8 @@ from topochain.cli import _section, _setup_from_section, load_preset
 from topochain.transient import default_source_nodes, fastest_time_constant
 
 from conftest import assert_close, row_params
-from reference import chain_matrix_from_hoppings, full_width_columns
+from reference import (chain_matrix_from_hoppings, dense_state_space, full_width_columns,
+                       incidence)
 
 
 def test_setup_defaults_frozen():
@@ -98,10 +99,39 @@ def test_incidence_bond_order(boundary):
     expected = np.zeros((6, len(bonds)))
     for b, (tail, head) in enumerate(bonds):
         expected[tail, b], expected[head, b] = 1.0, -1.0
-    s, rs, cs = transient._incidence(p)
+    s, rs, cs = incidence(p)
     assert np.array_equal(s, expected)
     assert rs.tolist() == [p.r1] * 3 + [p.r2] * (len(bonds) - 3)
     assert cs.tolist() == [p.c1] * 3 + [p.c2] * (len(bonds) - 3)
+
+
+STATE_SPACE_ARRAYS = ("a_driven", "b_driven", "a_free", "v_map_driven", "v_src_driven",
+                      "v_map_free")
+
+
+@pytest.mark.parametrize("boundary", [tc.Boundary.OPEN, tc.Boundary.PERIODIC])
+@pytest.mark.parametrize("sources", [(1, 6), (0, 4)], ids=["mirror", "asymmetric"])
+def test_bond_list_assembly_equals_dense_incidence(boundary, sources):
+    """The operators read from the bond list equal the dense incidence
+    products; only exact zeros may differ in sign (np.array_equal takes
+    -0.0 == 0.0), and _identity_plus makes those positive before any solve."""
+    setup = tc.TransientSetup(row_params(4, n_cells=4, boundary=boundary),
+                              drive_frequency=3.77, source_nodes=sources)
+    space = tc.assemble_state_space(setup)
+    for name, want in zip(STATE_SPACE_ARRAYS, dense_state_space(setup)):
+        assert np.array_equal(getattr(space, name), want), name
+
+
+def test_bond_list_assembly_is_bytewise_dense_on_fig8_half_chain():
+    """On the half-chain that fig8's ringdown steps, every byte agrees."""
+    cfg = load_preset("fig8a")
+    setup, _ = _setup_from_section(tc.circuit_from_mapping(cfg["circuit"]),
+                                   _section(cfg, "transient"))
+    half = transient._sector(setup)[0]
+    assert half.params.n_cells == 130
+    space = tc.assemble_state_space(half)
+    for name, want in zip(STATE_SPACE_ARRAYS, dense_state_space(half)):
+        assert getattr(space, name).tobytes() == want.tobytes(), name
 
 
 def test_state_space_shapes():
@@ -447,7 +477,7 @@ def test_cond_is_the_svd_condition_number():
     """The conductance gates read cond_2 from eigenvalues: equal to the SVD
     value on the bordered floating system, and past 1e12 on the floating
     Laplacian, whose constant vector is a null vector."""
-    s, rs, _ = transient._incidence(row_params(4, n_cells=5))
+    s, rs, _ = incidence(row_params(4, n_cells=5))
     g = (s / rs) @ s.T
     n = len(g)
     g_aug = np.block([[g, np.ones((n, 1))], [np.ones((1, n)), np.zeros((1, 1))]])
@@ -727,9 +757,17 @@ def test_mirror_state_map():
 
 
 def test_simulate_rejects_bad_max_samples():
+    """A count outside [1, MAX_OUTPUT_SAMPLES] is refused, and so is a bool
+    or a float (True once ran as one sample and 2.5 as 2.5) or a string (once
+    a TypeError); a numpy integer is a count."""
     s = tc.TransientSetup(row_params(4, n_cells=2), drive_frequency=3.77)
     with pytest.raises(InvalidParams):
         tc.simulate(s, max_samples=0)
+    s = tc.TransientSetup(tc.CircuitParams(0.5, 1, 1, 1, 1, n_cells=4), 1.0)
+    for bad in (True, 2.5, "8000", np.float64(8000.0)):
+        with pytest.raises(InvalidParams, match="max_samples"):
+            tc.simulate(s, bad)
+    assert np.array_equal(tc.simulate(s, np.int64(8000)).times, tc.simulate(s, 8000).times)
 
 
 def test_ground_current_profile(short_trace):

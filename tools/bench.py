@@ -7,9 +7,14 @@ A checkout is a directory holding ``src/topochain`` and ``perfbench/``
 (``--change`` defaults to this repository).  Each checkout is measured in
 its own processes, one at a time, with its own files:
 
-- ``perfbench/suite.py --runs 3 --workloads sweep ringdown``: the median
-  and quartiles of every end-to-end metric.  A sweep operation is one
-  random point, so the sweep's ``ops_per_s`` is its points per second.
+- ``perfbench/run.py --workload W --seed S --seconds 30 --trace 0`` for
+  seeds 1-10 of each workload, as ten alternating pairs: the two checkouts
+  take turns seed by seed, and which of them goes first alternates, so host
+  drift reaches both alike.  Each checkout's record holds every run's value
+  and the median and quartiles of each end-to-end metric;
+  "change_better_pairs" counts, for each metric, the seeds on which the
+  change is better, in the direction ``BENCHMARK.json`` gives.  A sweep operation is one random
+  point, so the sweep's ``ops_per_s`` is its points per second.
 - ``perfbench/run.py --trace 1`` for 10 s per workload: the per-layer
   metrics.
 - every packaged preset through ``cli.run_command``, each preset in its
@@ -28,7 +33,8 @@ its own processes, one at a time, with its own files:
   brings scipy back onto the ringdown fit's path shows here.
 - the Tier-1 test suite's wall time and summary line.
 
-The whole measurement takes about ten minutes per checkout on 2 cores.
+The whole measurement takes about 40 minutes on 2 cores, over 30 of them
+the pairs.
 
 Nothing under ``perfbench/`` is written.  The output holds one record per
 checkout under "parent" and "change", and the change-over-parent ratio of
@@ -49,7 +55,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("sweep", "ringdown")
-RUNS = 3             # suite runs per workload; the suite needs 2 for quartiles
+PAIRS = 10           # alternating pairs per workload, one seed each
+PAIR_SECONDS = 30
 REPEATS = 3          # timed runs per preset, after one warm-up
 TRACE_SECONDS = 10
 IMPORT_RUNS = 5      # fresh processes timed per import measurement
@@ -116,14 +123,52 @@ def _env(checkout: Path) -> dict:
     return dict(os.environ, PYTHONPATH=str(checkout / "src"))
 
 
+def _quartiles(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4)
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def pairs(checkouts: dict) -> tuple[dict, dict]:
+    """Each checkout's environment record and end-to-end metrics over PAIRS
+    alternating pairs per workload, and for each metric the number of pairs
+    in which the change is better."""
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    roles = list(checkouts)
+    results = {role: {w: [] for w in WORKLOADS} for role in roles}
+    environment = {}
+    for w in WORKLOADS:
+        for seed in range(1, PAIRS + 1):
+            for role in roles if seed % 2 else roles[::-1]:
+                lines = _run([sys.executable, "perfbench/run.py", "--workload", w,
+                              "--seed", str(seed), "--seconds", str(PAIR_SECONDS),
+                              "--trace", "0"], checkouts[role]).strip().splitlines()
+                environment[role] = json.loads(lines[-2])["environment"]
+                results[role][w].append(json.loads(lines[-1]))
+    records = {role: {"environment": environment[role], "end_to_end": {}} for role in roles}
+    better = {}
+    for w in WORKLOADS:
+        values = {}
+        for role in roles:
+            runs = results[role][w]
+            values[role] = {m["name"]: [r["metrics"][m["name"]]["value"] for r in runs]
+                            for m in bench}
+            records[role]["end_to_end"][w] = {
+                "runs": len(runs), "all_correct": all(r["correct"] for r in runs),
+                "fail_ratio": sum(r["failed"] for r in runs) / sum(r["attempted"] for r in runs),
+                **{m["name"]: {"unit": m["unit"], "values": values[role][m["name"]],
+                               **_quartiles(values[role][m["name"]])} for m in bench}}
+        for m in bench:
+            sign = 1.0 if m["better"] == "higher" else -1.0
+            better[f"{w}.{m['name']}"] = sum(
+                sign * (c - p) > 0.0
+                for p, c in zip(values["parent"][m["name"]], values["change"][m["name"]]))
+    return records, better
+
+
 def measure(checkout: Path) -> dict:
-    """Every number of one checkout but its presets' (see presets)."""
+    """Every number of one checkout but its pairs' and presets' (see pairs
+    and presets)."""
     env = _env(checkout)
-    with tempfile.TemporaryDirectory() as tmp:
-        summary_path = Path(tmp) / "suite.json"
-        _run([sys.executable, "perfbench/suite.py", "--runs", str(RUNS),
-              "--workloads", *WORKLOADS, "--out", str(summary_path)], checkout)
-        suite = json.loads(summary_path.read_text())
     per_layer = {}
     for workload in WORKLOADS:
         lines = _run([sys.executable, "perfbench/run.py", "--workload", workload,
@@ -132,19 +177,7 @@ def measure(checkout: Path) -> dict:
         result = json.loads(lines[-1])
         per_layer[workload] = {"correct": result["correct"],
                                **{k: m["value"] for k, m in result["metrics"].items()}}
-    record = {
-        "environment": suite["environment"],
-        "src_lines": suite["environment"]["src_lines"],
-        "end_to_end": {
-            w: {"runs": s["runs"], "all_correct": s["all_correct"],
-                "fail_ratio": s["fail_ratio"],
-                **{k: {key: m.get(key) for key in ("median", "q1", "q3", "unit")}
-                   for k, m in s["metrics"].items()}}
-            for w, s in suite["workloads"].items()},
-        "sweep_points_per_s": suite["workloads"]["sweep"]["metrics"]["ops_per_s"]["median"],
-        "per_layer": per_layer,
-        "import": import_cost(checkout, env),
-    }
+    record = {"per_layer": per_layer, "import": import_cost(checkout, env)}
     t0 = time.perf_counter()
     # not checked: a failing suite still has a wall time and a summary line
     done = subprocess.run([sys.executable, "-m", "pytest", "-q",
@@ -197,15 +230,22 @@ def main(argv=None) -> int:
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    print(f"running {PAIRS} alternating pairs per workload", file=sys.stderr)
+    records, better = pairs(checkouts)
     report = {}
     for role, checkout in checkouts.items():
         print(f"measuring {role}: {checkout}", file=sys.stderr)
-        report[role] = measure(checkout)
+        report[role] = {**records[role], **measure(checkout),
+                        "src_lines": records[role]["environment"]["src_lines"],
+                        "sweep_points_per_s":
+                            records[role]["end_to_end"]["sweep"]["ops_per_s"]["median"]}
     print("timing the presets of both, preset by preset", file=sys.stderr)
     for role, record in presets(checkouts).items():
         report[role].update(record)
     report["ratio"] = ratios(report["parent"], report["change"])
-    report["protocol"] = {"runs": RUNS, "repeats": REPEATS, "trace_seconds": TRACE_SECONDS}
+    report["change_better_pairs"] = better
+    report["protocol"] = {"pairs": PAIRS, "pair_seconds": PAIR_SECONDS, "repeats": REPEATS,
+                          "trace_seconds": TRACE_SECONDS}
     args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
     return 0
 
